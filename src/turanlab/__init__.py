@@ -31,6 +31,7 @@ from .hypercore import (
     count_embeddings,
     count_injections,
     empty_graph,
+    equivalence_classes,
     find_embedding,
     find_induced_embedding,
     induced_subgraph,
@@ -55,7 +56,6 @@ from .lagrangian import (
     OptimizerConfig,
     PolynomialForm,
     certify_at,
-    equivalence_classes,
     evaluate,
     gradient,
     maximize,

@@ -202,12 +202,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_sigma(args) -> int:
     gen = ser.genspec_from_obj(_read_json(args.generator, "generator"))
-    report = sigma_t(
-        gen, args.t,
-        i_range=(args.i_from, args.i_to),
-        seed=args.seed,
-        samples=args.samples,
-    )
+    report = sigma_t(gen, args.t, i_range=(args.i_from, args.i_to))
     _require_json_format(args, "sigma")
     payload = ser.report_to_obj(report)
     _emit(payload, [(f"sigma_{args.t}", report.value)], args)
@@ -286,8 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="subset size")
     p.add_argument("--i-from", type=int, default=0, help="first member index")
     p.add_argument("--i-to", type=int, default=7, help="last member index")
-    p.add_argument("--samples", type=int, default=1_000_000,
-                   help="samples per member when too large for exhaustion")
     p.set_defaults(run=_cmd_sigma)
 
     return parser

@@ -46,6 +46,7 @@ __all__ = [
     "empty_graph",
     "chain_graph",
     "marked_clique",
+    "equivalence_classes",
 ]
 
 
@@ -307,6 +308,50 @@ def marked_clique(t: int) -> Hypergraph:
     if t < 2:
         raise InvalidArgumentError("marked clique needs t >= 2")
     return complete(t, (2,)).with_edges((0,))
+
+
+# ---------------------------------------------------------------------------
+# twin classes
+
+
+def equivalence_classes(graph: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """Partition vertices into twin classes, ordered by their least vertex.
+
+    Vertices i, j are twins when swapping them maps the edge set onto itself:
+    for every set e avoiding both, e+{i} is an edge iff e+{j} is.  Swaps of
+    twins are automorphisms, so every permutation inside a class is one, and
+    twinhood is transitive: each vertex is compared with the first vertex of
+    every earlier class.  The Lagrangian optimizer takes equal weights inside
+    a class, and sigma_t scores one subset per vector of class counts.
+    """
+    incident = [[] for _ in range(graph.n)]
+    for e in graph.edges:
+        for v in e:
+            incident[v].append(e)
+    edges = graph.edge_set
+
+    def twins(i: int, j: int) -> bool:
+        # the swap maps the edges holding i but not j one-to-one to sets
+        # holding j but not i; with equal degrees, all of them edges means
+        # it maps onto the edges holding j but not i
+        if len(incident[i]) != len(incident[j]):
+            return False
+        for e in incident[i]:
+            if j in e:
+                continue
+            if tuple(sorted(j if u == i else u for u in e)) not in edges:
+                return False
+        return True
+
+    classes: list[list[int]] = []
+    for v in range(graph.n):
+        for cls in classes:
+            if twins(cls[0], v):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return tuple(tuple(c) for c in classes)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 A hypergraph H induces the multilinear form sum_e |e|! prod_{i in e} x_i and a
 pattern induces sum_e multinomial(|e|; k_1..k_n) prod x_i^{k_i}; the maximum
 over the standard simplex is the quantity of interest.  The optimizer pipeline
-is: collapse equivalent vertices, enumerate candidate supports (pruned by pair
+is: collapse twin classes, enumerate candidate supports (pruned by pair
 coverage, with the full support always retained as a fallback), run projected
 gradient ascent with Armijo backtracking on each, then verify first-order
 optimality and certify a rational lower bound at a rounded rational point.
@@ -20,7 +20,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import InvalidArgumentError, OptimizerFailureError
-from .hypercore import Hypergraph, Pattern, SimplexPoint
+from .hypercore import Hypergraph, Pattern, SimplexPoint, equivalence_classes
 
 __all__ = [
     "PolynomialForm",
@@ -184,42 +184,6 @@ def gradient(obj, point):
             if not dead:
                 grads[a] += prod
     return tuple(grads)
-
-
-# ---------------------------------------------------------------------------
-# vertex equivalence
-
-
-def equivalence_classes(graph: Hypergraph) -> tuple[tuple[int, ...], ...]:
-    """Partition vertices into classes with equal links in every size layer.
-
-    Vertices i, j are equivalent when for every edge size r and every set e
-    avoiding both, e+{i} is an edge iff e+{j} is.  At some maximizer of the
-    form the weights can be taken equal inside each class, so the class
-    partition drives the quotient reduction.
-    """
-    layers = {
-        r: {frozenset(e) for e in graph.edges_of_size(r)}
-        for r in graph.edge_sizes()
-    }
-
-    def equivalent(i: int, j: int) -> bool:
-        for layer in layers.values():
-            link_i = {e - {i} for e in layer if i in e and j not in e}
-            link_j = {e - {j} for e in layer if j in e and i not in e}
-            if link_i != link_j:
-                return False
-        return True
-
-    classes: list[list[int]] = []
-    for v in range(graph.n):
-        for cls in classes:
-            if equivalent(cls[0], v):
-                cls.append(v)
-                break
-        else:
-            classes.append([v])
-    return tuple(tuple(c) for c in classes)
 
 
 # ---------------------------------------------------------------------------

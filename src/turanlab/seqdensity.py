@@ -7,19 +7,26 @@ of the Lubell value of the induced subgraph on S measured at scale t.
 
 The search scores subsets with integers: D is the least common multiple of
 the binomials C(t, r) for r = 1..t and an edge of size r inside S counts
-D // C(t, r).  Scores are exact and comparable across members.
+D // C(t, r).  Scores are exact and comparable across members.  Every
+member is searched exhaustively, up to the symmetry of its twin classes,
+so every reported value is exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InvalidArgumentError, UnsupportedSizeError
-from .hypercore import Hypergraph, SimplexPoint, blow_up, complete, lubell
+from .hypercore import (
+    Hypergraph,
+    SimplexPoint,
+    blow_up,
+    complete,
+    equivalence_classes,
+    lubell,
+)
 from .turansearch import disjoint_type_union
 
 __all__ = [
@@ -32,9 +39,6 @@ __all__ = [
 ]
 
 MAX_SUBSET_SIZE = 8
-# exhaustive per-member subset search up to C(40, 6) subsets
-EXHAUSTIVE_SUBSET_CAP = math.comb(40, 6)
-_SAMPLE_CHUNK = 1 << 16
 
 _KINDS = ("blowup", "turan", "union", "constant")
 
@@ -208,14 +212,23 @@ class DensityTrend:
 MAX_MEMBER_SIZE = 2_000
 
 
+def _check_member_sizes(gen: SequenceGenerator, lo: int, hi: int) -> None:
+    """Raise UnsupportedSizeError, before any member is built, when a member
+    in lo..hi has more than MAX_MEMBER_SIZE vertices."""
+    largest = gen.size(hi)  # also rejects a range past the listed sizes
+    if gen.ns is not None:
+        largest = max(gen.ns[lo:hi + 1])
+    if largest > MAX_MEMBER_SIZE:
+        raise UnsupportedSizeError(
+            f"members beyond n = {MAX_MEMBER_SIZE} are too large to materialize"
+        )
+
+
 def density_estimate(gen: SequenceGenerator, i_max: int) -> DensityTrend:
     """Exact Lubell values of members 0..i_max and their first differences."""
     if i_max < 0:
         raise InvalidArgumentError("i_max must be nonnegative")
-    if gen.size(i_max) > MAX_MEMBER_SIZE:
-        raise UnsupportedSizeError(
-            f"members beyond n = {MAX_MEMBER_SIZE} are too large to materialize"
-        )
+    _check_member_sizes(gen, 0, i_max)
     sizes = []
     values = []
     for i in range(i_max + 1):
@@ -236,9 +249,8 @@ class UpperDensityReport:
     value: Fraction
     attaining: tuple[int, tuple[int, ...]]  # (member index, vertex subset)
     h_values: tuple[Fraction, ...]  # full-member Lubell values over the range
-    exhaustive: bool
+    exhaustive: bool  # always True: every member is searched in full
     i_range: tuple[int, int]
-    samples: int | None = None
 
 
 def _edge_weights(t: int) -> tuple[int, dict[int, int]]:
@@ -287,9 +299,24 @@ def _member_cap(graph: Hypergraph, t: int, weights: dict[int, int]) -> int:
 
 def _search_exhaustive(graph, t, weights, w2, best_score):
     """Best t-subset by depth-first search over ascending vertex choices.
-    Returns (score, subset) or None if nothing beats best_score."""
+    Returns (score, subset) or None if nothing beats best_score.
+
+    Only canonical subsets are visited: a vertex may join only when the
+    vertex before it in its twin class has joined already.  This loses
+    nothing.  Every permutation inside a twin class is a product of twin
+    swaps, hence an automorphism, so a subset's score depends only on how
+    many vertices it takes from each class.  Taking the first vertices of
+    each class instead lowers every order statistic of a subset, so the
+    lexicographically least best subset, the one the full search would
+    report, is canonical.  With k classes at most C(t+k-1, k-1) subsets
+    are reached instead of C(n, t).
+    """
     n = graph.n
     singleton, pair_mask, higher = _member_tables(graph, t, weights)
+    prev = [-1] * n  # the vertex before v in its twin class, or -1
+    for cls in equivalence_classes(graph):
+        for a, b in zip(cls, cls[1:]):
+            prev[b] = a
 
     static_gain = []
     for v in range(n):
@@ -299,13 +326,12 @@ def _search_exhaustive(graph, t, weights, w2, best_score):
     # suffix_top[v][c]: sum of the c largest static gains among vertices >= v
     suffix_top = [None] * (n + 1)
     suffix_top[n] = [0] * (t + 1)
+    top = []  # the t largest static gains among vertices >= v, descending
     for v in range(n - 1, -1, -1):
-        gains = sorted(static_gain[v:], reverse=True)[:t]
+        top = sorted(top + [static_gain[v]], reverse=True)[:t]
         row = [0]
-        acc = 0
-        for c in range(1, t + 1):
-            acc += gains[c - 1] if c - 1 < len(gains) else 0
-            row.append(acc)
+        for c in range(t):
+            row.append(row[-1] + (top[c] if c < len(top) else 0))
         suffix_top[v] = row
 
     best = best_score
@@ -322,6 +348,8 @@ def _search_exhaustive(graph, t, weights, w2, best_score):
         for v in range(v_min, n - need + 1):
             if score + suffix_top[v][need] <= best:
                 return  # suffix bound is nonincreasing in v
+            if prev[v] >= 0 and not mask >> prev[v] & 1:
+                continue  # not canonical: its class predecessor is out
             gain = singleton[v] + w2 * (pair_mask[v] & mask).bit_count()
             for em, ew in higher[v]:
                 if em & mask == em:
@@ -336,51 +364,18 @@ def _search_exhaustive(graph, t, weights, w2, best_score):
     return best, best_subset
 
 
-def _search_sampled(graph, t, weights, seed_key, samples, best_score):
-    """Seeded uniform t-subset sampling; a lower bound on the member best."""
-    n = graph.n
-    rows = [(np.array(e, dtype=np.intp), weights[len(e)])
-            for e in graph.edges if len(e) <= t]
-    if not rows:
-        return None
-    seed, index = seed_key
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    )
-    best = best_score
-    best_subset = None
-    done = 0
-    while done < samples:
-        b = min(_SAMPLE_CHUNK, samples - done)
-        done += b
-        subs = np.argsort(rng.random((b, n)), axis=1)[:, :t]
-        member = np.zeros((b, n), dtype=bool)
-        np.put_along_axis(member, subs, True, axis=1)
-        scores = np.zeros(b, dtype=np.int64)
-        for verts, w in rows:
-            scores += w * member[:, verts].all(axis=1)
-        j = int(np.argmax(scores))
-        if scores[j] > best:
-            best = int(scores[j])
-            best_subset = tuple(sorted(int(v) for v in subs[j]))
-    if best_subset is None:
-        return None
-    return best, best_subset
-
-
 def sigma_t(
     gen: SequenceGenerator,
     t: int,
     i_range: tuple[int, int] = (0, 7),
-    seed: int = 0,
-    samples: int = 1_000_000,
 ) -> UpperDensityReport:
     """Largest induced t-subset Lubell value over members i_range[0]..i_range[1].
 
-    Members with fewer than t vertices are skipped.  Each member is searched
-    exhaustively when C(n, t) is within EXHAUSTIVE_SUBSET_CAP, otherwise by
-    seeded sampling; in the sampled case the report is flagged as a lower
-    bound (exhaustive=False).
+    Members with fewer than t vertices are skipped, and members with more
+    than MAX_MEMBER_SIZE vertices are refused up front.  Each member is
+    searched exhaustively over the t-subsets that are canonical for its
+    twin classes, so the value is exact and ``attaining`` is the member
+    and the lexicographically least subset that first reach it.
     """
     if t < 1:
         raise InvalidArgumentError("t must be at least 1")
@@ -393,6 +388,7 @@ def sigma_t(
         raise InvalidArgumentError(
             f"member range {i_range} exceeds the {gen.count} listed sizes"
         )
+    _check_member_sizes(gen, lo, hi)
 
     denom, weights = _edge_weights(t)
     w2 = weights.get(2, 0)
@@ -400,7 +396,6 @@ def sigma_t(
     best_score = -1
     attaining = None
     h_values = []
-    all_exhaustive = True
     searched = 0
     for i in range(lo, hi + 1):
         g = gen.member(i)
@@ -410,11 +405,7 @@ def sigma_t(
         searched += 1
         if _member_cap(g, t, weights) <= best_score:
             continue  # cannot beat the incumbent
-        if math.comb(g.n, t) <= EXHAUSTIVE_SUBSET_CAP:
-            found = _search_exhaustive(g, t, weights, w2, best_score)
-        else:
-            all_exhaustive = False
-            found = _search_sampled(g, t, weights, (seed, i), samples, best_score)
+        found = _search_exhaustive(g, t, weights, w2, best_score)
         if found is not None:
             best_score, subset = found
             attaining = (i, subset)
@@ -432,7 +423,6 @@ def sigma_t(
         value=Fraction(best_score, denom),
         attaining=attaining,
         h_values=tuple(h_values),
-        exhaustive=all_exhaustive,
+        exhaustive=True,
         i_range=(lo, hi),
-        samples=None if all_exhaustive else samples,
     )

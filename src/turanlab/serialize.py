@@ -523,5 +523,4 @@ def report_to_obj(report: UpperDensityReport) -> dict:
         "h_values": [format_fraction(h) for h in report.h_values],
         "exhaustive": report.exhaustive,
         "i_range": list(report.i_range),
-        "samples": report.samples,
     }

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgumentError, TuranLabError, UnsupportedSizeError
@@ -143,7 +143,7 @@ def enumerate_graphs(n: int, types: EdgeTypeSet):
         frontier = nxt
 
 
-def _max_lubell_records(scored, n):
+def _max_lubell_records(scored):
     best = None
     extremal = []
     for g in scored:
@@ -185,7 +185,7 @@ def pi_n(family: ForbiddenFamily, n: int, candidates=None, progress=None) -> PiR
             if family.excludes(g):
                 raise InvalidArgumentError("candidate contains a forbidden member")
             checked.append(canonical_graph(g))
-        best, extremal = _max_lubell_records(checked, n)
+        best, extremal = _max_lubell_records(checked)
         return PiRecord(
             n=n,
             pi_n=best,
@@ -207,7 +207,7 @@ def pi_n(family: ForbiddenFamily, n: int, candidates=None, progress=None) -> PiR
                 progress(count)
             if family.admits(g):
                 scored.append(g)
-        best, extremal = _max_lubell_records(scored, n)
+        best, extremal = _max_lubell_records(scored)
         return PiRecord(
             n=n,
             pi_n=best,
@@ -246,7 +246,7 @@ def pi_n(family: ForbiddenFamily, n: int, candidates=None, progress=None) -> PiR
             if maximal:
                 scored.append(canonical_graph(g))
         frontier = nxt
-    best, extremal = _max_lubell_records(scored, n)
+    best, extremal = _max_lubell_records(scored)
     return PiRecord(
         n=n,
         pi_n=best,

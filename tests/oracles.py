@@ -46,6 +46,23 @@ def brute_automorphisms(graph: Hypergraph) -> int:
     )
 
 
+def brute_twin_classes(graph: Hypergraph):
+    """Vertex classes under "swapping i and j maps the edge set onto itself",
+    each sorted, listed by least vertex."""
+    edges = frozenset(graph.edges)
+
+    def swap_fixes_edges(i, j):
+        perm = list(range(graph.n))
+        perm[i], perm[j] = j, i
+        return _apply(perm, graph.edges) == edges
+
+    classes = {
+        tuple(u for u in range(graph.n) if swap_fixes_edges(u, v))
+        for v in range(graph.n)
+    }
+    return tuple(sorted(classes))
+
+
 def brute_count_injections(big: Hypergraph, small: Hypergraph) -> int:
     """Injective maps sending every small edge onto a big edge."""
     big_edges = frozenset(big.edges)
@@ -208,8 +225,16 @@ def central_diff_gradient(value_fn, x, h: float = 1e-6):
 
 def brute_sigma(graphs, t: int) -> Fraction:
     """Supremum of induced t-subset Lubell values over the given members."""
-    best = Fraction(0)
-    for g in graphs:
+    value, _ = brute_sigma_witness(graphs, t)
+    return Fraction(0) if value is None else value
+
+
+def brute_sigma_witness(graphs, t: int):
+    """The supremum with the first (member position, subset) reaching it,
+    members in order and subsets in lexicographic order; (None, None) when
+    no member has t vertices."""
+    best = witness = None
+    for index, g in enumerate(graphs):
         if g.n < t:
             continue
         for subset in itertools.combinations(range(g.n), t):
@@ -218,8 +243,9 @@ def brute_sigma(graphs, t: int) -> Fraction:
             for e in g.edges:
                 if len(e) <= t and set(e) <= inside:
                     value += Fraction(1, math.comb(t, len(e)))
-            best = max(best, value)
-    return best
+            if best is None or value > best:
+                best, witness = value, (index, subset)
+    return best, witness
 
 
 def weak_jump_values(k_max: int):

@@ -284,6 +284,9 @@ class TestSigma:
         payload = json.loads(out)
         assert payload["value"] == "2/3"
         assert payload["exhaustive"] is True
+        assert sorted(payload) == [
+            "attaining", "exhaustive", "h_values", "i_range", "t", "value",
+        ]
 
     def test_deterministic(self, capsys, gen_file):
         _, out1, _ = run_cli(capsys, "sigma", gen_file, "--t", "3", "--i-to", "4")
@@ -293,6 +296,13 @@ class TestSigma:
     def test_t_cap(self, capsys, gen_file):
         code, _, _ = run_cli(capsys, "sigma", gen_file, "--t", "9")
         assert code == 2
+
+    def test_samples_flag_removed(self, capsys, gen_file):
+        # every member is searched exhaustively, so there is nothing to sample
+        with pytest.raises(SystemExit) as exc:
+            main(["sigma", gen_file, "--t", "4", "--samples", "10"])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
 
 
 class TestSubprocessEntryPoints:

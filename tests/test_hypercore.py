@@ -27,6 +27,7 @@ from turanlab.hypercore import (
     count_embeddings,
     count_injections,
     empty_graph,
+    equivalence_classes,
     find_embedding,
     find_induced_embedding,
     induced_subgraph,
@@ -270,6 +271,32 @@ class TestCanonical:
     def test_size_cap(self):
         with pytest.raises(UnsupportedSizeError):
             canonical_form(empty_graph(17))
+
+
+class TestEquivalenceClasses:
+    @given(hypergraphs())
+    def test_matches_swap_definition(self, g):
+        assert equivalence_classes(g) == oracles.brute_twin_classes(g)
+
+    def test_twin_free(self):
+        # a marked path: every swap of two vertices moves some edge off the set
+        g = Hypergraph(4, ((0,), (0, 1), (1, 2), (2, 3)))
+        assert equivalence_classes(g) == ((0,), (1,), (2,), (3,))
+        assert oracles.brute_twin_classes(g) == ((0,), (1,), (2,), (3,))
+
+    def test_all_twins(self):
+        g = complete(5, (1, 2, 3))
+        assert equivalence_classes(g) == ((0, 1, 2, 3, 4),)
+        assert oracles.brute_twin_classes(g) == ((0, 1, 2, 3, 4),)
+
+    def test_one_partition_shared(self):
+        import turanlab
+        import turanlab.lagrangian
+        import turanlab.seqdensity
+
+        assert turanlab.lagrangian.equivalence_classes is equivalence_classes
+        assert turanlab.seqdensity.equivalence_classes is equivalence_classes
+        assert turanlab.equivalence_classes is equivalence_classes
 
 
 class TestInducedSubgraph:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -140,6 +142,16 @@ class TestDensityEstimate:
         trend = density_estimate(gen, 3)
         assert abs(float(trend.last) - 9 / 8) < 0.05
 
+    def test_refuses_oversized_members_before_building(self, monkeypatch):
+        def no_build(self, i):
+            raise AssertionError("member built")
+
+        monkeypatch.setattr(SequenceGenerator, "member", no_build)
+        # the largest member need not be the last one
+        shrinking = SequenceGenerator.turan_generator(2, ns=(3000, 4))
+        with pytest.raises(UnsupportedSizeError):
+            density_estimate(shrinking, 1)
+
     @given(st.integers(min_value=0, max_value=3))
     def test_matches_direct_lubell(self, i):
         trend = density_estimate(BIPARTITE, i)
@@ -156,7 +168,6 @@ class TestSigmaT:
         report = sigma_t(BIPARTITE, t, i_range=(0, 7))
         assert report.value == value
         assert report.exhaustive
-        assert report.samples is None
 
     def test_matches_bruteforce(self):
         members = [BIPARTITE.member(i) for i in range(3)]
@@ -217,14 +228,55 @@ class TestSigmaT:
         with pytest.raises(InvalidArgumentError):
             sigma_t(gen, 4, i_range=(0, 1))
 
-    def test_sampled_mode_flagged_and_deterministic(self):
+    def test_large_member_is_exact(self):
+        # C(50, 6) subsets, but only 7 class-count vectors of two twin classes
         big = SequenceGenerator.turan_generator(2, ns=(50,))
-        a = sigma_t(big, 6, i_range=(0, 0), seed=7, samples=4000)
-        b = sigma_t(big, 6, i_range=(0, 0), seed=7, samples=4000)
-        assert not a.exhaustive and a.samples == 4000
-        assert a.value == b.value and a.attaining == b.attaining
-        # a sample never beats the true supremum over subsets
-        assert a.value <= F(3, 5)
+        report = sigma_t(big, 6, i_range=(0, 0))
+        assert report.value == F(3, 5)
+        assert report.exhaustive
+        assert report.attaining == (0, (0, 1, 2, 25, 26, 27))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_bruteforce_on_random_generators(self, seed):
+        # members of at most 12 vertices with non-trivial twin classes
+        rng = random.Random(seed)
+        ns = tuple(sorted(rng.sample(range(5, 13), 2)))
+
+        def random_graph(n, sizes=(1, 2, 3)):
+            pool = [e for r in sizes for e in itertools.combinations(range(n), r)]
+            return Hypergraph(n, [e for e in pool if rng.random() < 0.4])
+
+        def random_blow_up(sizes=(1, 2, 3)):
+            base = random_graph(rng.randint(2, 4), sizes)
+            raw = [rng.randint(1, 4) for _ in range(base.n)]
+            props = [F(w, sum(raw)) for w in raw]
+            return SequenceGenerator.blow_up_generator(base, props, ns=ns)
+
+        gens = [
+            random_blow_up(),
+            SequenceGenerator.constant_generator(random_graph(5), ns=ns),
+            # the components' class boundaries differ, so the classes refine
+            SequenceGenerator.union_generator(
+                random_blow_up((1,)), random_blow_up((2, 3))
+            ),
+        ]
+        for gen in gens:
+            members = [gen.member(i) for i in range(len(ns))]
+            for t in range(2, 6):
+                report = sigma_t(gen, t, i_range=(0, len(ns) - 1))
+                value, witness = oracles.brute_sigma_witness(members, t)
+                assert report.value == value
+                assert report.attaining == witness
+                assert report.exhaustive
+
+    def test_refuses_oversized_members_before_building(self, monkeypatch):
+        def no_build(self, i):
+            raise AssertionError("member built")
+
+        monkeypatch.setattr(SequenceGenerator, "member", no_build)
+        big = SequenceGenerator.turan_generator(2, ns=(3000,))
+        with pytest.raises(UnsupportedSizeError):
+            sigma_t(big, 4, i_range=(0, 0))
 
     def test_edgeless_members_score_zero(self):
         gen = SequenceGenerator.constant_generator(
