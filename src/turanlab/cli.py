@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -39,8 +38,6 @@ __all__ = ["main"]
 _EXIT_OK = 0
 _EXIT_BAD_INPUT = 2
 _EXIT_FAILED = 3
-
-_ENV_THREADS = "TURANLAB_THREADS"
 
 
 def _read_json(path: str, where: str):
@@ -75,28 +72,11 @@ def _graph_or_pattern(obj, where: str):
     return ser.graph_from_obj(obj, where)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(_ENV_THREADS)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"{_ENV_THREADS}={env!r} is not an integer") from None
-    return 1
-
-
 def _emit(payload, hints, args) -> None:
     sys.stdout.write(ser.dumps_canonical(payload) + "\n")
     if hints and sys.stdout.isatty():
         for label, value in hints:
             sys.stderr.write(f"# {label} = {value} ~ {float(value):.6g}\n")
-
-
-def _require_json_format(args, command: str) -> None:
-    if args.format != "json":
-        raise ParseError(f"the {command} command only writes json")
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +89,6 @@ def _cmd_lubell(args) -> int:
     from .hypercore import lubell
 
     value = lubell(graph)
-    _require_json_format(args, "lubell")
     payload = {
         "n": graph.n,
         "edge_count": len(graph.edges),
@@ -127,10 +106,8 @@ def _cmd_lagrangian(args) -> int:
         max_iters=args.max_iters,
         seed=args.seed,
         rational_certificate=args.certify,
-        threads=_threads(args),
     )
     result = maximize(target, config)
-    _require_json_format(args, "lagrangian")
     payload = ser.result_to_obj(result)
     hints = []
     if result.certified_lower_bound is not None:
@@ -164,7 +141,6 @@ def _cmd_turan(args) -> int:
 def _cmd_classify12(args) -> int:
     alpha = _cli_fraction(args.alpha)
     result = classify12(alpha)
-    _require_json_format(args, "classify12")
     payload = ser.classify_to_obj(result)
     if args.witness:
         witness = weak_jump_witness(alpha)
@@ -186,7 +162,7 @@ def _cmd_certify(args) -> int:
             "asserted", _cli_fraction(args.pi),
             args.pi_detail or "asserted on the command line",
         )
-    config = OptimizerConfig(seed=args.seed, threads=_threads(args))
+    config = OptimizerConfig(seed=args.seed)
     cert = build_certificate(
         alpha, family,
         strict=args.strict,
@@ -194,7 +170,6 @@ def _cmd_certify(args) -> int:
         pi_evidence=evidence,
         exhaustive_n=args.exhaustive_n,
     )
-    _require_json_format(args, "certify")
     payload = ser.certificate_to_obj(cert)
     _emit(payload, [("gap", cert.gap)], args)
     return _EXIT_OK
@@ -203,7 +178,6 @@ def _cmd_certify(args) -> int:
 def _cmd_sigma(args) -> int:
     gen = ser.genspec_from_obj(_read_json(args.generator, "generator"))
     report = sigma_t(gen, args.t, i_range=(args.i_from, args.i_to))
-    _require_json_format(args, "sigma")
     payload = ser.report_to_obj(report)
     _emit(payload, [(f"sigma_{args.t}", report.value)], args)
     return _EXIT_OK
@@ -218,11 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "tsv"), default="json",
         help="output format (tsv only for tabular commands)",
     )
-    common.add_argument(
-        "--threads", type=int, default=None,
-        help=f"worker threads (default: ${_ENV_THREADS} or 1)",
-    )
-    common.add_argument("--seed", type=int, default=0, help="deterministic seed")
 
     parser = argparse.ArgumentParser(
         prog="turanlab",
@@ -240,6 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph or pattern JSON file, or - for stdin")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--max-iters", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=0, help="deterministic seed")
     p.add_argument("--certify", action="store_true",
                    help="also produce an exact rational certificate")
     p.set_defaults(run=_cmd_lagrangian)
@@ -273,6 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="assert a density value (exact rational)")
     p.add_argument("--pi-detail", default=None,
                    help="provenance note for an asserted density value")
+    p.add_argument("--seed", type=int, default=0, help="deterministic seed")
     p.set_defaults(run=_cmd_certify)
 
     p = sub.add_parser("sigma", parents=[common],
@@ -290,6 +261,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # only the tabular turan command writes tsv; refuse before any work
+        if args.format != "json" and args.command != "turan":
+            raise ParseError(f"the {args.command} command only writes json")
         return args.run(args)
     except OptimizerFailureError as exc:
         sys.stderr.write(f"error: {exc}\n")

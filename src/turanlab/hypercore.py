@@ -8,6 +8,7 @@ equality, hashing, and serialized output are all deterministic.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -276,8 +277,7 @@ def lubell(graph: Hypergraph) -> Fraction:
     """Exact Lubell density: sum over edges of 1/C(n, |e|)."""
     n = graph.n
     total = Fraction(0)
-    for size in graph.edge_sizes():
-        count = len(graph.edges_of_size(size))
+    for size, count in Counter(len(e) for e in graph.edges).items():
         total += Fraction(count, comb(n, size))
     return total
 

@@ -12,7 +12,6 @@ optimality and certify a rational lower bound at a rounded rational point.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -197,15 +196,12 @@ class OptimizerConfig:
     tol: float = 1e-10
     seed: int = 0
     rational_certificate: bool = True
-    threads: int = 1
     step_init: float = 0.1
     backtrack: float = 0.5
 
     def __post_init__(self):
         if self.restarts < 0 or self.max_iters < 1:
             raise InvalidArgumentError("restarts must be >= 0 and max_iters >= 1")
-        if self.threads < 1:
-            raise InvalidArgumentError("threads must be >= 1")
         if not (0 < self.backtrack < 1):
             raise InvalidArgumentError("backtrack factor must lie in (0, 1)")
 
@@ -423,11 +419,7 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
             z[i] = v
         return best[1], z, support, any_converged
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(run, tasks))
-    else:
-        outcomes = [run(t) for t in tasks]
+    outcomes = [run(t) for t in tasks]
 
     outcomes.sort(key=lambda o: (-o[0], o[2]))
     value_q, z, support_q, converged = outcomes[0]

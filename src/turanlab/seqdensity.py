@@ -15,6 +15,7 @@ so every reported value is exact.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -289,12 +290,10 @@ def _member_tables(graph: Hypergraph, t: int, weights: dict[int, int]):
 def _member_cap(graph: Hypergraph, t: int, weights: dict[int, int]) -> int:
     """Upper bound for any t-subset score: a subset holds at most C(t, r)
     edges of size r, and no more than the member has."""
-    cap = 0
-    for r in range(1, t + 1):
-        m = len(graph.edges_of_size(r))
-        if m:
-            cap += min(m, math.comb(t, r)) * weights[r]
-    return cap
+    counts = Counter(len(e) for e in graph.edges)
+    return sum(
+        min(counts[r], math.comb(t, r)) * weights[r] for r in range(1, t + 1)
+    )
 
 
 def _search_exhaustive(graph, t, weights, w2, best_score):

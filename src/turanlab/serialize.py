@@ -250,7 +250,6 @@ def config_to_obj(config: OptimizerConfig) -> dict:
         "tol": config.tol,
         "seed": config.seed,
         "rational_certificate": config.rational_certificate,
-        "threads": config.threads,
         "step_init": config.step_init,
         "backtrack": config.backtrack,
     }
@@ -258,7 +257,7 @@ def config_to_obj(config: OptimizerConfig) -> dict:
 
 _CONFIG_KEYS = (
     "restarts", "max_iters", "tol", "seed", "rational_certificate",
-    "threads", "step_init", "backtrack",
+    "step_init", "backtrack",
 )
 
 

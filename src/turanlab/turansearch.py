@@ -1,10 +1,12 @@
 """Exhaustive small-n Turan densities over non-uniform hypergraphs.
 
-Isomorphism classes are generated level by level: each frontier of canonical
-representatives with k edges is extended by one edge and deduplicated through
-the canonical form, so no seen-set beyond the frontier is kept.  In subgraph
-mode freeness is monotone under edge removal, which lets the generation stay
-inside the free classes and score only the maximal ones.
+One loop, ``_grow``, generates isomorphism classes level by level: each
+frontier of canonical graphs with k edges is extended by one edge and
+deduplicated through the canonical form, so no seen-set beyond the frontier is
+kept.  ``enumerate_graphs`` and both exhaustive modes of ``pi_n`` run on it.
+In subgraph mode freeness is monotone under edge removal, which lets the loop
+grow only inside the free classes and score only the maximal ones; in induced
+mode it grows every class and scores the free ones.
 """
 
 from __future__ import annotations
@@ -113,6 +115,34 @@ def _check_cap(n: int) -> None:
         )
 
 
+def _grow(n: int, types: EdgeTypeSet, admits=None):
+    """Yield (g, maximal) once per isomorphism class, level by level.
+
+    Within a level the canonical graphs come in canonical-form order.  A
+    child g + e joins the next level only if ``admits`` accepts it (all do
+    when it is None); ``maximal`` says that no child of g was accepted.
+    """
+    universe = allowed_edges(n, types)
+    frontier = [canonical_graph(Hypergraph(n, ()))]
+    while frontier:
+        nxt: dict[bytes, Hypergraph] = {}
+        for g in frontier:
+            present = g.edge_set
+            maximal = True
+            for e in universe:
+                if e in present:
+                    continue
+                child = g.with_edges(e)
+                if admits is not None and not admits(child):
+                    continue
+                maximal = False
+                key = canonical_form(child)
+                if key not in nxt:
+                    nxt[key] = child
+            yield g, maximal
+        frontier = [canonical_graph(nxt[key]) for key in sorted(nxt)]
+
+
 def enumerate_graphs(n: int, types: EdgeTypeSet):
     """Yield one canonical representative per isomorphism class on n vertices.
 
@@ -123,24 +153,8 @@ def enumerate_graphs(n: int, types: EdgeTypeSet):
     _check_cap(n)
     if n < 1:
         raise InvalidArgumentError("enumeration needs n >= 1")
-    universe = allowed_edges(n, types)
-    start = Hypergraph(n, ())
-    yield canonical_graph(start)
-    frontier = {canonical_form(start): start}
-    while frontier:
-        nxt: dict[bytes, Hypergraph] = {}
-        for g in frontier.values():
-            present = g.edge_set
-            for e in universe:
-                if e in present:
-                    continue
-                child = g.with_edges(e)
-                key = canonical_form(child)
-                if key not in nxt:
-                    nxt[key] = child
-        for key in sorted(nxt):
-            yield canonical_graph(nxt[key])
-        frontier = nxt
+    for g, _ in _grow(n, types):
+        yield g
 
 
 def _max_lubell_records(scored):
@@ -172,8 +186,8 @@ def pi_n(family: ForbiddenFamily, n: int, candidates=None, progress=None) -> PiR
     if n < 1:
         raise InvalidArgumentError("pi_n needs n >= 1")
     t0 = time.perf_counter()
+    scored = []
     if candidates is not None:
-        checked = []
         for g in candidates:
             if g.n != n:
                 raise InvalidArgumentError("candidate vertex count mismatch")
@@ -184,68 +198,22 @@ def pi_n(family: ForbiddenFamily, n: int, candidates=None, progress=None) -> PiR
                     )
             if family.excludes(g):
                 raise InvalidArgumentError("candidate contains a forbidden member")
-            checked.append(canonical_graph(g))
-        best, extremal = _max_lubell_records(checked)
-        return PiRecord(
-            n=n,
-            pi_n=best,
-            extremal=extremal,
-            graphs_enumerated=len(checked),
-            elapsed=time.perf_counter() - t0,
-            exhaustive=False,
-        )
-
-    _check_cap(n)
-    universe = allowed_edges(n, family.ambient)
-    count = 0
-
-    if family.mode == "induced":
-        scored = []
-        for g in enumerate_graphs(n, family.ambient):
+            scored.append(canonical_graph(g))
+        count = len(scored)
+    else:
+        _check_cap(n)
+        induced = family.mode == "induced"
+        if not induced and family.excludes(Hypergraph(n, ())):
+            raise InvalidArgumentError(
+                "the family forbids the empty graph; no free graph exists"
+            )
+        count = 0
+        for g, maximal in _grow(n, family.ambient, None if induced else family.admits):
             count += 1
             if progress and count % 1000 == 0:
                 progress(count)
-            if family.admits(g):
+            if family.admits(g) if induced else maximal:
                 scored.append(g)
-        best, extremal = _max_lubell_records(scored)
-        return PiRecord(
-            n=n,
-            pi_n=best,
-            extremal=extremal,
-            graphs_enumerated=count,
-            elapsed=time.perf_counter() - t0,
-            exhaustive=True,
-        )
-
-    # subgraph mode: grow inside the free classes, score the maximal ones
-    start = Hypergraph(n, ())
-    if family.excludes(start):
-        raise InvalidArgumentError(
-            "the family forbids the empty graph; no free graph exists"
-        )
-    frontier = {canonical_form(start): start}
-    scored = []
-    while frontier:
-        nxt: dict[bytes, Hypergraph] = {}
-        for g in frontier.values():
-            count += 1
-            if progress and count % 1000 == 0:
-                progress(count)
-            present = g.edge_set
-            maximal = True
-            for e in universe:
-                if e in present:
-                    continue
-                child = g.with_edges(e)
-                if family.excludes(child):
-                    continue
-                maximal = False
-                key = canonical_form(child)
-                if key not in nxt:
-                    nxt[key] = child
-            if maximal:
-                scored.append(canonical_graph(g))
-        frontier = nxt
     best, extremal = _max_lubell_records(scored)
     return PiRecord(
         n=n,
@@ -253,7 +221,7 @@ def pi_n(family: ForbiddenFamily, n: int, candidates=None, progress=None) -> PiR
         extremal=extremal,
         graphs_enumerated=count,
         elapsed=time.perf_counter() - t0,
-        exhaustive=True,
+        exhaustive=candidates is None,
     )
 
 

@@ -129,28 +129,20 @@ class TestLagrangian:
         )
         assert out1 == out2
 
-    def test_threads_flag_keeps_output(self, capsys, chain_file):
-        _, out1, _ = run_cli(
-            capsys, "lagrangian", chain_file, "--restarts", "6", "--seed", "5"
-        )
-        _, out2, _ = run_cli(
-            capsys, "lagrangian", chain_file, "--restarts", "6", "--seed", "5",
-            "--threads", "3",
-        )
-        assert out1 == out2
+    def test_threads_flag_removed(self, capsys, chain_file):
+        # the optimizer runs its supports in one thread; there is no pool
+        with pytest.raises(SystemExit) as exc:
+            main(["lagrangian", chain_file, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, capsys, chain_file, monkeypatch):
-        monkeypatch.setenv("TURANLAB_THREADS", "2")
-        code, out, _ = run_cli(
-            capsys, "lagrangian", chain_file, "--restarts", "6", "--seed", "5",
-            "--certify",
-        )
-        assert code == 0 and json.loads(out)["certified_lower_bound"] == "9/8"
+    def test_tsv_refused_before_the_work(self, capsys, chain_file, monkeypatch):
+        def maximize(*args, **kwargs):
+            raise AssertionError("maximize ran before the format was checked")
 
-    def test_bad_threads_env(self, capsys, chain_file, monkeypatch):
-        monkeypatch.setenv("TURANLAB_THREADS", "many")
-        code, _, err = run_cli(capsys, "lagrangian", chain_file)
-        assert code == 2 and "TURANLAB_THREADS" in err
+        monkeypatch.setattr("turanlab.cli.maximize", maximize)
+        code, _, err = run_cli(capsys, "lagrangian", chain_file, "--format", "tsv")
+        assert code == 2 and "json" in err
 
     def test_optimizer_failure_exit_code(self, capsys, chain_file):
         code, _, err = run_cli(
@@ -303,6 +295,13 @@ class TestSigma:
             main(["sigma", gen_file, "--t", "4", "--samples", "10"])
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
+
+    def test_seed_flag_not_accepted(self, capsys, gen_file):
+        # only lagrangian and certify draw random starts
+        with pytest.raises(SystemExit) as exc:
+            main(["sigma", gen_file, "--t", "2", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestSubprocessEntryPoints:

@@ -146,17 +146,6 @@ class TestMaximize:
         ref = oracles.grid_lagrangian(marked_clique(3), steps=60)
         assert abs(got - ref) < 1e-6
 
-    def test_threads_do_not_change_the_answer(self):
-        sequential = maximize(marked_clique(4), OptimizerConfig(restarts=8, seed=3))
-        threaded = maximize(
-            marked_clique(4), OptimizerConfig(restarts=8, seed=3, threads=4)
-        )
-        assert sequential.value == threaded.value
-        assert sequential.maximizer.weights == threaded.maximizer.weights
-        assert (
-            sequential.certified_lower_bound == threaded.certified_lower_bound
-        )
-
     def test_seed_changes_are_harmless_on_easy_forms(self):
         a = maximize(chain_graph(), OptimizerConfig(restarts=4, seed=1))
         b = maximize(chain_graph(), OptimizerConfig(restarts=4, seed=2))
@@ -209,7 +198,5 @@ class TestOptimizerConfig:
             OptimizerConfig(restarts=-1)
         with pytest.raises(InvalidArgumentError):
             OptimizerConfig(max_iters=0)
-        with pytest.raises(InvalidArgumentError):
-            OptimizerConfig(threads=0)
         with pytest.raises(InvalidArgumentError):
             OptimizerConfig(backtrack=1.5)

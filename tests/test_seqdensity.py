@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from strategies import hypergraphs
 from turanlab.errors import InvalidArgumentError, UnsupportedSizeError
 from turanlab.hypercore import Hypergraph, chain_graph, complete, lubell
 from turanlab.seqdensity import (
@@ -17,6 +18,7 @@ from turanlab.seqdensity import (
     proportional_sizes,
     sigma_t,
 )
+from turanlab.seqdensity import _edge_weights, _member_cap
 
 F = Fraction
 BIPARTITE = SequenceGenerator.turan_generator(2, n_start=4, n_step=2)
@@ -295,6 +297,24 @@ class TestSigmaT:
         gen = SequenceGenerator.turan_generator(2, ns=(4, 6))
         with pytest.raises(InvalidArgumentError):
             sigma_t(gen, 3, i_range=(0, 2))
+
+
+class TestMemberCap:
+    @given(
+        hypergraphs(max_n=6, sizes=(1, 2, 3, 4)),
+        st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_definition(self, g, t):
+        # a t-subset holds at most C(t, r) edges of size r, and at most
+        # as many as the member has
+        _, weights = _edge_weights(t)
+        expect = sum(
+            min(sum(1 for e in g.edges if len(e) == r), math.comb(t, r))
+            * weights[r]
+            for r in range(1, t + 1)
+        )
+        assert _member_cap(g, t, weights) == expect
 
 
 class TestDensityTrend:

@@ -126,7 +126,7 @@ class TestFamilyAndConfig:
         assert ser.family_from_obj(obj).mode == "subgraph"
 
     def test_config_round_trip(self):
-        cfg = OptimizerConfig(restarts=4, seed=9, threads=2)
+        cfg = OptimizerConfig(restarts=4, seed=9)
         assert ser.config_from_obj(ser.config_to_obj(cfg)) == cfg
 
     def test_config_defaults(self):
@@ -135,6 +135,9 @@ class TestFamilyAndConfig:
     def test_config_typo_rejected(self):
         with pytest.raises(ParseError, match="unknown"):
             ser.config_from_obj({"restartz": 4})
+        # the removed thread-pool knob is an unknown key now, not ignored
+        with pytest.raises(ParseError, match="unknown"):
+            ser.config_from_obj({"threads": 2})
 
 
 class TestResultAndBound:

@@ -11,11 +11,13 @@ from turanlab.hypercore import (
     EdgeTypeSet,
     Hypergraph,
     canonical_form,
+    canonical_graph,
     chain_graph,
     complete,
     empty_graph,
     is_isomorphic,
     lubell,
+    marked_clique,
 )
 from turanlab.turansearch import (
     ForbiddenFamily,
@@ -60,6 +62,16 @@ class TestEnumeration:
         for g in enumerate_graphs(3, EdgeTypeSet((1, 3))):
             assert set(g.edge_sizes()) <= {1, 3}
 
+    @pytest.mark.parametrize(
+        "n,sizes", [(4, (2,)), (3, (1, 2)), (3, (1, 3)), (5, (1, 2))]
+    )
+    def test_canonical_graphs_in_level_order(self, n, sizes):
+        # each class once, by edge count, then by canonical form
+        graphs = list(enumerate_graphs(n, EdgeTypeSet(sizes)))
+        order = [(len(g.edges), canonical_form(g)) for g in graphs]
+        assert order == sorted(set(order))
+        assert all(canonical_graph(g) == g for g in graphs)
+
 
 class TestPiN:
     def test_forbidden_triangle(self):
@@ -95,6 +107,33 @@ class TestPiN:
         expect = oracles.brute_pi_n(members, sizes, n, induced=(mode == "induced"))
         assert pi_n(family, n).pi_n == expect
 
+    # frozen: values and class counts of the per-mode loops this one replaced;
+    # subgraph mode counts the free classes, induced mode counts every class
+    @pytest.mark.parametrize(
+        "members,sizes,mode,n,value,count",
+        [
+            ((complete(3, (2,)),), (2,), "subgraph", 6, F(3, 5), 38),
+            ((complete(2, (1, 2)),), (1, 2), "subgraph", 5, F(13, 10), 230),
+            ((PATH3,), (2,), "induced", 5, F(1), 34),
+            ((marked_clique(3),), (1, 2), "subgraph", 4, F(5, 3), 62),
+            ((complete(4, (3,)),), (3,), "subgraph", 5, F(7, 10), 23),
+            ((complete(2, (2,)),), (1, 2), "induced", 4, F(2), 90),
+        ],
+    )
+    def test_frozen_value_and_count(self, members, sizes, mode, n, value, count):
+        record = pi_n(ForbiddenFamily(EdgeTypeSet(sizes), members, mode), n)
+        assert record.pi_n == value
+        assert record.graphs_enumerated == count
+
+    def test_progress_every_thousand_graphs(self):
+        # the cheapest family found with at least 1000 free classes
+        family = ForbiddenFamily(EdgeTypeSet((1, 2)), (complete(2, (1, 2)),))
+        calls = []
+        record = pi_n(family, 6, progress=calls.append)
+        assert record.pi_n == F(13, 10)
+        assert record.graphs_enumerated == 1543
+        assert calls == [1000]
+
     def test_forbidding_single_vertex_edge(self):
         family = ForbiddenFamily(EdgeTypeSet((1,)), (Hypergraph(1, ((0,),)),))
         record = pi_n(family, 3)
@@ -116,6 +155,7 @@ class TestPiN:
         ]
         record = pi_n(family, 4, candidates=candidates)
         assert record.pi_n == F(2, 3)
+        assert record.graphs_enumerated == 2
         assert not record.exhaustive
 
     def test_candidates_must_be_admissible(self):
