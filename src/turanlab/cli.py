@@ -72,7 +72,7 @@ def _graph_or_pattern(obj, where: str):
     return ser.graph_from_obj(obj, where)
 
 
-def _emit(payload, hints, args) -> None:
+def _emit(payload, hints) -> None:
     sys.stdout.write(ser.dumps_canonical(payload) + "\n")
     if hints and sys.stdout.isatty():
         for label, value in hints:
@@ -94,7 +94,7 @@ def _cmd_lubell(args) -> int:
         "edge_count": len(graph.edges),
         "value": ser.format_fraction(value),
     }
-    _emit(payload, [("value", value)], args)
+    _emit(payload, [("value", value)])
     return _EXIT_OK
 
 
@@ -112,7 +112,7 @@ def _cmd_lagrangian(args) -> int:
     hints = []
     if result.certified_lower_bound is not None:
         hints.append(("certified lower bound", result.certified_lower_bound))
-    _emit(payload, hints, args)
+    _emit(payload, hints)
     return _EXIT_OK
 
 
@@ -134,7 +134,7 @@ def _cmd_turan(args) -> int:
         return _EXIT_OK
     payload = ser.bound_to_obj(bound)
     last = bound.records[-1]
-    _emit(payload, [(f"pi_{last.n}", last.pi_n)], args)
+    _emit(payload, [(f"pi_{last.n}", last.pi_n)])
     return _EXIT_OK
 
 
@@ -147,7 +147,7 @@ def _cmd_classify12(args) -> int:
         payload["witness"] = (
             None if witness is None else ser.weak_witness_to_obj(witness)
         )
-    _emit(payload, [("alpha", alpha)], args)
+    _emit(payload, [("alpha", alpha)])
     return _EXIT_OK
 
 
@@ -171,7 +171,7 @@ def _cmd_certify(args) -> int:
         exhaustive_n=args.exhaustive_n,
     )
     payload = ser.certificate_to_obj(cert)
-    _emit(payload, [("gap", cert.gap)], args)
+    _emit(payload, [("gap", cert.gap)])
     return _EXIT_OK
 
 
@@ -179,7 +179,7 @@ def _cmd_sigma(args) -> int:
     gen = ser.genspec_from_obj(_read_json(args.generator, "generator"))
     report = sigma_t(gen, args.t, i_range=(args.i_from, args.i_to))
     payload = ser.report_to_obj(report)
-    _emit(payload, [(f"sigma_{args.t}", report.value)], args)
+    _emit(payload, [(f"sigma_{args.t}", report.value)])
     return _EXIT_OK
 
 

@@ -209,9 +209,6 @@ class Pattern:
         )
         return Hypergraph(self.n, edges)
 
-    def edge_size(self, row: tuple[int, ...]) -> int:
-        return sum(row)
-
 
 def _is_exact(value) -> bool:
     return isinstance(value, (Fraction, int)) and not isinstance(value, bool)

@@ -81,11 +81,6 @@ class PolynomialForm:
     def from_hypergraph(cls, graph: Hypergraph) -> "PolynomialForm":
         return cls.from_pattern(Pattern.from_hypergraph(graph))
 
-    def term_supports(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(i for i, k in enumerate(expo) if k > 0) for _, expo in self.terms
-        )
-
     def restrict(self, support: tuple[int, ...]) -> "PolynomialForm":
         """Sub-form on the given variables (terms supported inside them)."""
         index = {v: i for i, v in enumerate(support)}
@@ -193,17 +188,12 @@ def gradient(obj, point):
 class OptimizerConfig:
     restarts: int = 32
     max_iters: int = 10_000
-    tol: float = 1e-10
     seed: int = 0
     rational_certificate: bool = True
-    step_init: float = 0.1
-    backtrack: float = 0.5
 
     def __post_init__(self):
         if self.restarts < 0 or self.max_iters < 1:
             raise InvalidArgumentError("restarts must be >= 0 and max_iters >= 1")
-        if not (0 < self.backtrack < 1):
-            raise InvalidArgumentError("backtrack factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -254,17 +244,20 @@ class _NumericForm:
 
 
 _ARMIJO_SIGMA = 1e-4
+_STEP_TOL = 1e-10
+_STEP_INIT = 0.1
+_BACKTRACK = 0.5
 
 
 def _ascend(num: _NumericForm, x0: np.ndarray, cfg: OptimizerConfig):
     """Projected gradient ascent with Armijo backtracking.
 
     Returns (x, value, converged).  Convergence means the projected step
-    shrank below cfg.tol in norm.
+    shrank below _STEP_TOL in norm.
     """
     x = x0.copy()
     fx = num.value(x)
-    step = cfg.step_init
+    step = _STEP_INIT
     converged = False
     for _ in range(cfg.max_iters):
         g = num.grad(x)
@@ -277,11 +270,11 @@ def _ascend(num: _NumericForm, x0: np.ndarray, cfg: OptimizerConfig):
             if fcand >= fx + _ARMIJO_SIGMA * gain:
                 y, fy = cand, fcand
                 break
-            t *= cfg.backtrack
+            t *= _BACKTRACK
         move = float(np.linalg.norm(y - x))
         if fy > fx:
             x, fx = y, fy
-        if move <= cfg.tol:
+        if move <= _STEP_TOL:
             converged = True
             break
         step = min(t * 2.0, 1.0)

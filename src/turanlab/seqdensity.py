@@ -5,6 +5,10 @@ vertex count.  The t-th upper density sigma_t is the supremum, over members
 with at least t vertices and over t-subsets S of the member's vertex set,
 of the Lubell value of the induced subgraph on S measured at scale t.
 
+Every member is a blow-up of a small base graph whose classes are
+intervals of twins.  Lubell values and subset searches work from that
+shape, so no member is built and members of any size are reachable.
+
 The search scores subsets with integers: D is the least common multiple of
 the binomials C(t, r) for r = 1..t and an edge of size r inside S counts
 D // C(t, r).  Scores are exact and comparable across members.  Every
@@ -15,9 +19,11 @@ so every reported value is exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import InvalidArgumentError, UnsupportedSizeError
 from .hypercore import (
@@ -26,7 +32,6 @@ from .hypercore import (
     blow_up,
     complete,
     equivalence_classes,
-    lubell,
 )
 from .turansearch import disjoint_type_union
 
@@ -180,19 +185,34 @@ class SequenceGenerator:
         return self.n_start + i * self.n_step
 
     def member(self, i: int) -> Hypergraph:
+        return blow_up(*self._shape(i))
+
+    def _shape(self, i: int) -> tuple[Hypergraph, tuple[int, ...]]:
+        """Base graph and class sizes with member(i) == blow_up(base, sizes).
+
+        The classes are consecutive vertex intervals of twins.  A constant
+        member pads its base with one extra vertex of n - b clones.  A union
+        member refines its components' intervals: a component class made of
+        m refined intervals becomes m clones of its base vertex.
+        """
         n = self.size(i)
         if self.kind in ("blowup", "turan"):
-            return blow_up(self.base, proportional_sizes(self.proportions, n))
-        if self.kind == "union":
-            graph = self.components[0].member(i)
-            for c in self.components[1:]:
-                graph = disjoint_type_union(graph, c.member(i))
-            return graph
-        if n < self.base.n:
-            raise InvalidArgumentError(
-                f"member {i} has {n} vertices, fewer than the base graph"
-            )
-        return Hypergraph(n, self.base.edges)
+            return self.base, proportional_sizes(self.proportions, n)
+        if self.kind == "constant":
+            b = self.base.n
+            if n < b:
+                raise InvalidArgumentError(
+                    f"member {i} has {n} vertices, fewer than the base graph"
+                )
+            return Hypergraph(b + 1, self.base.edges), (1,) * b + (n - b,)
+        shapes = [c._shape(i) for c in self.components]
+        cuts = sorted({0}.union(*(accumulate(sizes) for _, sizes in shapes)))
+        base = None
+        for part_base, sizes in shapes:
+            ends = [bisect_left(cuts, e) for e in accumulate(sizes)]
+            part = blow_up(part_base, [b - a for a, b in zip([0] + ends, ends)])
+            base = part if base is None else disjoint_type_union(base, part)
+        return base, tuple(b - a for a, b in zip(cuts, cuts[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -210,34 +230,30 @@ class DensityTrend:
         return self.values[-1]
 
 
-MAX_MEMBER_SIZE = 2_000
-
-
-def _check_member_sizes(gen: SequenceGenerator, lo: int, hi: int) -> None:
-    """Raise UnsupportedSizeError, before any member is built, when a member
-    in lo..hi has more than MAX_MEMBER_SIZE vertices."""
-    largest = gen.size(hi)  # also rejects a range past the listed sizes
-    if gen.ns is not None:
-        largest = max(gen.ns[lo:hi + 1])
-    if largest > MAX_MEMBER_SIZE:
-        raise UnsupportedSizeError(
-            f"members beyond n = {MAX_MEMBER_SIZE} are too large to materialize"
-        )
+def _shape_lubell(base: Hypergraph, sizes) -> Fraction:
+    """Lubell value of blow_up(base, sizes), computed without building it:
+    a base edge e stands for prod(sizes[v] for v in e) member edges."""
+    n = sum(sizes)
+    counts = Counter()
+    for e in base.edges:
+        counts[len(e)] += math.prod(sizes[v] for v in e)
+    return sum(
+        (Fraction(c, math.comb(n, r)) for r, c in counts.items() if c),
+        Fraction(0),
+    )
 
 
 def density_estimate(gen: SequenceGenerator, i_max: int) -> DensityTrend:
-    """Exact Lubell values of members 0..i_max and their first differences."""
+    """Exact Lubell values of members 0..i_max and their first differences.
+
+    No member is built: each value comes from the member's blow-up shape.
+    """
     if i_max < 0:
         raise InvalidArgumentError("i_max must be nonnegative")
-    _check_member_sizes(gen, 0, i_max)
-    sizes = []
-    values = []
-    for i in range(i_max + 1):
-        g = gen.member(i)
-        sizes.append(g.n)
-        values.append(lubell(g))
+    sizes = tuple(gen.size(i) for i in range(i_max + 1))
+    values = [_shape_lubell(*gen._shape(i)) for i in range(i_max + 1)]
     diffs = tuple(values[j + 1] - values[j] for j in range(i_max))
-    return DensityTrend(tuple(sizes), tuple(values), diffs)
+    return DensityTrend(sizes, tuple(values), diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +301,6 @@ def _member_tables(graph: Hypergraph, t: int, weights: dict[int, int]):
                 m |= 1 << u
             higher[v].append((m, weights[r]))
     return singleton, pair_mask, higher
-
-
-def _member_cap(graph: Hypergraph, t: int, weights: dict[int, int]) -> int:
-    """Upper bound for any t-subset score: a subset holds at most C(t, r)
-    edges of size r, and no more than the member has."""
-    counts = Counter(len(e) for e in graph.edges)
-    return sum(
-        min(counts[r], math.comb(t, r)) * weights[r] for r in range(1, t + 1)
-    )
 
 
 def _search_exhaustive(graph, t, weights, w2, best_score):
@@ -370,11 +377,13 @@ def sigma_t(
 ) -> UpperDensityReport:
     """Largest induced t-subset Lubell value over members i_range[0]..i_range[1].
 
-    Members with fewer than t vertices are skipped, and members with more
-    than MAX_MEMBER_SIZE vertices are refused up front.  Each member is
-    searched exhaustively over the t-subsets that are canonical for its
-    twin classes, so the value is exact and ``attaining`` is the member
-    and the lexicographically least subset that first reach it.
+    Members with fewer than t vertices are skipped.  No member is built.
+    A t-subset takes at most t vertices of a twin class, and the first ones
+    serve as well as any, so each member is searched through the blow-up
+    of its base with every class cut to at most t clones.  That search is
+    exhaustive over the t-subsets that are canonical for its twin classes,
+    so the value is exact and ``attaining`` is the member and the
+    lexicographically least subset that first reach it.
     """
     if t < 1:
         raise InvalidArgumentError("t must be at least 1")
@@ -387,7 +396,6 @@ def sigma_t(
         raise InvalidArgumentError(
             f"member range {i_range} exceeds the {gen.count} listed sizes"
         )
-    _check_member_sizes(gen, lo, hi)
 
     denom, weights = _edge_weights(t)
     w2 = weights.get(2, 0)
@@ -395,28 +403,24 @@ def sigma_t(
     best_score = -1
     attaining = None
     h_values = []
-    searched = 0
     for i in range(lo, hi + 1):
-        g = gen.member(i)
-        h_values.append(lubell(g))
-        if g.n < t:
+        base, sizes = gen._shape(i)
+        h_values.append(_shape_lubell(base, sizes))
+        if sum(sizes) < t:
             continue
-        searched += 1
-        if _member_cap(g, t, weights) <= best_score:
-            continue  # cannot beat the incumbent
-        found = _search_exhaustive(g, t, weights, w2, best_score)
+        cut = [min(s, t) for s in sizes]
+        found = _search_exhaustive(blow_up(base, cut), t, weights, w2, best_score)
         if found is not None:
             best_score, subset = found
-            attaining = (i, subset)
+            # vertex k of cut class j is vertex k of class j in the member;
+            # the map is increasing, so the least subset stays least
+            where = [o + k for o, c in zip(accumulate(sizes, initial=0), cut)
+                     for k in range(c)]
+            attaining = (i, tuple(where[v] for v in subset))
     if attaining is None:
-        if searched == 0:
-            raise InvalidArgumentError(
-                f"no member in {i_range} has at least {t} vertices"
-            )
-        # every subset of every member scored zero
-        first = next(i for i in range(lo, hi + 1) if gen.size(i) >= t)
-        attaining = (first, tuple(range(t)))
-        best_score = 0
+        raise InvalidArgumentError(
+            f"no member in {i_range} has at least {t} vertices"
+        )
     return UpperDensityReport(
         t=t,
         value=Fraction(best_score, denom),

@@ -9,6 +9,7 @@ compact separators, so identical values serialize identically.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -244,21 +245,10 @@ def bound_to_tsv(bound: DensityBound) -> str:
 
 
 def config_to_obj(config: OptimizerConfig) -> dict:
-    return {
-        "restarts": config.restarts,
-        "max_iters": config.max_iters,
-        "tol": config.tol,
-        "seed": config.seed,
-        "rational_certificate": config.rational_certificate,
-        "step_init": config.step_init,
-        "backtrack": config.backtrack,
-    }
+    return dataclasses.asdict(config)
 
 
-_CONFIG_KEYS = (
-    "restarts", "max_iters", "tol", "seed", "rational_certificate",
-    "step_init", "backtrack",
-)
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(OptimizerConfig))
 
 
 def config_from_obj(obj, where: str = "config") -> OptimizerConfig:

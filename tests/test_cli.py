@@ -289,6 +289,18 @@ class TestSigma:
         code, _, _ = run_cli(capsys, "sigma", gen_file, "--t", "9")
         assert code == 2
 
+    def test_million_vertex_member(self, capsys, tmp_path):
+        # members are scored from their blow-up shape, so size is no limit
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"kind": "turan", "params": {"parts": 2, "ns": [1000000]}}
+        ))
+        code, out, _ = run_cli(
+            capsys, "sigma", str(path), "--t", "6", "--i-to", "0"
+        )
+        assert code == 0
+        assert '"value":"3/5"' in out
+
     def test_samples_flag_removed(self, capsys, gen_file):
         # every member is searched exhaustively, so there is nothing to sample
         with pytest.raises(SystemExit) as exc:

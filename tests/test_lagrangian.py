@@ -198,5 +198,3 @@ class TestOptimizerConfig:
             OptimizerConfig(restarts=-1)
         with pytest.raises(InvalidArgumentError):
             OptimizerConfig(max_iters=0)
-        with pytest.raises(InvalidArgumentError):
-            OptimizerConfig(backtrack=1.5)

@@ -4,11 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from strategies import hypergraphs
 from turanlab.errors import InvalidArgumentError, UnsupportedSizeError
 from turanlab.hypercore import Hypergraph, chain_graph, complete, lubell
 from turanlab.seqdensity import (
@@ -18,10 +17,37 @@ from turanlab.seqdensity import (
     proportional_sizes,
     sigma_t,
 )
-from turanlab.seqdensity import _edge_weights, _member_cap
+from turanlab.turansearch import disjoint_type_union
 
 F = Fraction
 BIPARTITE = SequenceGenerator.turan_generator(2, n_start=4, n_step=2)
+MILLION = (10**6,)
+
+
+def one_of_each_kind(ns):
+    """A generator of every kind, plus a nested union, on the sizes ``ns``."""
+    blow = SequenceGenerator.blow_up_generator(
+        chain_graph(), (F(3, 4), F(1, 4)), ns=ns
+    )
+    const = SequenceGenerator.constant_generator(
+        Hypergraph(3, ((0, 1, 2),)), ns=ns
+    )
+    inner = SequenceGenerator.union_generator(blow, const)
+    quad = SequenceGenerator.blow_up_generator(
+        Hypergraph(4, ((0, 1, 2, 3),)), (F(1, 5), F(2, 5), F(1, 5), F(1, 5)),
+        ns=ns,
+    )
+    return [
+        blow,
+        const,
+        SequenceGenerator.turan_generator(3, ns=ns),
+        inner,
+        SequenceGenerator.union_generator(inner, quad),
+    ]
+
+
+def no_build(self, i):
+    raise AssertionError("member built")
 
 
 class TestProportionalSizes:
@@ -104,6 +130,16 @@ class TestSequenceGenerator:
         m = u.member(0)
         assert lubell(m) == lubell(a.member(0)) + lubell(b.member(0))
 
+    def test_union_members_refine_the_component_classes(self):
+        # the union of the component members, as the union kind defines it
+        *_, inner, nested = one_of_each_kind((3, 4, 7, 12))
+        for u in (inner, nested):
+            a, b = u.components
+            for i in range(4):
+                assert u.member(i) == disjoint_type_union(
+                    a.member(i), b.member(i)
+                )
+
     def test_union_requires_matching_sizes(self):
         a = SequenceGenerator.constant_generator(Hypergraph(2, ((0,),)), ns=(3,))
         b = SequenceGenerator.constant_generator(
@@ -144,20 +180,32 @@ class TestDensityEstimate:
         trend = density_estimate(gen, 3)
         assert abs(float(trend.last) - 9 / 8) < 0.05
 
-    def test_refuses_oversized_members_before_building(self, monkeypatch):
-        def no_build(self, i):
-            raise AssertionError("member built")
-
+    def test_million_vertex_members_are_never_built(self, monkeypatch):
         monkeypatch.setattr(SequenceGenerator, "member", no_build)
-        # the largest member need not be the last one
-        shrinking = SequenceGenerator.turan_generator(2, ns=(3000, 4))
-        with pytest.raises(UnsupportedSizeError):
-            density_estimate(shrinking, 1)
+        n = MILLION[0]
+        blow, const, turan, inner, nested = (
+            density_estimate(g, 0).values[0] for g in one_of_each_kind(MILLION)
+        )
+        a, b, c = proportional_sizes((F(1, 3),) * 3, n)
+        assert turan == F(a * b + a * c + b * c, math.comb(n, 2))
+        assert const == F(1, math.comb(n, 3))
+        # the Lubell value of a disjoint edge-type union is the sum
+        assert inner == blow + const
+        quad = proportional_sizes((F(1, 5), F(2, 5), F(1, 5), F(1, 5)), n)
+        assert nested == inner + F(math.prod(quad), math.comb(n, 4))
 
     @given(st.integers(min_value=0, max_value=3))
     def test_matches_direct_lubell(self, i):
         trend = density_estimate(BIPARTITE, i)
         assert trend.values[i] == oracles.brute_lubell(BIPARTITE.member(i))
+
+    @pytest.mark.parametrize("kind", range(5))
+    def test_matches_direct_lubell_on_every_kind(self, kind):
+        gen = one_of_each_kind((3, 4, 7, 12))[kind]
+        trend = density_estimate(gen, 3)
+        assert trend.sizes == (3, 4, 7, 12)
+        for i, value in enumerate(trend.values):
+            assert value == oracles.brute_lubell(gen.member(i))
 
 
 class TestSigmaT:
@@ -248,9 +296,11 @@ class TestSigmaT:
             pool = [e for r in sizes for e in itertools.combinations(range(n), r)]
             return Hypergraph(n, [e for e in pool if rng.random() < 0.4])
 
-        def random_blow_up(sizes=(1, 2, 3)):
+        def random_blow_up(sizes=(1, 2, 3), zero=False):
             base = random_graph(rng.randint(2, 4), sizes)
             raw = [rng.randint(1, 4) for _ in range(base.n)]
+            if zero:
+                raw[-1] = 0  # an empty class takes its base edges with it
             props = [F(w, sum(raw)) for w in raw]
             return SequenceGenerator.blow_up_generator(base, props, ns=ns)
 
@@ -260,6 +310,13 @@ class TestSigmaT:
             # the components' class boundaries differ, so the classes refine
             SequenceGenerator.union_generator(
                 random_blow_up((1,)), random_blow_up((2, 3))
+            ),
+            random_blow_up(zero=True),
+            SequenceGenerator.union_generator(
+                SequenceGenerator.union_generator(
+                    random_blow_up((1,)), random_blow_up((2,), zero=True)
+                ),
+                random_blow_up((3,)),
             ),
         ]
         for gen in gens:
@@ -271,14 +328,27 @@ class TestSigmaT:
                 assert report.attaining == witness
                 assert report.exhaustive
 
-    def test_refuses_oversized_members_before_building(self, monkeypatch):
-        def no_build(self, i):
-            raise AssertionError("member built")
-
+    def test_million_vertex_member(self, monkeypatch):
+        # six vertices of each of the two classes stand for all 10^6
         monkeypatch.setattr(SequenceGenerator, "member", no_build)
-        big = SequenceGenerator.turan_generator(2, ns=(3000,))
-        with pytest.raises(UnsupportedSizeError):
-            sigma_t(big, 4, i_range=(0, 0))
+        n = MILLION[0]
+        report = sigma_t(SequenceGenerator.turan_generator(2, ns=MILLION), 6,
+                         i_range=(0, 0))
+        assert report.value == F(3, 5)
+        assert report.attaining == (0, (0, 1, 2, 500000, 500001, 500002))
+        assert report.h_values == (F((n // 2) ** 2, math.comb(n, 2)),)
+
+    @pytest.mark.parametrize("kind", range(5))
+    def test_every_kind_at_a_million_vertices(self, monkeypatch, kind):
+        monkeypatch.setattr(SequenceGenerator, "member", no_build)
+        gen = one_of_each_kind(MILLION)[kind]
+        report = sigma_t(gen, 4, i_range=(0, 0))
+        assert report.h_values == density_estimate(gen, 0).values
+        assert report.value >= report.h_values[0]
+        # the attaining subset is t distinct vertices of the member
+        i, subset = report.attaining
+        assert i == 0 and len(set(subset)) == 4
+        assert all(0 <= v < MILLION[0] for v in subset)
 
     def test_edgeless_members_score_zero(self):
         gen = SequenceGenerator.constant_generator(
@@ -297,24 +367,6 @@ class TestSigmaT:
         gen = SequenceGenerator.turan_generator(2, ns=(4, 6))
         with pytest.raises(InvalidArgumentError):
             sigma_t(gen, 3, i_range=(0, 2))
-
-
-class TestMemberCap:
-    @given(
-        hypergraphs(max_n=6, sizes=(1, 2, 3, 4)),
-        st.integers(min_value=1, max_value=5),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_definition(self, g, t):
-        # a t-subset holds at most C(t, r) edges of size r, and at most
-        # as many as the member has
-        _, weights = _edge_weights(t)
-        expect = sum(
-            min(sum(1 for e in g.edges if len(e) == r), math.comb(t, r))
-            * weights[r]
-            for r in range(1, t + 1)
-        )
-        assert _member_cap(g, t, weights) == expect
 
 
 class TestDensityTrend:

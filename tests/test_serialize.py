@@ -138,6 +138,9 @@ class TestFamilyAndConfig:
         # the removed thread-pool knob is an unknown key now, not ignored
         with pytest.raises(ParseError, match="unknown"):
             ser.config_from_obj({"threads": 2})
+        # so are the ascent constants, which no longer belong to the config
+        with pytest.raises(ParseError, match="unknown"):
+            ser.config_from_obj({"tol": 1e-9})
 
 
 class TestResultAndBound:
