@@ -207,6 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lagrangian", parents=[common],
                        help="maximize the edge polynomial over the simplex")
     p.add_argument("graph", help="graph or pattern JSON file, or - for stdin")
+    # forms of degree <= 2 are solved exactly; the ascent settings below
+    # only act on forms with a term of degree >= 3
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--max-iters", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0, help="deterministic seed")

@@ -3,10 +3,14 @@
 A hypergraph H induces the multilinear form sum_e |e|! prod_{i in e} x_i and a
 pattern induces sum_e multinomial(|e|; k_1..k_n) prod x_i^{k_i}; the maximum
 over the standard simplex is the quantity of interest.  The optimizer pipeline
-is: collapse twin classes, enumerate candidate supports (pruned by pair
-coverage, with the full support always retained as a fallback), run projected
-gradient ascent with Armijo backtracking on each, then verify first-order
-optimality and certify a rational lower bound at a rounded rational point.
+is: collapse twin classes and enumerate candidate supports (pruned by pair
+coverage, with the full support always retained as a fallback).  A form of
+degree <= 2, such as that of a {1, 2}-hypergraph, is then solved exactly: on
+each support the KKT system of the homogenized quadratic form is solved in
+rationals, and the maximum, its point and its certificate are exact.  A form
+with a term of degree >= 3 runs projected gradient ascent with Armijo
+backtracking on each support, then verifies first-order optimality and
+certifies a rational lower bound at a rounded rational point.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .errors import InvalidArgumentError, OptimizerFailureError
+from .errors import InvalidArgumentError, OptimizerFailureError, TuranLabError
 from .hypercore import Hypergraph, Pattern, SimplexPoint, equivalence_classes
 
 __all__ = [
@@ -198,12 +202,21 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class LagrangianResult:
+    """Maximum of a form over the simplex and how it was reached.
+
+    ``method`` is ``"exact_kkt"`` for forms of degree <= 2, whose maximum
+    ``value_exact`` is exact, and ``"ascent"`` otherwise, with
+    ``value_exact`` None.
+    """
+
     value: float
     maximizer: SimplexPoint
     support: tuple[int, ...]
     certified_lower_bound: Fraction | None
     certificate_point: SimplexPoint | None
     stationarity_residual: float
+    value_exact: Fraction | None
+    method: str
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -305,8 +318,9 @@ def _candidate_supports(form: PolynomialForm) -> list[tuple[int, ...]]:
     """Supports worth searching: pair-covered subsets plus the full support.
 
     A support J qualifies when every pair inside J lies in some term fully
-    supported inside J.  Singletons need a term of their own.  The full
-    variable set is always kept as a fallback.
+    supported inside J.  Singletons need a term supported inside them (a
+    constant term counts).  The full variable set is always kept as a
+    fallback.
     """
     q = form.nvars
     masks = []
@@ -326,7 +340,7 @@ def _candidate_supports(form: PolynomialForm) -> list[tuple[int, ...]]:
     for sub in range(1, 1 << q):
         bits = [i for i in range(q) if sub >> i & 1]
         if len(bits) == 1:
-            if any(m and m & ~sub == 0 for m in masks):
+            if any(m & ~sub == 0 for m in masks):
                 out.append(tuple(bits))
             continue
         ok = True
@@ -340,6 +354,78 @@ def _candidate_supports(form: PolynomialForm) -> list[tuple[int, ...]]:
         out.append(full)
     out.sort(key=lambda s: (len(s), s))
     return out
+
+
+def _kkt_maximum(form: PolynomialForm) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact maximum and maximizer over the simplex of a form of degree <= 2.
+
+    On the simplex the form equals z^T Q z, with every term of degree d < 2
+    multiplied by (1^T z)^(2 - d): a standard quadratic program (Bomze
+    1998).  A linear term c z_i adds c/2 to row i and to column i, a square
+    c z_i^2 adds c to Q_ii, a cross term c z_i z_j adds c/2 to Q_ij and to
+    Q_ji, and a constant adds c to every entry.
+
+    A maximizer z with support J is stationary on its face, so it solves
+    Q_J z = mu 1, 1^T z = 1 with z_J > 0, and its value is z^T Q z = mu.
+    Take a maximizer of least support J.  Its system is not singular: a null
+    vector (d, dmu) has d != 0 and 1^T d = 0, so
+    f(z + t d) = f(z) + 2 t mu 1^T d + t^2 dmu 1^T d = f(z) until a
+    coordinate of z + t d hits 0, at a maximizer on a smaller face.  J is
+    also pair-covered (``_candidate_supports``): for a pair a, b in J that
+    no term inside J contains, d = e_a - e_b gives
+    d^T Q d = Q_aa + Q_bb - 2 Q_ab >= 0, the sum of the square coefficients
+    of a and b.  So f is convex along d with a maximum at z inside the face,
+    hence constant along d, and again a maximizer lies on a smaller face.  A
+    singleton J = {i} holds a term, or f(e_i) = 0 would be the maximum of a
+    form with positive coefficients.  So the largest mu over the positive
+    solutions of the non-singular candidate systems is the maximum.  Ties go
+    to the lexicographically least support.
+    """
+    q = form.nvars
+    Q = [[Fraction(0)] * q for _ in range(q)]
+    for coeff, expo in form.terms:
+        # a factor the term lacks is 1^T z, which sums over every index
+        vs = [i for i, k in enumerate(expo) for _ in range(k)]
+        half = coeff / 2
+        for i in vs[:1] or range(q):
+            for j in vs[1:2] or range(q):
+                Q[i][j] += half
+                Q[j][i] += half
+    best = None
+    for support in _candidate_supports(form):
+        solved = _solve_kkt([[Q[i][j] for j in support] for i in support])
+        if solved is None:
+            continue
+        z, mu = solved
+        if min(z) <= 0:
+            continue
+        if best is None or mu > best[0] or (mu == best[0] and support < best[1]):
+            best = (mu, support, z)
+    mu, support, z = best
+    point = [Fraction(0)] * q
+    for i, w in zip(support, z):
+        point[i] = w
+    return mu, tuple(point)
+
+
+def _solve_kkt(Q: list[list[Fraction]]):
+    """Solve [Q -1; 1^T 0] [z; mu] = [0; 1] exactly; None if it is singular."""
+    k = len(Q)
+    size = k + 1
+    rows = [row + [Fraction(-1), Fraction(0)] for row in Q]
+    rows.append([Fraction(1)] * k + [Fraction(0), Fraction(1)])
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
+        rows[col] = [v / head for v in rows[col]]
+        for r in range(size):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [rows[r][size] for r in range(k)], rows[k][size]
 
 
 def _support_value_closed(form: PolynomialForm, var: int) -> float:
@@ -362,8 +448,11 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
     """Global maximum of the form over the simplex.
 
     Collapses equivalent vertices first (hypergraphs and simple patterns), so
-    most structured inputs reduce to very few free variables; symmetric inputs
-    with a single class resolve by the closed single-variable path.
+    most structured inputs reduce to very few free variables.  A form of
+    degree <= 2 is solved exactly (``_kkt_maximum``) and ignores the restarts,
+    iterations and seed of the config.  Otherwise each support runs the
+    ascent; symmetric inputs with a single class resolve by the closed
+    single-variable path.
     """
     cfg = config or OptimizerConfig()
     form = polynomial_form(obj)
@@ -380,6 +469,8 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
     else:
         classes = tuple((i,) for i in range(form.nvars))
     qform = form.quotient(classes)
+    if all(sum(expo) <= 2 for _, expo in qform.terms):
+        return _exact_result(form, classes, qform, cfg)
 
     supports = _candidate_supports(qform)
     tasks = []
@@ -439,6 +530,8 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
             certified_lower_bound=None,
             certificate_point=None,
             stationarity_residual=residual,
+            value_exact=None,
+            method="ascent",
         )
         raise OptimizerFailureError(
             f"no run reached stationarity {STATIONARITY_TOL} "
@@ -464,6 +557,39 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
         certified_lower_bound=certified,
         certificate_point=cert_point,
         stationarity_residual=residual,
+        value_exact=None,
+        method="ascent",
+    )
+
+
+def _exact_result(form, classes, qform, cfg) -> LagrangianResult:
+    """The exact KKT maximum of a degree <= 2 quotient, expanded back through
+    the classes with x_v = z_c / |c|."""
+    value, z = _kkt_maximum(qform)
+    x = [Fraction(0)] * form.nvars
+    for c, members in enumerate(classes):
+        for v in members:
+            x[v] = z[c] / len(members)
+    point = SimplexPoint(tuple(x))
+    maximizer = SimplexPoint(tuple(float(w) for w in x))
+    certified = None
+    cert_point = None
+    if cfg.rational_certificate:
+        cert_point = point
+        certified = evaluate(form, point)
+        if certified != value:
+            raise TuranLabError(
+                f"the form is {certified} at its KKT point, not the value {value}"
+            )
+    return LagrangianResult(
+        value=float(value),
+        maximizer=maximizer,
+        support=point.support,
+        certified_lower_bound=certified,
+        certificate_point=cert_point,
+        stationarity_residual=stationarity_residual(form, x),
+        value_exact=value,
+        method="exact_kkt",
     )
 
 

@@ -274,6 +274,11 @@ def result_to_obj(result: LagrangianResult) -> dict:
             else point_to_obj(result.certificate_point)
         ),
         "stationarity_residual": result.stationarity_residual,
+        "value_exact": (
+            None if result.value_exact is None
+            else format_fraction(result.value_exact)
+        ),
+        "method": result.method,
     }
 
 

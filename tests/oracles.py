@@ -2,8 +2,9 @@
 
 Everything here is written from the definitions with no shared code paths:
 permutation loops for isomorphism and counting, full labeled-graph sweeps
-for extremal values, zooming grid search for polynomial maxima, central
-differences for gradients, and itertools subsets for sequence densities.
+for extremal values, zooming grid search for polynomial maxima, Lagrange
+systems on every support for exact {1, 2} maxima, central differences for
+gradients, and itertools subsets for sequence densities.
 Slow on purpose; only run on small instances.
 """
 
@@ -205,6 +206,67 @@ def grid_lagrangian(graph: Hypergraph, steps: int = 40, zooms: int = 5) -> float
                 local = [v, x]
         best_val, best_x = local
     return best_val
+
+
+def kkt_lagrangian_12(graph: Hypergraph) -> Fraction:
+    """Exact simplex maximum of the edge polynomial of a {1, 2}-graph.
+
+    f(x) = sum_{i in S1} x_i + 2 sum_{ij in E2} x_i x_j.  A maximizer with
+    support J is stationary on the affine hull of its face:
+    df/dx_v = [v in S1] + 2 sum_{u in J, uv in E2} x_u = lam for v in J, and
+    sum_J x = 1, a linear system in (x_J, lam).  Every support J is tried.
+    For a maximizer of least support the system is not singular: a null
+    vector (d, dlam) has sum d = 0 and 2 A_J d = dlam 1, so
+    f(x + t d) = f(x) + t lam sum d + t^2 dlam sum d / 2 = f(x) until a
+    coordinate hits 0.  The largest f over the positive solutions is the
+    maximum.
+    """
+    if any(len(e) > 2 for e in graph.edges):
+        raise ValueError("only 1- and 2-edges are supported")
+    best = None
+    for size in range(1, graph.n + 1):
+        for support in itertools.combinations(range(graph.n), size):
+            pos = {v: i for i, v in enumerate(support)}
+            k = len(support)
+            # columns x_J, lam, right-hand side
+            rows = [[Fraction(0)] * k + [Fraction(-1), Fraction(0)] for _ in support]
+            for e in graph.edges:
+                if not all(v in pos for v in e):
+                    continue
+                if len(e) == 1:
+                    rows[pos[e[0]]][k + 1] -= 1
+                else:
+                    a, b = pos[e[0]], pos[e[1]]
+                    rows[a][b] += 2
+                    rows[b][a] += 2
+            rows.append([Fraction(1)] * k + [Fraction(0), Fraction(1)])
+            solution = _solve_linear(rows)
+            if solution is None or min(solution[:k]) <= 0:
+                continue
+            x = [Fraction(0)] * graph.n
+            for v, w in zip(support, solution):
+                x[v] = w
+            value = poly_value_exact(graph, x)
+            if best is None or value > best:
+                best = value
+    return best
+
+
+def _solve_linear(rows):
+    """Gauss-Jordan on a square system with its right-hand side as the last
+    column; None when the system is singular."""
+    size = len(rows)
+    rows = [list(r) for r in rows]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(size):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [rows[r][size] / rows[r][r] for r in range(size)]
 
 
 def central_diff_gradient(value_fn, x, h: float = 1e-6):

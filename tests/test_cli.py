@@ -8,8 +8,20 @@ from pathlib import Path
 import pytest
 
 from turanlab.cli import main
+from turanlab.serialize import dumps_canonical
 
 CHAIN = {"n": 2, "edges": [[0], [0, 1]]}
+K4_MINUS = {"n": 4, "edges": [[0, 1, 2], [0, 1, 3], [0, 2, 3]]}
+# `lagrangian K4_MINUS --restarts 2 --seed 0 --certify` before the result
+# gained the value_exact and method keys; the ascent path must not move
+K4_MINUS_ASCENT = (
+    '{"certificate_point":["1/3","2/9","2/9","2/9"],'
+    '"certified_lower_bound":"8/27",'
+    '"maximizer":[0.33333333333325416,0.2222222222222486,'
+    '0.2222222222222486,0.2222222222222486],'
+    '"stationarity_residual":3.1652458432063213e-13,'
+    '"support":[0,1,2,3],"value":0.2962962962962963}'
+)
 CHAIN_FAMILY = {
     "ambient": [1, 2],
     "members": [CHAIN],
@@ -34,6 +46,13 @@ def declared_console_script(name):
 def chain_file(tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(CHAIN))
+    return str(path)
+
+
+@pytest.fixture
+def k4_minus_file(tmp_path):
+    path = tmp_path / "k4_minus.json"
+    path.write_text(json.dumps(K4_MINUS))
     return str(path)
 
 
@@ -101,6 +120,20 @@ class TestLagrangian:
         payload = json.loads(out)
         assert payload["certified_lower_bound"] == "9/8"
         assert payload["certificate_point"] == ["3/4", "1/4"]
+        assert '"method":"exact_kkt"' in out
+        assert '"value_exact":"9/8"' in out
+
+    def test_ascent_output_unchanged(self, capsys, k4_minus_file):
+        code, out, _ = run_cli(
+            capsys, "lagrangian", k4_minus_file, "--restarts", "2", "--seed", "0",
+            "--certify",
+        )
+        assert code == 0
+        assert '"method":"ascent"' in out
+        assert '"value_exact":null' in out
+        payload = json.loads(out)
+        del payload["method"], payload["value_exact"]
+        assert dumps_canonical(payload) == K4_MINUS_ASCENT
 
     def test_no_certificate_by_default(self, capsys, chain_file):
         code, out, _ = run_cli(
@@ -144,9 +177,9 @@ class TestLagrangian:
         code, _, err = run_cli(capsys, "lagrangian", chain_file, "--format", "tsv")
         assert code == 2 and "json" in err
 
-    def test_optimizer_failure_exit_code(self, capsys, chain_file):
+    def test_optimizer_failure_exit_code(self, capsys, k4_minus_file):
         code, _, err = run_cli(
-            capsys, "lagrangian", chain_file, "--restarts", "0",
+            capsys, "lagrangian", k4_minus_file, "--restarts", "0",
             "--max-iters", "1",
         )
         assert code == 3 and "error" in err

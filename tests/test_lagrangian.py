@@ -1,11 +1,11 @@
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 import oracles
-from strategies import hypergraphs, patterns, rational_points
+import turanlab.lagrangian as lagrangian
+from strategies import hypergraphs, patterns
 from turanlab.errors import InvalidArgumentError, OptimizerFailureError
 from turanlab.hypercore import (
     Hypergraph,
@@ -29,6 +29,7 @@ from turanlab.lagrangian import (
 
 F = Fraction
 FAST = OptimizerConfig(restarts=8, seed=0)
+K4_MINUS = Hypergraph(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
 
 
 class TestPolynomialForm:
@@ -107,6 +108,7 @@ class TestMaximize:
         expect = F(t - 1, t)
         assert abs(result.value - float(expect)) < 1e-8
         assert result.certified_lower_bound == expect
+        assert result.value_exact == expect
 
     def test_chain_certificate(self):
         result = maximize(chain_graph(), FAST)
@@ -154,9 +156,11 @@ class TestMaximize:
     def test_failure_carries_partial_result(self):
         # one iteration cannot reach stationarity from the uniform start
         with pytest.raises(OptimizerFailureError) as info:
-            maximize(chain_graph(), OptimizerConfig(restarts=0, max_iters=1))
+            maximize(K4_MINUS, OptimizerConfig(restarts=0, max_iters=1))
         assert info.value.best_so_far is not None
         assert info.value.best_so_far.value > 0
+        assert info.value.best_so_far.method == "ascent"
+        assert info.value.best_so_far.value_exact is None
 
     def test_pattern_with_multiplicities(self):
         # single row (2,): f = x^2, maximum 1 at x = 1
@@ -166,6 +170,55 @@ class TestMaximize:
         result = maximize(Pattern(2, ((1, 1), (2, 0))), FAST)
         assert abs(result.value - 1.0) < 1e-8
         assert result.stationarity_residual < 1e-7
+
+    @given(hypergraphs(max_n=6, sizes=(1, 2), min_edges=1))
+    def test_exact_on_12_graphs(self, g):
+        result = maximize(g, FAST)
+        assert result.method == "exact_kkt"
+        assert result.value_exact == oracles.kkt_lagrangian_12(g)
+        assert result.certified_lower_bound == result.value_exact
+        assert result.value == float(result.value_exact)
+
+    @pytest.mark.parametrize(
+        "obj,expect",
+        [
+            # perfbench's KNOWN_FAILURE and KNOWN_INEXACT: float ascent with
+            # restarts=2 did not converge on the first and returned a
+            # 21-digit lower bound on the second
+            (Hypergraph(4, [(1,), (3,), (0, 1), (0, 3), (2, 3)]), F(9, 8)),
+            (Hypergraph(4, [(1,), (2,), (3,), (0, 2), (0, 3), (1, 3), (2, 3)]), F(3, 2)),
+            # square terms: 2xy + x^2, and the quotient (3/4) z^2 of K4
+            (Pattern(2, ((1, 1), (2, 0))), F(1)),
+            (complete(4, (2,)), F(3, 4)),
+            # a constant term: every point is a maximizer
+            (PolynomialForm(2, ((F(3), (0, 0)),)), F(3)),
+        ],
+    )
+    def test_exact_values(self, obj, expect):
+        result = maximize(obj, FAST)
+        assert result.method == "exact_kkt"
+        assert result.value_exact == expect
+        assert result.certified_lower_bound == expect
+        assert certify_at(obj, result.certificate_point) == expect
+
+    def test_quotient_of_k4_is_one_square_term(self):
+        graph = complete(4, (2,))
+        qform = polynomial_form(graph).quotient(equivalence_classes(graph))
+        assert qform.terms == ((F(3, 4), (2,)),)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [chain_graph(), marked_clique(4), Pattern(2, ((1, 1), (2, 0))),
+         Hypergraph(4, [(1,), (3,), (0, 1), (0, 3), (2, 3)])],
+    )
+    def test_degree_two_forms_never_ascend(self, obj, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("float ascent ran on a form of degree <= 2")
+
+        monkeypatch.setattr(lagrangian, "_ascend", refuse)
+        monkeypatch.setattr(lagrangian, "_rationalize", refuse)
+        result = maximize(obj, OptimizerConfig(restarts=0, max_iters=1))
+        assert result.method == "exact_kkt"
 
 
 class TestCertifyAt:

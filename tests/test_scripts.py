@@ -37,7 +37,7 @@ def test_density_sweep_writes_both_files_per_family(tmp_path):
     "name,argv",
     [
         ("jump_scan.py", ("--denominator", "12", "--certify-strong", "1")),
-        ("closed_form_report.py", ("--t-max", "3", "--restarts", "2")),
+        ("closed_form_report.py", ()),
     ],
 )
 def test_script_exits_cleanly(name, argv):

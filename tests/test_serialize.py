@@ -146,9 +146,15 @@ class TestFamilyAndConfig:
 class TestResultAndBound:
     def test_result_fields(self):
         obj = ser.result_to_obj(maximize(chain_graph(), FAST))
+        assert set(obj) == {
+            "value", "maximizer", "support", "certified_lower_bound",
+            "certificate_point", "stationarity_residual", "value_exact", "method",
+        }
         assert obj["certified_lower_bound"] == "9/8"
         assert obj["certificate_point"] == ["3/4", "1/4"]
         assert obj["support"] == [0, 1]
+        assert obj["value_exact"] == "9/8"
+        assert obj["method"] == "exact_kkt"
 
     def test_bound_json_has_no_timing(self):
         family = ForbiddenFamily(EdgeTypeSet((2,)), (complete(3, (2,)),))
