@@ -77,7 +77,6 @@ from .turansearch import (
     disjoint_type_union,
     enumerate_graphs,
     pi_n,
-    random_maximal_free,
 )
 
 __version__ = "0.1.0"

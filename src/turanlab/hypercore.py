@@ -319,7 +319,8 @@ def equivalence_classes(graph: Hypergraph) -> tuple[tuple[int, ...], ...]:
     twins are automorphisms, so every permutation inside a class is one, and
     twinhood is transitive: each vertex is compared with the first vertex of
     every earlier class.  The Lagrangian optimizer takes equal weights inside
-    a class, and sigma_t scores one subset per vector of class counts.
+    a class, and sigma_t skips a class-count vector when swapping the counts
+    of two twins gives a larger one.
     """
     incident = [[] for _ in range(graph.n)]
     for e in graph.edges:

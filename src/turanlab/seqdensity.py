@@ -6,13 +6,16 @@ with at least t vertices and over t-subsets S of the member's vertex set,
 of the Lubell value of the induced subgraph on S measured at scale t.
 
 Every member is a blow-up of a small base graph whose classes are
-intervals of twins.  Lubell values and subset searches work from that
-shape, so no member is built and members of any size are reachable.
+intervals of twins.  Lubell values and sigma_t work from that shape, so
+no member is built and members of any size are reachable.
 
-The search scores subsets with integers: D is the least common multiple of
-the binomials C(t, r) for r = 1..t and an edge of size r inside S counts
-D // C(t, r).  Scores are exact and comparable across members.  Every
-member is searched exhaustively, up to the symmetry of its twin classes,
+A t-subset S that takes c[v] vertices of class v has the Lubell value
+sum over base edges e of prod(c[v] for v in e) / C(t, |e|): the base's
+Lagrangian polynomial at the integer point c.  So sigma_t searches the
+class-count vectors of each base.  It scores them with integers: D is the
+least common multiple of the binomials C(t, r) for r = 1..t and an edge
+of size r counts D // C(t, r).  Scores are exact and comparable across
+members.  The search skips only vectors that cannot beat the best one,
 so every reported value is exact.
 """
 
@@ -275,99 +278,73 @@ def _edge_weights(t: int) -> tuple[int, dict[int, int]]:
     return d, {r: d // math.comb(t, r) for r in range(1, t + 1)}
 
 
-def _member_tables(graph: Hypergraph, t: int, weights: dict[int, int]):
-    """Per-vertex increments for ascending-order subset search.
+def _best_counts(base: Hypergraph, caps, t: int, weights: dict[int, int],
+                 best: int):
+    """Best class-count vector of a blow-up of ``base``, largest first.
 
-    Each edge of size <= t is charged to its largest vertex: singleton
-    weight, a bitmask of smaller pair-neighbors, and (mask, weight) rows
-    for larger edges.
+    A t-subset taking c[v] vertices of class v scores the base's
+    Lagrangian polynomial at c: an edge e of size r counts weights[r] times
+    prod(c[v] for v in e).  Each edge of size <= t is charged to its largest
+    vertex, so setting c[v] adds c[v] times a sum over the edges charged to
+    v.  Vectors with c <= caps and sum(c) == t are visited in decreasing
+    lexicographic order, and only scores above ``best`` are kept, so the
+    vector returned is the largest of those with the best score.  Returns
+    (score, counts) or None if nothing beats ``best``.
+
+    A vector is skipped when some earlier twin u of v has c[u] < c[v] <=
+    caps[u]: swapping c[u] and c[v] is a base automorphism, so it gives a
+    larger vector with the same score, reached earlier.  A unit of class v
+    gains at most the weight of the member edges it can top, at most
+    C(t-1, r-1) of each size r; the suffix bound adds the largest such
+    gains that the remaining units can take.
     """
-    n = graph.n
-    singleton = [0] * n
-    pair_mask = [0] * n
-    higher = [[] for _ in range(n)]
-    for e in graph.edges:
-        r = len(e)
-        if r > t:
-            continue
-        v = e[-1]
-        if r == 1:
-            singleton[v] += weights[1]
-        elif r == 2:
-            pair_mask[v] |= 1 << e[0]
-        else:
-            m = 0
-            for u in e[:-1]:
-                m |= 1 << u
-            higher[v].append((m, weights[r]))
-    return singleton, pair_mask, higher
+    k = base.n
+    charged = [[] for _ in range(k)]
+    for e in base.edges:
+        if len(e) <= t:
+            charged[e[-1]].append((e[:-1], weights[len(e)]))
+    earlier = [[] for _ in range(k)]
+    for cls in equivalence_classes(base):
+        for j, v in enumerate(cls):
+            earlier[v] = cls[:j]
 
+    # bound[v][m]: the m largest unit gains among classes >= v, summed
+    room = [0] * (k + 1)
+    bound = [None] * k + [[0] * (t + 1)]
+    top = []
+    for v in range(k - 1, -1, -1):
+        room[v] = room[v + 1] + caps[v]
+        tops = Counter()  # edge size -> member edges a unit of v can top
+        for rest, _ in charged[v]:
+            tops[len(rest) + 1] += math.prod(caps[u] for u in rest)
+        unit = sum(weights[r] * min(m, math.comb(t - 1, r - 1))
+                   for r, m in tops.items())
+        top = sorted(top + [unit] * caps[v], reverse=True)[:t]
+        bound[v] = list(accumulate(top + [0] * (t - len(top)), initial=0))
 
-def _search_exhaustive(graph, t, weights, w2, best_score):
-    """Best t-subset by depth-first search over ascending vertex choices.
-    Returns (score, subset) or None if nothing beats best_score.
+    c = [0] * k
+    found = None
 
-    Only canonical subsets are visited: a vertex may join only when the
-    vertex before it in its twin class has joined already.  This loses
-    nothing.  Every permutation inside a twin class is a product of twin
-    swaps, hence an automorphism, so a subset's score depends only on how
-    many vertices it takes from each class.  Taking the first vertices of
-    each class instead lowers every order statistic of a subset, so the
-    lexicographically least best subset, the one the full search would
-    report, is canonical.  With k classes at most C(t+k-1, k-1) subsets
-    are reached instead of C(n, t).
-    """
-    n = graph.n
-    singleton, pair_mask, higher = _member_tables(graph, t, weights)
-    prev = [-1] * n  # the vertex before v in its twin class, or -1
-    for cls in equivalence_classes(graph):
-        for a, b in zip(cls, cls[1:]):
-            prev[b] = a
-
-    static_gain = []
-    for v in range(n):
-        g = singleton[v] + w2 * min(pair_mask[v].bit_count(), t - 1)
-        g += sum(w for _, w in higher[v])
-        static_gain.append(g)
-    # suffix_top[v][c]: sum of the c largest static gains among vertices >= v
-    suffix_top = [None] * (n + 1)
-    suffix_top[n] = [0] * (t + 1)
-    top = []  # the t largest static gains among vertices >= v, descending
-    for v in range(n - 1, -1, -1):
-        top = sorted(top + [static_gain[v]], reverse=True)[:t]
-        row = [0]
-        for c in range(t):
-            row.append(row[-1] + (top[c] if c < len(top) else 0))
-        suffix_top[v] = row
-
-    best = best_score
-    best_subset = None
-    chosen = []
-
-    def walk(v_min: int, mask: int, score: int, need: int):
-        nonlocal best, best_subset
+    def walk(v: int, need: int, score: int):
+        nonlocal best, found
         if need == 0:
             if score > best:
-                best = score
-                best_subset = tuple(chosen)
+                best, found = score, tuple(c)
             return
-        for v in range(v_min, n - need + 1):
-            if score + suffix_top[v][need] <= best:
-                return  # suffix bound is nonincreasing in v
-            if prev[v] >= 0 and not mask >> prev[v] & 1:
-                continue  # not canonical: its class predecessor is out
-            gain = singleton[v] + w2 * (pair_mask[v] & mask).bit_count()
-            for em, ew in higher[v]:
-                if em & mask == em:
-                    gain += ew
-            chosen.append(v)
-            walk(v + 1, mask | (1 << v), score + gain, need - 1)
-            chosen.pop()
+        if score + bound[v][need] <= best:
+            return
+        per = sum(w * math.prod(c[u] for u in rest) for rest, w in charged[v])
+        for cv in range(min(caps[v], need), max(0, need - room[v + 1]) - 1, -1):
+            if any(c[u] < cv <= caps[u] for u in earlier[v]):
+                continue
+            c[v] = cv
+            walk(v + 1, need - cv, score + cv * per)
+        c[v] = 0
 
-    walk(0, 0, 0, t)
-    if best_subset is None:
+    walk(0, t, 0)
+    if found is None:
         return None
-    return best, best_subset
+    return best, found
 
 
 def sigma_t(
@@ -377,13 +354,14 @@ def sigma_t(
 ) -> UpperDensityReport:
     """Largest induced t-subset Lubell value over members i_range[0]..i_range[1].
 
-    Members with fewer than t vertices are skipped.  No member is built.
-    A t-subset takes at most t vertices of a twin class, and the first ones
-    serve as well as any, so each member is searched through the blow-up
-    of its base with every class cut to at most t clones.  That search is
-    exhaustive over the t-subsets that are canonical for its twin classes,
-    so the value is exact and ``attaining`` is the member and the
-    lexicographically least subset that first reach it.
+    Members with fewer than t vertices are skipped.  No member is built:
+    each member is searched over the class-count vectors of its base, with
+    at most min(size, t) vertices from each class, so the value is exact.
+    ``attaining`` is the first member that reaches it and the
+    lexicographically least t-subset of it that does.  A subset loses
+    nothing by taking the first vertices of each class interval, and among
+    such subsets a larger count vector gives a smaller subset, so the
+    subset comes from the largest best vector.
     """
     if t < 1:
         raise InvalidArgumentError("t must be at least 1")
@@ -398,7 +376,6 @@ def sigma_t(
         )
 
     denom, weights = _edge_weights(t)
-    w2 = weights.get(2, 0)
 
     best_score = -1
     attaining = None
@@ -408,15 +385,13 @@ def sigma_t(
         h_values.append(_shape_lubell(base, sizes))
         if sum(sizes) < t:
             continue
-        cut = [min(s, t) for s in sizes]
-        found = _search_exhaustive(blow_up(base, cut), t, weights, w2, best_score)
+        caps = [min(s, t) for s in sizes]
+        found = _best_counts(base, caps, t, weights, best_score)
         if found is not None:
-            best_score, subset = found
-            # vertex k of cut class j is vertex k of class j in the member;
-            # the map is increasing, so the least subset stays least
-            where = [o + k for o, c in zip(accumulate(sizes, initial=0), cut)
-                     for k in range(c)]
-            attaining = (i, tuple(where[v] for v in subset))
+            best_score, counts = found
+            attaining = (i, tuple(o + j for o, c in
+                                  zip(accumulate(sizes, initial=0), counts)
+                                  for j in range(c)))
     if attaining is None:
         raise InvalidArgumentError(
             f"no member in {i_range} has at least {t} vertices"

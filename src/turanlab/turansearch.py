@@ -12,7 +12,6 @@ mode it grows every class and scores the free ones.
 from __future__ import annotations
 
 import itertools
-import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,6 @@ __all__ = [
     "pi_n",
     "density_sequence",
     "disjoint_type_union",
-    "random_maximal_free",
 ]
 
 ENUMERATION_CAP = 8
@@ -89,7 +87,7 @@ class PiRecord:
     extremal: tuple[Hypergraph, ...]
     graphs_enumerated: int
     elapsed: float
-    exhaustive: bool = True
+    exhaustive: bool = True  # always: pi_n enumerates every class
 
 
 @dataclass(frozen=True)
@@ -175,45 +173,29 @@ def _max_lubell_records(scored):
     return best, tuple(extremal)
 
 
-def pi_n(family: ForbiddenFamily, n: int, candidates=None, progress=None) -> PiRecord:
+def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
     """Largest Lubell density of a family-free graph on n labeled vertices.
 
-    Exhaustive by default.  With ``candidates`` the given graphs are verified
-    and scored instead, yielding a lower bound flagged non-exhaustive.
     In subgraph mode only maximal free graphs are scored; in induced mode all
     free classes are scored since maximality does not dominate.
     """
     if n < 1:
         raise InvalidArgumentError("pi_n needs n >= 1")
+    _check_cap(n)
     t0 = time.perf_counter()
+    induced = family.mode == "induced"
+    if not induced and family.excludes(Hypergraph(n, ())):
+        raise InvalidArgumentError(
+            "the family forbids the empty graph; no free graph exists"
+        )
     scored = []
-    if candidates is not None:
-        for g in candidates:
-            if g.n != n:
-                raise InvalidArgumentError("candidate vertex count mismatch")
-            for r in g.edge_sizes():
-                if r not in family.ambient:
-                    raise InvalidArgumentError(
-                        f"candidate uses edge size {r} outside the ambient set"
-                    )
-            if family.excludes(g):
-                raise InvalidArgumentError("candidate contains a forbidden member")
-            scored.append(canonical_graph(g))
-        count = len(scored)
-    else:
-        _check_cap(n)
-        induced = family.mode == "induced"
-        if not induced and family.excludes(Hypergraph(n, ())):
-            raise InvalidArgumentError(
-                "the family forbids the empty graph; no free graph exists"
-            )
-        count = 0
-        for g, maximal in _grow(n, family.ambient, None if induced else family.admits):
-            count += 1
-            if progress and count % 1000 == 0:
-                progress(count)
-            if family.admits(g) if induced else maximal:
-                scored.append(g)
+    count = 0
+    for g, maximal in _grow(n, family.ambient, None if induced else family.admits):
+        count += 1
+        if progress and count % 1000 == 0:
+            progress(count)
+        if family.admits(g) if induced else maximal:
+            scored.append(g)
     best, extremal = _max_lubell_records(scored)
     return PiRecord(
         n=n,
@@ -221,7 +203,6 @@ def pi_n(family: ForbiddenFamily, n: int, candidates=None, progress=None) -> PiR
         extremal=extremal,
         graphs_enumerated=count,
         elapsed=time.perf_counter() - t0,
-        exhaustive=candidates is None,
     )
 
 
@@ -265,27 +246,3 @@ def disjoint_type_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
             f"edge-size sets overlap in {sorted(shared)}; union would conflate layers"
         )
     return Hypergraph(a.n, a.edges + b.edges)
-
-
-def random_maximal_free(
-    family: ForbiddenFamily, n: int, seed: int = 0, attempts: int = 8
-) -> list[Hypergraph]:
-    """Heuristic candidates for pi_n past the enumeration cap.
-
-    Each attempt inserts allowed edges in a random order, keeping the graph
-    free, until maximal.  Useful together with pi_n(..., candidates=...).
-    """
-    if family.mode != "subgraph":
-        raise InvalidArgumentError("heuristic candidates support subgraph mode only")
-    rng = random.Random(seed)
-    universe = list(allowed_edges(n, family.ambient))
-    out = []
-    for _ in range(max(1, attempts)):
-        rng.shuffle(universe)
-        g = Hypergraph(n, ())
-        for e in universe:
-            child = g.with_edges(e)
-            if family.admits(child):
-                g = child
-        out.append(g)
-    return out

@@ -318,6 +318,12 @@ class TestSigmaT:
                 ),
                 random_blow_up((3,)),
             ),
+            # twin base vertices with unequal class sizes
+            SequenceGenerator.blow_up_generator(
+                complete(4, (2,)), (F(1, 10), F(2, 10), F(3, 10), F(4, 10)),
+                ns=ns,
+            ),
+            SequenceGenerator.turan_generator(9, ns=(9, 11)),
         ]
         for gen in gens:
             members = [gen.member(i) for i in range(len(ns))]

@@ -25,7 +25,6 @@ from turanlab.turansearch import (
     disjoint_type_union,
     enumerate_graphs,
     pi_n,
-    random_maximal_free,
 )
 
 F = Fraction
@@ -147,22 +146,6 @@ class TestPiN:
             assert lubell(g) == record.pi_n
             assert family.admits(g)
 
-    def test_candidate_scoring(self):
-        family = ForbiddenFamily(EdgeTypeSet((2,)), (complete(3, (2,)),))
-        candidates = [
-            Hypergraph(4, ((0, 1),)),
-            Hypergraph(4, ((0, 2), (0, 3), (1, 2), (1, 3))),
-        ]
-        record = pi_n(family, 4, candidates=candidates)
-        assert record.pi_n == F(2, 3)
-        assert record.graphs_enumerated == 2
-        assert not record.exhaustive
-
-    def test_candidates_must_be_admissible(self):
-        family = ForbiddenFamily(EdgeTypeSet((2,)), (complete(3, (2,)),))
-        with pytest.raises(InvalidArgumentError):
-            pi_n(family, 3, candidates=[complete(3, (2,))])
-
     def test_impossible_family(self):
         family = ForbiddenFamily(EdgeTypeSet((2,)), (empty_graph(1),))
         with pytest.raises(InvalidArgumentError):
@@ -230,34 +213,6 @@ class TestDisjointTypeUnion:
             ForbiddenFamily(EdgeTypeSet((2,)), (complete(3, (2,)),)), 4
         )
         assert record.pi_n == pairs_only.pi_n + 0
-
-
-class TestRandomMaximalFree:
-    @given(st.integers(min_value=0, max_value=5))
-    @settings(max_examples=8)
-    def test_admissible_and_maximal(self, seed):
-        from turanlab.turansearch import allowed_edges
-
-        family = ForbiddenFamily(EdgeTypeSet((2,)), (complete(3, (2,)),))
-        for g in random_maximal_free(family, 5, seed=seed, attempts=2):
-            assert family.admits(g)
-            present = set(g.edges)
-            for e in allowed_edges(5, family.ambient):
-                if e not in present:
-                    assert not family.admits(g.with_edges(e))
-
-    def test_deterministic_per_seed(self):
-        family = ForbiddenFamily(EdgeTypeSet((1, 2)), (complete(2, (1, 2)),))
-        a = random_maximal_free(family, 4, seed=3)
-        b = random_maximal_free(family, 4, seed=3)
-        assert a == b
-
-    def test_candidates_feed_pi_n(self):
-        family = ForbiddenFamily(EdgeTypeSet((2,)), (complete(3, (2,)),))
-        candidates = random_maximal_free(family, 5, seed=0)
-        record = pi_n(family, 5, candidates=candidates)
-        assert not record.exhaustive
-        assert record.pi_n <= pi_n(family, 5).pi_n
 
 
 class TestForbiddenFamily:
