@@ -10,7 +10,10 @@ each support the KKT system of the homogenized quadratic form is solved in
 rationals, and the maximum, its point and its certificate are exact.  A form
 with a term of degree >= 3 runs projected gradient ascent with Armijo
 backtracking on each support, then verifies first-order optimality and
-certifies a rational lower bound at a rounded rational point.
+certifies a rational lower bound at a rounded rational point.  An ascent that
+stalls stops at its first repeated state (see ``_ascend``); from there the
+full loop would only cycle to max_iters, so the result is byte-identical to
+running it out.  A failure reports how many ascents stalled.
 """
 
 from __future__ import annotations
@@ -237,22 +240,31 @@ class _NumericForm:
         self.nvars = form.nvars
         self.coeffs = np.array([float(c) for c, _ in form.terms])
         self.expo = np.array([e for _, e in form.terms], dtype=float)
+        self._scaled = self.coeffs[:, None] * self.expo
+        self._lowered = self.expo - 1.0
+        self._diagonal = np.eye(self.nvars, dtype=bool)
+        self._active = [np.flatnonzero(col > 0) for col in self.expo.T]
 
     def value(self, x: np.ndarray) -> float:
         return float(self.coeffs @ np.prod(x[None, :] ** self.expo, axis=1))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
+        """Partials sum_t c_t k_ta x_a^(k_ta - 1) prod_{b != a} x_b^k_tb.
+
+        Each product over b != a runs in the order of b with a factor 1.0 at
+        b = a, and each partial sums its active terms as one 1-D array, so
+        the rounding is that of a loop over the variables.  Inactive entries
+        (k_ta = 0) may be inf or nan at a zero coordinate; they are dropped.
+        """
+        powers = x ** self.expo
+        others = np.repeat(powers[:, None, :], self.nvars, axis=1)
+        others[:, self._diagonal] = 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = self._scaled * x ** self._lowered * others.prod(axis=2)
         g = np.zeros(self.nvars)
-        for a in range(self.nvars):
-            k = self.expo[:, a]
-            active = k > 0
-            if not active.any():
-                continue
-            rest = np.delete(self.expo[active], a, axis=1)
-            xrest = np.delete(x, a)
-            prod = np.prod(xrest[None, :] ** rest, axis=1)
-            xa = x[a] ** (k[active] - 1.0)  # 0.0 ** 0.0 == 1.0 covers k == 1
-            g[a] = float((self.coeffs[active] * k[active] * xa * prod).sum())
+        for a, active in enumerate(self._active):
+            if active.size:
+                g[a] = float(terms[active, a].sum())
         return g
 
 
@@ -265,14 +277,26 @@ _BACKTRACK = 0.5
 def _ascend(num: _NumericForm, x0: np.ndarray, cfg: OptimizerConfig):
     """Projected gradient ascent with Armijo backtracking.
 
-    Returns (x, value, converged).  Convergence means the projected step
-    shrank below _STEP_TOL in norm.
+    Returns (x, value, converged).  The loop has three exits:
+
+    - a projected step shorter than _STEP_TOL: converged;
+    - a repeated state: stalled.  A step that does not strictly raise f
+      leaves x unchanged, and the next step then depends on the current
+      one alone, since the gradient and the line search depend only on x,
+      f(x) and the step.  So once a step comes back at an unchanged x the
+      loop cycles, never moving x and never meeting _STEP_TOL, and running
+      it on to max_iters would return the same (x, f(x), False);
+    - max_iters iterations: stalled.
     """
     x = x0.copy()
     fx = num.value(x)
     step = _STEP_INIT
     converged = False
+    tried = set()  # steps run since x last moved
     for _ in range(cfg.max_iters):
+        if step in tried:
+            break
+        tried.add(step)
         g = num.grad(x)
         t = step
         y, fy = x, fx
@@ -287,6 +311,7 @@ def _ascend(num: _NumericForm, x0: np.ndarray, cfg: OptimizerConfig):
         move = float(np.linalg.norm(y - x))
         if fy > fx:
             x, fx = y, fy
+            tried.clear()
         if move <= _STEP_TOL:
             converged = True
             break
@@ -481,6 +506,8 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
             sub = qform.restrict(support)
             tasks.append((support, _NumericForm(sub)))
 
+    converged_runs = []  # one flag per ascent, over every support
+
     def run(task):
         support, num = task
         if num is None:
@@ -495,6 +522,7 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
         any_converged = False
         for x0 in _starts(len(support), cfg, key):
             x, fx, conv = _ascend(num, x0, cfg)
+            converged_runs.append(conv)
             any_converged = any_converged or conv
             if best is None or fx > best[1]:
                 best = (x, fx)
@@ -535,7 +563,9 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
         )
         raise OptimizerFailureError(
             f"no run reached stationarity {STATIONARITY_TOL} "
-            f"(residual {residual:.3e})",
+            f"(residual {residual:.3e}) "
+            f"({converged_runs.count(False)} of {len(converged_runs)} "
+            f"ascents stalled)",
             best_so_far=partial,
         )
 

@@ -183,6 +183,7 @@ class TestLagrangian:
             "--max-iters", "1",
         )
         assert code == 3 and "error" in err
+        assert "(1 of 1 ascents stalled)" in err
 
 
 class TestTuran:

@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import turanlab.lagrangian as lagrangian
@@ -30,6 +33,48 @@ from turanlab.lagrangian import (
 F = Fraction
 FAST = OptimizerConfig(restarts=8, seed=0)
 K4_MINUS = Hypergraph(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
+# perfbench's random3[1]: 4 of its 15 ascents at restarts=2 stall at a point
+# they can no longer move
+RANDOM3_1 = Hypergraph(4, [(0, 1), (1, 2), (0, 2, 3), (1, 2, 3)])
+
+
+@st.composite
+def forms_at_points(draw):
+    """A form with a 3-edge or a repeated variable, at a float simplex point
+    with some zero coordinates."""
+    obj = draw(
+        st.one_of(
+            hypergraphs(max_n=6, min_edges=1).filter(
+                lambda g: any(len(e) == 3 for e in g.edges)
+            ),
+            patterns(max_n=4, max_size=4).filter(
+                lambda p: any(k > 1 for row in p.edges for k in row)
+            ),
+        )
+    )
+    form = polynomial_form(obj)
+    cuts = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(min_value=1, max_value=24)),
+            min_size=form.nvars, max_size=form.nvars,
+        ).filter(any)
+    )
+    return form, tuple(c / sum(cuts) for c in cuts)
+
+
+def grad_by_variable(num, x):
+    """_NumericForm.grad as a loop over the variables, in the same float
+    operations and order: the reference its vectorized kernel must match."""
+    g = np.zeros(num.nvars)
+    for a in range(num.nvars):
+        k = num.expo[:, a]
+        active = k > 0
+        if active.any():
+            rest = np.delete(num.expo[active], a, axis=1)
+            prod = np.prod(np.delete(x, a)[None, :] ** rest, axis=1)
+            xa = x[a] ** (k[active] - 1.0)
+            g[a] = float((num.coeffs[active] * k[active] * xa * prod).sum())
+    return g
 
 
 class TestPolynomialForm:
@@ -99,6 +144,17 @@ class TestGradient:
         for a, b in zip(grad, numeric):
             assert abs(float(a) - b) < 1e-6
 
+    @given(forms_at_points())
+    def test_numeric_grad_matches_gradient(self, form_point):
+        # the ascent's vectorized partials against the term-by-term loop
+        form, x = form_point
+        num = lagrangian._NumericForm(form)
+        got = num.grad(np.array(x))
+        for a, b in zip(got, gradient(form, x)):
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+        # same float operations in the same order: equal to the last bit
+        assert got.tolist() == grad_by_variable(num, np.array(x)).tolist()
+
 
 class TestMaximize:
     # frozen: classical closed forms, certified exactly
@@ -160,10 +216,27 @@ class TestMaximize:
         # one iteration cannot reach stationarity from the uniform start
         with pytest.raises(OptimizerFailureError) as info:
             maximize(K4_MINUS, OptimizerConfig(restarts=0, max_iters=1))
+        # the quotient of K4(3)- has one support of two classes: one ascent
+        assert str(info.value).endswith("(1 of 1 ascents stalled)")
         assert info.value.best_so_far is not None
         assert info.value.best_so_far.value > 0
         assert info.value.best_so_far.method == "ascent"
         assert info.value.best_so_far.value_exact is None
+
+    def test_stalled_ascent_returns_early(self, monkeypatch):
+        # a stalled ascent stops at its first repeated step; running its 4
+        # stalls on to max_iters would take about 40 000 gradients
+        calls = []
+        grad = lagrangian._NumericForm.grad
+
+        def counted(self, x):
+            calls.append(None)
+            return grad(self, x)
+
+        monkeypatch.setattr(lagrangian._NumericForm, "grad", counted)
+        result = maximize(RANDOM3_1, OptimizerConfig(restarts=2, seed=0))
+        assert len(calls) < 2000
+        assert result.certified_lower_bound == F(128, 243)
 
     def test_pattern_with_multiplicities(self):
         # single row (2,): f = x^2, maximum 1 at x = 1
