@@ -320,7 +320,8 @@ def equivalence_classes(graph: Hypergraph) -> tuple[tuple[int, ...], ...]:
     twinhood is transitive: each vertex is compared with the first vertex of
     every earlier class.  The Lagrangian optimizer takes equal weights inside
     a class, and sigma_t skips a class-count vector when swapping the counts
-    of two twins gives a larger one.
+    of two twins gives a larger one.  ``canonical_form`` branches on one twin
+    per class, and ``turansearch._grow`` tries one non-edge per twin orbit.
     """
     incident = [[] for _ in range(graph.n)]
     for e in graph.edges:
@@ -433,6 +434,19 @@ def realize(pattern: Pattern, class_sizes) -> Hypergraph:
 # containment
 
 
+def _degree_table(graph: Hypergraph, sizes) -> list[tuple[int, ...]]:
+    """Row v holds v's degree in each edge size of ``sizes``, in that order;
+    one pass over the edges instead of a ``degree`` scan per vertex and size."""
+    slot = {r: i for i, r in enumerate(sizes)}
+    table = [[0] * len(slot) for _ in range(graph.n)]
+    for e in graph.edges:
+        i = slot.get(len(e))
+        if i is not None:
+            for v in e:
+                table[v][i] += 1
+    return [tuple(row) for row in table]
+
+
 def _embedding_search(big: Hypergraph, small: Hypergraph, induced: bool, count_all: bool):
     """Backtracking search for injections mapping small's edges onto big's.
 
@@ -442,17 +456,21 @@ def _embedding_search(big: Hypergraph, small: Hypergraph, induced: bool, count_a
     h, g = small.n, big.n
     if h > g:
         return 0, None
-    order = sorted(range(h), key=lambda v: (-small.degree(v), v))
+    sizes = small.edge_sizes()
+    small_deg = _degree_table(small, sizes)
+    big_deg = _degree_table(big, sizes)
+    order = sorted(range(h), key=lambda v: (-sum(small_deg[v]), v))
     pos_of = {v: i for i, v in enumerate(order)}
     # edges of small checked at the step that completes them
     check_at = [[] for _ in range(h)]
     for e in small.edges:
         last = max(pos_of[v] for v in e)
         check_at[last].append(e)
-    small_deg = [
-        {r: small.degree(v, r) for r in small.edge_sizes()} for v in range(h)
+    # images of v: the vertices of big with at least v's degree in every size
+    fits = [
+        [c for c in range(g) if all(b >= s for b, s in zip(big_deg[c], small_deg[v]))]
+        for v in range(h)
     ]
-    big_deg = [{r: big.degree(v, r) for r in small.edge_sizes()} for v in range(g)]
     big_incident = [[] for _ in range(g)]
     for e in big.edges:
         for v in e:
@@ -473,11 +491,8 @@ def _embedding_search(big: Hypergraph, small: Hypergraph, induced: bool, count_a
                 witness = tuple(phi)
             return not count_all
         v = order[step]
-        need = small_deg[v]
-        for cand in range(g):
+        for cand in fits[v]:
             if cand in inverse:
-                continue
-            if any(big_deg[cand][r] < need[r] for r in need):
                 continue
             phi[v] = cand
             inverse[cand] = v
@@ -559,6 +574,13 @@ def count_embeddings(big: Hypergraph, small: Hypergraph) -> int:
 # cell.  Among all leaf labelings the lexicographically least edge encoding is
 # the canonical form.  Cell keys are built from invariants only, so the result
 # is labeling-independent.
+#
+# The search branches on one vertex per twin class of the target cell (see
+# ``equivalence_classes``).  Two twins u, w in the target cell are both
+# outside the current path, since individualized vertices are singleton
+# cells, so swapping them is an automorphism that fixes the path.  It maps
+# the subtree that individualizes u onto the one that individualizes w, and
+# both subtrees hold the same leaf keys: the least key is unchanged.
 
 
 def _refine_colors(n, incident, colors):
@@ -610,10 +632,11 @@ def canonical_form(graph: Hypergraph) -> bytes:
     for e in edges:
         for v in e:
             incident[v].append(tuple(u for u in e if u != v))
-    sizes = graph.edge_sizes()
-    start = [
-        tuple(graph.degree(v, r) for r in sizes) for v in range(n)
-    ]
+    start = _degree_table(graph, graph.edge_sizes())
+    class_of = [0] * n
+    for i, cls in enumerate(equivalence_classes(graph)):
+        for v in cls:
+            class_of[v] = i
     palette = {key: i for i, key in enumerate(sorted(set(start)))}
     colors = [palette[key] for key in start]
 
@@ -637,7 +660,11 @@ def canonical_form(graph: Hypergraph) -> bytes:
             if best[0] is None or key < best[0]:
                 best[0] = key
             return
+        tried = set()
         for v in target:
+            if class_of[v] in tried:
+                continue
+            tried.add(class_of[v])
             branched = [c * 2 for c in colors]
             branched[v] -= 1
             search(branched)

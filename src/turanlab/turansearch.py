@@ -7,6 +7,13 @@ kept.  ``enumerate_graphs`` and both exhaustive modes of ``pi_n`` run on it.
 In subgraph mode freeness is monotone under edge removal, which lets the loop
 grow only inside the free classes and score only the maximal ones; in induced
 mode it grows every class and scores the free ones.
+
+Two exact twin-pruning rules cut the isomorphic work, and neither changes any
+output.  ``_grow`` extends g only by non-edges that meet each twin class of g
+in a prefix of it: permuting twins is an automorphism of g, and it carries
+every other non-edge onto such a one, so every skipped child is isomorphic to
+a child that is tried.  ``canonical_form`` branches once per twin class of its
+target cell, for the reason given at its definition.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .hypercore import (
     canonical_graph,
     contains_induced,
     contains_subgraph,
+    equivalence_classes,
     lubell,
 )
 
@@ -119,6 +127,13 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
     Within a level the canonical graphs come in canonical-form order.  A
     child g + e joins the next level only if ``admits`` accepts it (all do
     when it is None); ``maximal`` says that no child of g was accepted.
+
+    Only non-edges e that meet every twin class C of g in a prefix of C are
+    tried.  Every permutation inside the twin classes is an automorphism of g,
+    and the orbit of each non-edge under them holds exactly one such e, so
+    each skipped child is isomorphic to a tried one.  As ``admits`` only sees
+    isomorphism classes, the next level's keys, ``maximal`` and the level
+    order are unchanged.
     """
     universe = allowed_edges(n, types)
     frontier = [canonical_graph(Hypergraph(n, ()))]
@@ -126,9 +141,17 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
         nxt: dict[bytes, Hypergraph] = {}
         for g in frontier:
             present = g.edge_set
+            # pred[v]: the vertex before v in v's twin class, or -1
+            pred = [-1] * n
+            for cls in equivalence_classes(g):
+                for a, b in zip(cls, cls[1:]):
+                    pred[b] = a
             maximal = True
             for e in universe:
                 if e in present:
+                    continue
+                # skip e unless it meets every twin class in a prefix
+                if any(pred[v] >= 0 and pred[v] not in e for v in e):
                     continue
                 child = g.with_edges(e)
                 if admits is not None and not admits(child):

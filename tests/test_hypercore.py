@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -271,6 +273,80 @@ class TestCanonical:
     def test_size_cap(self):
         with pytest.raises(UnsupportedSizeError):
             canonical_form(empty_graph(17))
+
+    # frozen: the search branches once per twin class, and must keep these
+    # bytes, recorded when it branched on every vertex of the target cell
+    @pytest.mark.parametrize(
+        "graph,encoding",
+        [
+            (blow_up(chain_graph(), (2, 3)), b"5|3;4;0,3;0,4;1,3;1,4;2,3;2,4"),
+            (marked_clique(4), b"4|3;0,1;0,2;0,3;1,2;1,3;2,3"),
+            (Hypergraph(6, ((0, 1), (2, 3), (4, 5))), b"6|0,1;2,3;4,5"),
+            (
+                Hypergraph(5, ((0,), (0, 1), (0, 2), (0, 3), (0, 4))),
+                b"5|4;0,4;1,4;2,4;3,4",
+            ),
+            (
+                Hypergraph(5, ((0, 1, 2), (0, 1, 3), (0, 1, 4))),
+                b"5|0,3,4;1,3,4;2,3,4",
+            ),
+            (blow_up(chain_graph(), (1, 6)), b"7|6;0,6;1,6;2,6;3,6;4,6;5,6"),
+            (
+                blow_up(marked_clique(3), (1, 2, 3)),
+                b"6|5;0,3;0,4;0,5;1,3;1,4;1,5;2,3;2,4;2,5;3,5;4,5",
+            ),
+        ],
+    )
+    def test_frozen_encodings_with_twins(self, graph, encoding):
+        assert canonical_form(graph) == encoding
+
+    def test_invariant_where_refinement_cannot_split(self):
+        # C3 + C4 is regular and twin-free, so refinement leaves one cell of
+        # non-automorphic vertices and the search must branch on both cycles
+        g = Hypergraph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)))
+        rnd = random.Random(0)
+        for _ in range(20):
+            perm = list(range(g.n))
+            rnd.shuffle(perm)
+            relabeled = Hypergraph(
+                g.n, tuple(tuple(perm[v] for v in e) for e in g.edges)
+            )
+            assert canonical_form(relabeled) == b"7|0,1;0,2;1,2;3,4;3,5;4,6;5,6"
+
+    @given(
+        st.sampled_from(
+            [chain_graph(), marked_clique(3), PATH3, Hypergraph(3, ((0,), (0, 1, 2)))]
+        )
+        .flatmap(
+            lambda base: st.tuples(
+                st.just(base),
+                st.lists(
+                    st.integers(min_value=1, max_value=3),
+                    min_size=base.n, max_size=base.n,
+                ),
+            )
+        )
+        .filter(lambda drawn: sum(drawn[1]) <= 7),
+        st.randoms(use_true_random=False),
+    )
+    def test_isomorphism_of_relabeled_blow_ups(self, drawn, rnd):
+        # blow-ups have twin classes of every size up to 3, which random
+        # graphs rarely do.  b is a relabeled copy of a, half the time with
+        # one edge moved to a non-edge of the same size.
+        base, sizes = drawn
+        a = blow_up(base, sizes)
+        edges = list(a.edges)
+        if rnd.random() < 0.5:
+            old = edges.pop(rnd.randrange(len(edges)))
+            free = [
+                e for e in itertools.combinations(range(a.n), len(old))
+                if e not in a.edge_set
+            ]
+            edges.append(rnd.choice(free) if free else old)
+        perm = list(range(a.n))
+        rnd.shuffle(perm)
+        b = Hypergraph(a.n, tuple(tuple(perm[v] for v in e) for e in edges))
+        assert is_isomorphic(a, b) == oracles.brute_is_isomorphic(a, b)
 
 
 class TestEquivalenceClasses:

@@ -223,6 +223,16 @@ class TestMaximize:
         assert info.value.best_so_far.method == "ascent"
         assert info.value.best_so_far.value_exact is None
 
+    def test_stalled_ascent_on_a_stationary_point_succeeds(self):
+        # all three ascents stall once no float step raises f, at a point
+        # whose residual is below STATIONARITY_TOL: that is the maximum 2/9,
+        # not a failure
+        graph = Hypergraph(4, [(0, 1, 2), (0, 1, 3)])
+        result = maximize(graph, OptimizerConfig(restarts=2, seed=0))
+        assert result.method == "ascent"
+        assert result.stationarity_residual < lagrangian.STATIONARITY_TOL
+        assert abs(result.value - oracles.grid_lagrangian(graph)) < 1e-6
+
     def test_stalled_ascent_returns_early(self, monkeypatch):
         # a stalled ascent stops at its first repeated step; running its 4
         # stalls on to max_iters would take about 40 000 gradients

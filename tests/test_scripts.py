@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts, so an API change cannot break them
 unnoticed.  Each script runs in a child process on a small input."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -31,6 +32,24 @@ def test_density_sweep_writes_both_files_per_family(tmp_path):
     assert written == sorted(
         f"{family}.{ext}" for family in families for ext in ("json", "tsv")
     )
+
+
+def test_density_sweep_json_is_pinned(tmp_path):
+    # the extremal graphs' labeling, end to end: any change to the canonical
+    # form or to the frontier's order shows in these bytes
+    proc = run_script(
+        "density_sweep.py", "--n-max", "5", "--family", "mixed_pair",
+        "--family", "triangle", "--out-dir", str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    digests = {
+        name: hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
+        for name in ("mixed_pair", "triangle")
+    }
+    assert digests == {
+        "mixed_pair": "2fae8074556c936f5033c29516ca1619ae5a711cb7045064d22b97dfdf0ecc9f",
+        "triangle": "3e9fff32100ae7a75e9d255049cd2afe9cf5dbaeadb33ac2d3cefe6b54a8f448",
+    }
 
 
 @pytest.mark.parametrize(

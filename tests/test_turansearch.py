@@ -53,6 +53,14 @@ class TestEnumeration:
             oracles.count_iso_classes(3, (1, 2))
         )
 
+    # 4-vertex ambients with twin-rich classes, where _grow skips non-edges
+    @pytest.mark.parametrize(
+        "n,sizes,count", [(4, (1, 2), 90), (4, (2, 3), 90), (4, (1, 3), 35)]
+    )
+    def test_counts_match_bruteforce_on_four_vertices(self, n, sizes, count):
+        graphs = list(enumerate_graphs(n, EdgeTypeSet(sizes)))
+        assert len(graphs) == count == oracles.count_iso_classes(n, sizes)
+
     def test_first_graph_is_empty(self):
         first = next(enumerate_graphs(3, EdgeTypeSet((2,))))
         assert first == empty_graph(3)
