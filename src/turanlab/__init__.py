@@ -28,8 +28,6 @@ from .hypercore import (
     complete,
     contains_induced,
     contains_subgraph,
-    count_embeddings,
-    count_injections,
     empty_graph,
     equivalence_classes,
     find_embedding,

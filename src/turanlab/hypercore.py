@@ -37,9 +37,6 @@ __all__ = [
     "find_embedding",
     "contains_subgraph",
     "contains_induced",
-    "count_injections",
-    "automorphism_count",
-    "count_embeddings",
     "canonical_form",
     "canonical_graph",
     "is_isomorphic",
@@ -447,15 +444,16 @@ def _degree_table(graph: Hypergraph, sizes) -> list[tuple[int, ...]]:
     return [tuple(row) for row in table]
 
 
-def _embedding_search(big: Hypergraph, small: Hypergraph, induced: bool, count_all: bool):
-    """Backtracking search for injections mapping small's edges onto big's.
+def _embedding_search(big: Hypergraph, small: Hypergraph, induced: bool):
+    """Backtracking search for an injection mapping small's edges onto big's.
 
-    Returns (count, first_witness).  In induced mode the map must also pull
-    every edge of big inside the image back to an edge of small.
+    Returns the first witness in search order, or None.  In induced mode the
+    map must also pull every edge of big inside the image back to an edge of
+    small.
     """
     h, g = small.n, big.n
     if h > g:
-        return 0, None
+        return None
     sizes = small.edge_sizes()
     small_deg = _degree_table(small, sizes)
     big_deg = _degree_table(big, sizes)
@@ -471,25 +469,20 @@ def _embedding_search(big: Hypergraph, small: Hypergraph, induced: bool, count_a
         [c for c in range(g) if all(b >= s for b, s in zip(big_deg[c], small_deg[v]))]
         for v in range(h)
     ]
-    big_incident = [[] for _ in range(g)]
-    for e in big.edges:
-        for v in e:
-            big_incident[v].append(e)
+    if induced:
+        big_incident = [[] for _ in range(g)]
+        for e in big.edges:
+            for v in e:
+                big_incident[v].append(e)
     small_edge_set = small.edge_set
     big_edge_set = big.edge_set
 
     phi = [-1] * h
     inverse = {}
-    count = 0
-    witness = None
 
     def place(step: int) -> bool:
-        nonlocal count, witness
         if step == h:
-            count += 1
-            if witness is None:
-                witness = tuple(phi)
-            return not count_all
+            return True
         v = order[step]
         for cand in fits[v]:
             if cand in inverse:
@@ -515,14 +508,12 @@ def _embedding_search(big: Hypergraph, small: Hypergraph, induced: bool, count_a
             phi[v] = -1
         return False
 
-    place(0)
-    return count, witness
+    return tuple(phi) if place(0) else None
 
 
 def find_embedding(big: Hypergraph, small: Hypergraph) -> tuple[int, ...] | None:
     """First injection (by vertex order) mapping small's edges onto big's, or None."""
-    _, witness = _embedding_search(big, small, induced=False, count_all=False)
-    return witness
+    return _embedding_search(big, small, induced=False)
 
 
 def contains_subgraph(big: Hypergraph, small: Hypergraph) -> bool:
@@ -531,39 +522,12 @@ def contains_subgraph(big: Hypergraph, small: Hypergraph) -> bool:
 
 
 def find_induced_embedding(big: Hypergraph, small: Hypergraph) -> tuple[int, ...] | None:
-    _, witness = _embedding_search(big, small, induced=True, count_all=False)
-    return witness
+    return _embedding_search(big, small, induced=True)
 
 
 def contains_induced(big: Hypergraph, small: Hypergraph) -> bool:
     """Whether some vertex subset of big induces exactly a copy of small."""
     return find_induced_embedding(big, small) is not None
-
-
-def count_injections(big: Hypergraph, small: Hypergraph) -> int:
-    """Number of injective maps sending every edge of small to an edge of big."""
-    count, _ = _embedding_search(big, small, induced=False, count_all=True)
-    return count
-
-
-def automorphism_count(graph: Hypergraph) -> int:
-    return count_injections(graph, graph)
-
-
-def count_embeddings(big: Hypergraph, small: Hypergraph) -> int:
-    """Number of distinct copies of small in big.
-
-    A copy is a sub-hypergraph (vertex subset plus edge subset) isomorphic to
-    small, so the injection count is divided by small's automorphism count.
-    """
-    if big.n > MAX_LABELING_VERTICES:
-        raise UnsupportedSizeError(
-            f"embedding counts are capped at {MAX_LABELING_VERTICES} vertices"
-        )
-    total = count_injections(big, small)
-    if total == 0:
-        return 0
-    return total // automorphism_count(small)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +545,11 @@ def count_embeddings(big: Hypergraph, small: Hypergraph) -> int:
 # cells, so swapping them is an automorphism that fixes the path.  It maps
 # the subtree that individualizes u onto the one that individualizes w, and
 # both subtrees hold the same leaf keys: the least key is unchanged.
+#
+# A graph whose size layers are each empty or complete needs no fast path:
+# all its vertices form one twin class, so the search walks one branch per
+# level, and every labeling of it encodes the same edge set, the
+# identity-labeled one.
 
 
 def _refine_colors(n, incident, colors):
@@ -601,9 +570,9 @@ def _refine_colors(n, incident, colors):
 
 def _encode_labeled(n, edges, label):
     mapped = sorted(
-        tuple(sorted(label[v] for v in e)) for e in edges
+        (tuple(sorted(label[v] for v in e)) for e in edges),
+        key=lambda e: (len(e), e),
     )
-    mapped.sort(key=lambda e: (len(e), e))
     return (n, tuple(mapped))
 
 
@@ -622,12 +591,6 @@ def canonical_form(graph: Hypergraph) -> bytes:
             f"canonical form is capped at {MAX_LABELING_VERTICES} vertices"
         )
     edges = graph.edges
-    # fully symmetric fast path: every size layer empty or complete
-    if all(
-        len(graph.edges_of_size(r)) in (0, comb(n, r)) for r in graph.edge_sizes()
-    ):
-        return _format_encoding(_encode_labeled(n, edges, list(range(n))))
-
     incident = [[] for _ in range(n)]
     for e in edges:
         for v in e:

@@ -308,11 +308,14 @@ class PiEvidence:
 
 @dataclass(frozen=True)
 class JumpCertificate:
-    """A validated jump certificate.
+    """A validated jump certificate; construction is the one place its
+    conditions are checked.
 
     For every member F a certified rational point with lambda(F) > alpha; the
     density evidence satisfies value <= alpha (strictly below for the strong
-    kind).  ``gap`` is the positive margin min lambda - alpha.
+    kind).  Every failed condition, a missing ``pi_evidence`` included, is
+    listed in one CertificateError.  ``gap`` is the positive margin
+    min lambda - alpha.
     """
 
     alpha: Fraction
@@ -322,24 +325,33 @@ class JumpCertificate:
     pi_evidence: PiEvidence
 
     def __post_init__(self):
+        a = self.alpha
         failures = []
         if self.kind not in ("jump", "strong_jump"):
             failures.append(f"unknown certificate kind {self.kind!r}")
         if not self.lambda_witnesses:
             failures.append("no lambda witnesses")
         for w in self.lambda_witnesses:
-            if w.value <= self.alpha:
+            if w.value <= a:
                 failures.append(
-                    f"witness value {w.value} is not strictly above alpha {self.alpha}"
+                    f"condition on lambda fails: certified bound {w.value} <= {a} "
+                    f"for a member on {w.member.n} vertices"
                 )
-        if self.kind == "strong_jump" and self.pi_evidence.value >= self.alpha:
+        evidence = self.pi_evidence
+        if evidence is None:
             failures.append(
-                f"density evidence {self.pi_evidence.value} not strictly below "
-                f"alpha {self.alpha}"
+                "no density evidence: supply pi_evidence or exhaustive_n, "
+                "or use a recognized family"
             )
-        if self.kind == "jump" and self.pi_evidence.value > self.alpha:
+        elif self.kind == "strong_jump" and evidence.value >= a:
             failures.append(
-                f"density evidence {self.pi_evidence.value} exceeds alpha {self.alpha}"
+                f"strict condition fails: density evidence {evidence.value} "
+                f"is not strictly below alpha {a}"
+            )
+        elif self.kind == "jump" and evidence.value > a:
+            failures.append(
+                f"condition fails: density evidence {evidence.value} "
+                f"exceeds alpha {a}"
             )
         if failures:
             raise CertificateError(failures)
@@ -371,8 +383,10 @@ def build_certificate(
     pi_evidence: PiEvidence | None = None,
     exhaustive_n: int | None = None,
 ) -> JumpCertificate:
-    """Assemble and validate a jump certificate, or raise CertificateError.
+    """Assemble a jump certificate, or raise CertificateError.
 
+    This resolves one lambda witness per member and the density evidence,
+    then constructs the certificate, whose constructor checks the conditions.
     Density evidence is resolved in order: explicit ``pi_evidence``, a
     recognized closed form, then exhaustive pi_n at ``exhaustive_n``.  A
     strict request never silently downgrades: if the evidence only gives
@@ -385,21 +399,15 @@ def build_certificate(
             ["a certificate needs at least one forbidden member"]
         )
 
-    failures = []
-    witnesses = []
     points = list(lambda_points) if lambda_points is not None else [None] * len(
         family.members
     )
     if len(points) != len(family.members):
         raise InvalidArgumentError("one witness point per member expected")
-    for member, point in zip(family.members, points):
-        w = _lambda_witness(member, point, cfg)
-        witnesses.append(w)
-        if w.value <= a:
-            failures.append(
-                f"condition on lambda fails: certified bound {w.value} <= {a} "
-                f"for a member on {member.n} vertices"
-            )
+    witnesses = tuple(
+        _lambda_witness(member, point, cfg)
+        for member, point in zip(family.members, points)
+    )
 
     evidence = pi_evidence
     if evidence is None:
@@ -415,29 +423,10 @@ def build_certificate(
             f"exhaustive search at n = {exhaustive_n}",
             n=exhaustive_n,
         )
-    if evidence is None:
-        failures.append(
-            "no density evidence: supply pi_evidence or exhaustive_n, "
-            "or use a recognized family"
-        )
-    else:
-        if strict and evidence.value >= a:
-            failures.append(
-                f"strict condition fails: density evidence {evidence.value} "
-                f"is not strictly below alpha {a}"
-            )
-        if not strict and evidence.value > a:
-            failures.append(
-                f"condition fails: density evidence {evidence.value} "
-                f"exceeds alpha {a}"
-            )
-
-    if failures:
-        raise CertificateError(failures)
     return JumpCertificate(
         alpha=a,
         kind="strong_jump" if strict else "jump",
         family=family,
-        lambda_witnesses=tuple(witnesses),
+        lambda_witnesses=witnesses,
         pi_evidence=evidence,
     )

@@ -18,7 +18,6 @@ target cell, for the reason given at its definition.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +28,7 @@ from .hypercore import (
     Hypergraph,
     canonical_form,
     canonical_graph,
+    complete,
     contains_induced,
     contains_subgraph,
     equivalence_classes,
@@ -40,7 +40,6 @@ __all__ = [
     "PiRecord",
     "DensityBound",
     "ENUMERATION_CAP",
-    "allowed_edges",
     "enumerate_graphs",
     "pi_n",
     "density_sequence",
@@ -104,16 +103,6 @@ class DensityBound:
     records: tuple[PiRecord, ...]
 
 
-def allowed_edges(n: int, types: EdgeTypeSet) -> tuple[tuple[int, ...], ...]:
-    """All possible edges on n vertices with sizes in the type set, in global order."""
-    return tuple(
-        c
-        for r in types.sizes
-        if r <= n
-        for c in itertools.combinations(range(n), r)
-    )
-
-
 def _check_cap(n: int) -> None:
     if n > ENUMERATION_CAP:
         raise UnsupportedSizeError(
@@ -135,7 +124,7 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
     isomorphism classes, the next level's keys, ``maximal`` and the level
     order are unchanged.
     """
-    universe = allowed_edges(n, types)
+    universe = complete(n, types).edges
     frontier = [canonical_graph(Hypergraph(n, ()))]
     while frontier:
         nxt: dict[bytes, Hypergraph] = {}

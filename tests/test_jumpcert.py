@@ -249,6 +249,17 @@ class TestBuildCertificate:
             build_certificate(F(2, 5), family, config=FAST)
         assert any("evidence" in f for f in info.value.failures)
 
+    def test_lambda_and_evidence_failures_arrive_together(self):
+        # lambda(P3) = 1/2 is not above alpha, and no evidence is given
+        path3 = Hypergraph(3, ((0, 1), (1, 2)))
+        family = ForbiddenFamily(EdgeTypeSet((2,)), (path3,))
+        with pytest.raises(CertificateError) as info:
+            build_certificate(F(1, 2), family, config=FAST)
+        failures = info.value.failures
+        assert len(failures) == 2
+        assert "lambda" in failures[0]
+        assert "evidence" in failures[1]
+
     def test_asserted_evidence_is_used(self):
         family = ForbiddenFamily(AMBIENT, (chain_graph(),))
         cert = build_certificate(

@@ -6,7 +6,7 @@ from hypothesis import given
 
 from strategies import hypergraphs, patterns, rational_points
 from turanlab import serialize as ser
-from turanlab.errors import ParseError
+from turanlab.errors import CertificateError, ParseError
 from turanlab.hypercore import (
     EdgeTypeSet,
     Hypergraph,
@@ -14,7 +14,12 @@ from turanlab.hypercore import (
     chain_graph,
     complete,
 )
-from turanlab.jumpcert import build_certificate, classify12, weak_jump_witness
+from turanlab.jumpcert import (
+    PiEvidence,
+    build_certificate,
+    classify12,
+    weak_jump_witness,
+)
 from turanlab.lagrangian import OptimizerConfig, maximize
 from turanlab.seqdensity import SequenceGenerator, sigma_t
 from turanlab.turansearch import ForbiddenFamily, density_sequence
@@ -222,6 +227,28 @@ class TestCertificateObjects:
         obj["pi_evidence"]["value"] = "1/2"
         with pytest.raises(ParseError, match="catalog"):
             ser.certificate_from_obj(obj)
+
+    def test_raised_evidence_refused_with_the_builder_wording(self):
+        # asserted evidence skips the catalog check, so the certificate's
+        # own condition check is what refuses it
+        fam = ForbiddenFamily(EdgeTypeSet((1, 2)), (chain_graph(),))
+        alpha = F(11, 10)
+        cert = build_certificate(
+            alpha, fam, strict=True, config=FAST,
+            pi_evidence=PiEvidence("asserted", F(1), "known exactly"),
+        )
+        obj = json.loads(ser.dumps_canonical(ser.certificate_to_obj(cert)))
+        obj["pi_evidence"]["value"] = ser.format_fraction(alpha)
+        with pytest.raises(CertificateError) as built:
+            build_certificate(
+                alpha, fam, strict=True, config=FAST,
+                pi_evidence=PiEvidence("asserted", alpha, "known exactly"),
+            )
+        (failure,) = built.value.failures
+        assert "strict condition fails" in failure
+        with pytest.raises(ParseError) as parsed:
+            ser.certificate_from_obj(obj)
+        assert failure in str(parsed.value)
 
     def test_float_witness_point_rejected(self):
         obj = json.loads(ser.dumps_canonical(ser.certificate_to_obj(self._cert())))
