@@ -187,24 +187,18 @@ def _cmd_sigma(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "tsv"), default="json",
-        help="output format (tsv only for tabular commands)",
-    )
-
     parser = argparse.ArgumentParser(
         prog="turanlab",
         description="Lubell densities, polynomial Lagrangians and jump certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lubell", parents=[common],
+    p = sub.add_parser("lubell",
                        help="exact Lubell value of a hypergraph")
     p.add_argument("graph", help="graph JSON file, or - for stdin")
     p.set_defaults(run=_cmd_lubell)
 
-    p = sub.add_parser("lagrangian", parents=[common],
+    p = sub.add_parser("lagrangian",
                        help="maximize the edge polynomial over the simplex")
     p.add_argument("graph", help="graph or pattern JSON file, or - for stdin")
     # forms of degree <= 2 are solved exactly; the ascent settings below
@@ -216,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also produce an exact rational certificate")
     p.set_defaults(run=_cmd_lagrangian)
 
-    p = sub.add_parser("turan", parents=[common],
+    p = sub.add_parser("turan",
                        help="exact small-n density sequence for a forbidden family")
     p.add_argument("family", help="family JSON file, or - for stdin")
     p.add_argument("--n-max", type=int, required=True)
@@ -224,16 +218,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the containment mode from the family file")
     p.add_argument("--progress", action="store_true",
                    help="report enumeration progress on stderr")
+    p.add_argument("--format", choices=("json", "tsv"), default="json",
+                   help="output format")
     p.set_defaults(run=_cmd_turan)
 
-    p = sub.add_parser("classify12", parents=[common],
+    p = sub.add_parser("classify12",
                        help="weak/strong jump verdict for a rational in [0, 2]")
     p.add_argument("alpha", help="exact rational, e.g. 11/10")
     p.add_argument("--witness", action="store_true",
                    help="include the weak-jump witness when there is one")
     p.set_defaults(run=_cmd_classify12)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify",
                        help="build and validate a jump certificate")
     p.add_argument("alpha", help="exact rational, e.g. 11/10")
     p.add_argument("family", help="family JSON file, or - for stdin")
@@ -248,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="deterministic seed")
     p.set_defaults(run=_cmd_certify)
 
-    p = sub.add_parser("sigma", parents=[common],
+    p = sub.add_parser("sigma",
                        help="upper density of a hypergraph sequence")
     p.add_argument("generator", help="generator JSON file, or - for stdin")
     p.add_argument("--t", type=int, required=True, help="subset size")
@@ -263,9 +259,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # only the tabular turan command writes tsv; refuse before any work
-        if args.format != "json" and args.command != "turan":
-            raise ParseError(f"the {args.command} command only writes json")
         return args.run(args)
     except OptimizerFailureError as exc:
         sys.stderr.write(f"error: {exc}\n")

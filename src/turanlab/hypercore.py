@@ -369,25 +369,31 @@ def induced_subgraph(graph: Hypergraph, vertices) -> Hypergraph:
     return Hypergraph(len(s), edges)
 
 
+def _vertex_classes(n: int, class_sizes) -> tuple[int, list[range]]:
+    """Check n class sizes >= 0; return the vertex count and the consecutive
+    vertex range of each class."""
+    sizes = tuple(int(s) for s in class_sizes)
+    if len(sizes) != n:
+        raise InvalidArgumentError(
+            f"expected {n} class sizes, got {len(sizes)}"
+        )
+    if any(s < 0 for s in sizes):
+        raise InvalidArgumentError("class sizes must be >= 0")
+    classes = []
+    total = 0
+    for s in sizes:
+        classes.append(range(total, total + s))
+        total += s
+    return total, classes
+
+
 def blow_up(graph: Hypergraph, class_sizes) -> Hypergraph:
     """Replace vertex i by a class of ``class_sizes[i]`` clones.
 
     Every edge becomes the set of its transversals (one clone per original
     vertex).  A class of size 0 deletes the vertex along with its edges.
     """
-    sizes = tuple(int(s) for s in class_sizes)
-    if len(sizes) != graph.n:
-        raise InvalidArgumentError(
-            f"expected {graph.n} class sizes, got {len(sizes)}"
-        )
-    if any(s < 0 for s in sizes):
-        raise InvalidArgumentError("class sizes must be >= 0")
-    offsets = []
-    total = 0
-    for s in sizes:
-        offsets.append(total)
-        total += s
-    classes = [range(offsets[i], offsets[i] + sizes[i]) for i in range(graph.n)]
+    total, classes = _vertex_classes(graph.n, class_sizes)
     edges = []
     for e in graph.edges:
         for combo in itertools.product(*(classes[i] for i in e)):
@@ -400,21 +406,7 @@ def realize(pattern: Pattern, class_sizes) -> Hypergraph:
 
     Classes with fewer than k_i vertices contribute no edges for that row.
     """
-    sizes = tuple(int(s) for s in class_sizes)
-    if len(sizes) != pattern.n:
-        raise InvalidArgumentError(
-            f"expected {pattern.n} class sizes, got {len(sizes)}"
-        )
-    if any(s < 0 for s in sizes):
-        raise InvalidArgumentError("class sizes must be >= 0")
-    offsets = []
-    total = 0
-    for s in sizes:
-        offsets.append(total)
-        total += s
-    classes = [
-        tuple(range(offsets[i], offsets[i] + sizes[i])) for i in range(pattern.n)
-    ]
+    total, classes = _vertex_classes(pattern.n, class_sizes)
     edges = []
     for row in pattern.edges:
         pools = [

@@ -1,13 +1,18 @@
 """Jump classification on [0, 2] for edge types {1, 2} and jump certificates.
 
-Over the edge sizes {1, 2} every density value in [0, 2] is a jump; the weak
-jumps (jumps that are not strong) are exactly
+Over the edge sizes {1, 2} every density value in [0, 2] is a jump.  The weak
+jumps (jumps that are not strong) are three sequences L - s/(k+1), k >= k_min,
+each accumulating at its limit L:
 
-    0, 1/2, 2/3, ..., k/(k+1), ..., 1,
-    9/8, 7/6, ..., 1 + k/(4(k+1)), ..., 5/4,
-    3/2, 5/3, ..., (2k+1)/(k+1), ..., 2.
+    (L, s, k_min) = (1, 1, 0):      0, 1/2, 2/3, ..., k/(k+1), ..., 1,
+    (L, s, k_min) = (5/4, 1/4, 1):  9/8, 7/6, ..., 1 + k/(4(k+1)), ..., 5/4,
+    (L, s, k_min) = (2, 1, 1):      3/2, 5/3, ..., (2k+1)/(k+1), ..., 2.
 
-Membership is decided exactly by solving each closed form for an integer k.
+The table ``_ROWS`` holds one row per sequence with its witnesses and texts,
+and ``classify12``, ``weak_jump_witness`` and ``known_turan_density`` all read
+it.  Membership is decided exactly by solving L - s/(k+1) = alpha for k; the
+third row starts at k = 1, so no weak value lies between 5/4 and 3/2.
+
 A certificate that alpha is a (strong) jump consists of a finite family F
 with density evidence pi(F) <= alpha (strictly below for strong) together
 with a certified rational lower bound lambda(F) > alpha for every member.
@@ -15,6 +20,7 @@ with a certified rational lower bound lambda(F) > alpha for every member.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,10 +33,9 @@ from .hypercore import (
     EdgeTypeSet,
     Hypergraph,
     SimplexPoint,
+    canonical_form,
     chain_graph,
     complete,
-    empty_graph,
-    is_isomorphic,
     marked_clique,
 )
 from .lagrangian import OptimizerConfig, certify_at, maximize
@@ -49,6 +54,76 @@ __all__ = [
 ]
 
 _AMBIENT_12 = EdgeTypeSet((1, 2))
+
+
+@dataclass(frozen=True)
+class _Row:
+    """The weak values L - s/(k+1), k >= k_min, and their witnesses.  The
+    texts of values are str.format templates over t (vertices), a (alpha),
+    j = t - 1 and v (the density: alpha, or ``family_form``)."""
+
+    limit: Fraction  # L
+    step: Fraction  # s
+    k_min: int
+    form: str  # classify12's matched_form
+    # k -> a graph with lambda = value(k) and its maximizer, or None where
+    # family(k + 2) is the witness
+    lambda_graph: Callable[[int], tuple[Hypergraph, SimplexPoint] | None]
+    lambda_text: str
+    family: Callable[[int], tuple[Hypergraph, ...]]  # density value(t - 2)
+    family_text: str
+    family_form: str
+    limit_family: tuple[Hypergraph, ...]  # density L
+    limit_note: str  # classify12
+    limit_text: str  # weak_jump_witness
+    limit_detail: str | None  # known_turan_density
+
+    def value(self, k: int) -> Fraction:
+        return self.limit - self.step / (k + 1)
+
+
+_ROWS = (
+    _Row(
+        Fraction(1), Fraction(1), 0, "k/(k+1)",
+        lambda k: (complete(k + 1, (2,)), SimplexPoint.uniform(k + 1)),
+        "the complete pair graph on {t} vertices has lambda = {a}",
+        lambda t: (Hypergraph(1, ((0,),)), complete(t, (2,))),
+        "no 1-edges plus a pair layer without a complete graph on {t} "
+        "vertices: density {v}",
+        "1 - 1/{j}",
+        (chain_graph(),),
+        "limit of k/(k+1); density of chain-free graphs",
+        "chain-free graphs have density exactly 1",
+        "chain-free graphs have density 1",
+    ),
+    _Row(
+        Fraction(5, 4), Fraction(1, 4), 1, "1+k/(4(k+1))",
+        lambda k: (
+            chain_graph(), SimplexPoint((Fraction(3, 4), Fraction(1, 4)))
+        ) if k == 1 else None,
+        "the chain has lambda = 9/8 at (3/4, 1/4)",
+        lambda t: (marked_clique(t), complete(2, (1, 2))),
+        "the marked-clique pair family with t = {t} has density {v}",
+        "5/4 - 1/(4({t} - 1))",
+        (complete(2, (1, 2)),),
+        "limit of 1 + k/(4(k+1))",
+        "forbidding the two-vertex complete {1,2}-graph gives density 5/4",
+        "forbidding the complete {1,2}-graph on 2 vertices gives density 5/4",
+    ),
+    _Row(
+        Fraction(2), Fraction(1), 1, "(2k+1)/(k+1)",
+        lambda k: (complete(k + 1, (1, 2)), SimplexPoint.uniform(k + 1)),
+        "the complete {{1,2}}-graph on {t} vertices has lambda = {a}",
+        lambda t: (complete(t, (1, 2)),),
+        "forbidding the complete {{1,2}}-graph on {t} vertices gives "
+        "density {v}",
+        "2 - 1/{j}",
+        (),
+        "right endpoint; full Lubell range for two edge types",
+        "with nothing forbidden the complete graphs reach density 2",
+        None,  # known_turan_density reads the empty family before the rows
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -72,64 +147,27 @@ def _require_fraction(alpha) -> Fraction:
         raise InvalidArgumentError(f"cannot read {alpha!r} as a rational") from exc
 
 
-def _integer_or_none(x: Fraction) -> int | None:
-    return int(x) if x.denominator == 1 else None
-
-
 def classify12(alpha) -> ClassifyResult:
     """Exact weak/strong verdict for a rational alpha in [0, 2]."""
     a = _require_fraction(alpha)
     if a < 0 or a > 2:
         raise OutOfRangeError(f"alpha = {a} lies outside [0, 2]")
-
-    if a == 0:
+    below = Fraction(0)  # the limit of the row before
+    for row in _ROWS:
+        if a <= row.limit:
+            break
+        below = row.limit
+    if a == row.limit:
         return ClassifyResult(
-            a, "weak_jump", matched_form="k/(k+1)", k=0,
-            note="left endpoint; realized by edgeless graphs",
+            a, "weak_jump", matched_form=str(a), note=row.limit_note
         )
-    if a == 1:
-        return ClassifyResult(
-            a, "weak_jump", matched_form="1",
-            note="limit of k/(k+1); density of chain-free graphs",
-        )
-    if a == Fraction(5, 4):
-        return ClassifyResult(
-            a, "weak_jump", matched_form="5/4",
-            note="limit of 1 + k/(4(k+1))",
-        )
-    if a == 2:
-        return ClassifyResult(
-            a, "weak_jump", matched_form="2",
-            note="right endpoint; full Lubell range for two edge types",
-        )
-
-    if a < 1:
-        k = _integer_or_none(a / (1 - a))
-        if k is not None:
-            return ClassifyResult(a, "weak_jump", matched_form="k/(k+1)", k=k)
-        kf = int(a / (1 - a))
-        lo = Fraction(kf, kf + 1)
-        hi = Fraction(kf + 1, kf + 2)
-    elif a < Fraction(5, 4):
-        beta = a - 1
-        k = _integer_or_none(4 * beta / (1 - 4 * beta))
-        if k is not None and k >= 1:
-            return ClassifyResult(a, "weak_jump", matched_form="1+k/(4(k+1))", k=k)
-        kf = int(4 * beta / (1 - 4 * beta))
-        lo = 1 + Fraction(kf, 4 * (kf + 1)) if kf >= 1 else Fraction(1)
-        hi = 1 + Fraction(kf + 1, 4 * (kf + 2))
-    else:
-        k = _integer_or_none(1 / (2 - a) - 1)
-        if k is not None and k >= 1:
-            return ClassifyResult(a, "weak_jump", matched_form="(2k+1)/(k+1)", k=k)
-        if a < Fraction(3, 2):
-            lo, hi = Fraction(5, 4), Fraction(3, 2)
-        else:
-            kf = int(1 / (2 - a) - 1)
-            lo = Fraction(2 * kf + 1, kf + 1)
-            hi = Fraction(2 * kf + 3, kf + 2)
-
-    return ClassifyResult(a, "strong_jump", interval=(lo, hi))
+    k = row.step / (row.limit - a) - 1
+    kf = int(k)
+    if k == kf and kf >= row.k_min:
+        note = "left endpoint; realized by edgeless graphs" if a == 0 else None
+        return ClassifyResult(a, "weak_jump", matched_form=row.form, k=kf, note=note)
+    lo = row.value(kf) if kf >= row.k_min else below
+    return ClassifyResult(a, "strong_jump", interval=(lo, row.value(kf + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,64 +192,23 @@ def weak_jump_witness(alpha) -> WeakJumpWitness | None:
     result = classify12(a)
     if result.verdict != "weak_jump":
         return None
-
-    if a == 0:
+    row = next(r for r in _ROWS if a <= r.limit)
+    found = None if result.k is None else row.lambda_graph(result.k)
+    if found is not None:
+        graph, point = found
+        text = "the edgeless graph has lambda = {a}" if a == 0 else row.lambda_text
         return WeakJumpWitness(
-            a, "lambda_graph",
-            "the edgeless graph has lambda = 0",
-            graph=empty_graph(1), point=SimplexPoint((Fraction(1),)),
+            a, "lambda_graph", text.format(t=graph.n, a=a),
+            graph=graph, point=point,
         )
-    if a == 1:
-        fam = ForbiddenFamily(_AMBIENT_12, (chain_graph(),))
-        return WeakJumpWitness(
-            a, "pi_family",
-            "chain-free graphs have density exactly 1",
-            family=fam, pi_value=Fraction(1),
-        )
-    if a == 2:
-        fam = ForbiddenFamily(_AMBIENT_12, ())
-        return WeakJumpWitness(
-            a, "pi_family",
-            "with nothing forbidden the complete graphs reach density 2",
-            family=fam, pi_value=Fraction(2),
-        )
-    if a < 1:
-        k = result.k
-        t = k + 1
-        return WeakJumpWitness(
-            a, "lambda_graph",
-            f"the complete pair graph on {t} vertices has lambda = {a}",
-            graph=complete(t, (2,)), point=SimplexPoint.uniform(t),
-        )
-    if a == Fraction(9, 8):
-        return WeakJumpWitness(
-            a, "lambda_graph",
-            "the chain has lambda = 9/8 at (3/4, 1/4)",
-            graph=chain_graph(),
-            point=SimplexPoint((Fraction(3, 4), Fraction(1, 4))),
-        )
-    if a < Fraction(5, 4):
+    if result.k is None:
+        members, text = row.limit_family, row.limit_text
+    else:
         t = result.k + 2
-        fam = ForbiddenFamily(
-            _AMBIENT_12, (marked_clique(t), complete(2, (1, 2)))
-        )
-        return WeakJumpWitness(
-            a, "pi_family",
-            f"the marked-clique pair family with t = {t} has density {a}",
-            family=fam, pi_value=a,
-        )
-    if a == Fraction(5, 4):
-        fam = ForbiddenFamily(_AMBIENT_12, (complete(2, (1, 2)),))
-        return WeakJumpWitness(
-            a, "pi_family",
-            "forbidding the two-vertex complete {1,2}-graph gives density 5/4",
-            family=fam, pi_value=Fraction(5, 4),
-        )
-    t = result.k + 1
+        members, text = row.family(t), row.family_text.format(t=t, v=a)
     return WeakJumpWitness(
-        a, "lambda_graph",
-        f"the complete {{1,2}}-graph on {t} vertices has lambda = {a}",
-        graph=complete(t, (1, 2)), point=SimplexPoint.uniform(t),
+        a, "pi_family", text,
+        family=ForbiddenFamily(_AMBIENT_12, members), pi_value=a,
     )
 
 
@@ -219,67 +216,39 @@ def weak_jump_witness(alpha) -> WeakJumpWitness | None:
 # known closed-form densities
 
 
+def _keys(members) -> list[bytes]:
+    return sorted({canonical_form(m) for m in members})
+
+
 def known_turan_density(family: ForbiddenFamily) -> tuple[Fraction, str] | None:
     """Closed-form density for a recognized family, or None.
 
-    Recognized shapes (subgraph mode): the empty family; a chain; the complete
-    {1,2}-graph on t vertices; the complete pair graph on t vertices in ambient
-    {2}; the pair {single 1-edge vertex, complete pair graph on t}; and the
-    pair {marked clique on t, complete {1,2}-graph on 2}.
+    Recognized (subgraph mode): the empty family in any ambient; the complete
+    pair graph on t vertices in ambient {2}; and in ambient {1, 2} every
+    family of the catalogue ``_ROWS``, up to isomorphism of its members.
     """
     if family.mode != "subgraph":
         return None
     members = family.members
-    ambient = tuple(family.ambient.sizes)
-
     if not members:
         value = Fraction(len(family.ambient))
         return value, "nothing is forbidden: complete graphs are free"
-
-    if len(members) == 1 and ambient == (1, 2):
-        m = members[0]
-        if is_isomorphic(m, chain_graph()):
-            return Fraction(1), "chain-free graphs have density 1"
-        t = m.n
-        if t >= 2 and is_isomorphic(m, complete(t, (1, 2))):
-            if t == 2:
-                return Fraction(5, 4), (
-                    "forbidding the complete {1,2}-graph on 2 vertices "
-                    "gives density 5/4"
-                )
-            return 2 - Fraction(1, t - 1), (
-                f"forbidding the complete {{1,2}}-graph on {t} vertices "
-                f"gives density 2 - 1/{t - 1}"
-            )
-
-    if len(members) == 1 and ambient == (2,):
-        m = members[0]
-        t = m.n
-        if t >= 2 and is_isomorphic(m, complete(t, (2,))):
-            return 1 - Fraction(1, t - 1), (
-                f"pair graphs without a complete graph on {t} vertices "
-                f"have density 1 - 1/{t - 1}"
-            )
-
-    if len(members) == 2 and ambient == (1, 2):
-        small = min(members, key=lambda g: g.n)
-        large = max(members, key=lambda g: g.n)
-        t = large.n
-        if is_isomorphic(small, Hypergraph(1, ((0,),))):
-            if t >= 2 and is_isomorphic(large, complete(t, (2,))):
-                return 1 - Fraction(1, t - 1), (
-                    "no 1-edges plus a pair layer without a complete graph "
-                    f"on {t} vertices: density 1 - 1/{t - 1}"
-                )
-        if (
-            t >= 3
-            and is_isomorphic(small, complete(2, (1, 2)))
-            and is_isomorphic(large, marked_clique(t))
-        ):
-            return Fraction(5, 4) - Fraction(1, 4 * (t - 1)), (
-                f"the marked-clique pair family with t = {t} has density "
-                f"5/4 - 1/(4({t} - 1))"
-            )
+    t = max(m.n for m in members)
+    keys = _keys(members)
+    ambient = tuple(family.ambient.sizes)
+    if ambient == (2,) and t >= 2 and keys == _keys([complete(t, (2,))]):
+        return 1 - Fraction(1, t - 1), (
+            f"pair graphs without a complete graph on {t} vertices "
+            f"have density 1 - 1/{t - 1}"
+        )
+    if ambient != (1, 2):
+        return None
+    for row in _ROWS:
+        if t - 2 >= row.k_min and keys == _keys(row.family(t)):
+            form = row.family_form.format(t=t, j=t - 1)
+            return row.value(t - 2), row.family_text.format(t=t, v=form)
+        if keys == _keys(row.limit_family):
+            return row.limit, row.limit_detail
     return None
 
 

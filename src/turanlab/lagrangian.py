@@ -497,42 +497,28 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
     if all(sum(expo) <= 2 for _, expo in qform.terms):
         return _exact_result(form, classes, qform, cfg)
 
-    supports = _candidate_supports(qform)
-    tasks = []
-    for s_idx, support in enumerate(supports):
-        if len(support) == 1:
-            tasks.append((support, None))
-        else:
-            sub = qform.restrict(support)
-            tasks.append((support, _NumericForm(sub)))
-
     converged_runs = []  # one flag per ascent, over every support
-
-    def run(task):
-        support, num = task
-        if num is None:
-            value = _support_value_closed(qform, support[0])
-            z = np.zeros(qform.nvars)
-            z[support[0]] = 1.0
-            return value, z, support
-        key = 0
-        for i in support:
-            key |= 1 << i
-        best = None
-        for x0 in _starts(len(support), cfg, key):
-            x, fx, conv = _ascend(num, x0, cfg)
-            converged_runs.append(conv)
-            if best is None or fx > best[1]:
-                best = (x, fx)
-        z = np.zeros(qform.nvars)
-        for i, v in zip(support, best[0]):
-            z[i] = v
-        return best[1], z, support
-
-    outcomes = [run(t) for t in tasks]
-
-    outcomes.sort(key=lambda o: (-o[0], o[2]))
-    _, z, _ = outcomes[0]
+    best = None  # (value, support, weights): highest value, then least support
+    for support in _candidate_supports(qform):
+        if len(support) == 1:
+            value, weights = _support_value_closed(qform, support[0]), (1.0,)
+        else:
+            num = _NumericForm(qform.restrict(support))
+            key = 0
+            for i in support:
+                key |= 1 << i
+            value = None
+            for x0 in _starts(len(support), cfg, key):
+                x, fx, conv = _ascend(num, x0, cfg)
+                converged_runs.append(conv)
+                if value is None or fx > value:
+                    value, weights = fx, x
+        if best is None or (-value, support) < (-best[0], best[1]):
+            best = (value, support, weights)
+    _, best_support, weights = best
+    z = np.zeros(qform.nvars)
+    for i, w in zip(best_support, weights):
+        z[i] = w
 
     # expand the quotient point back to the original variables
     x_full = np.zeros(form.nvars)

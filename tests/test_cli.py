@@ -106,8 +106,11 @@ class TestLubell:
         assert code == 2 and "duplicate" in err
 
     def test_tsv_not_available(self, capsys, chain_file):
-        code, _, err = run_cli(capsys, "lubell", chain_file, "--format", "tsv")
-        assert code == 2 and "json" in err
+        # only turan takes --format
+        with pytest.raises(SystemExit) as exc:
+            main(["lubell", chain_file, "--format", "tsv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
 
 class TestLagrangian:
@@ -174,8 +177,10 @@ class TestLagrangian:
             raise AssertionError("maximize ran before the format was checked")
 
         monkeypatch.setattr("turanlab.cli.maximize", maximize)
-        code, _, err = run_cli(capsys, "lagrangian", chain_file, "--format", "tsv")
-        assert code == 2 and "json" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["lagrangian", chain_file, "--format", "tsv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_optimizer_failure_exit_code(self, capsys, k4_minus_file):
         code, _, err = run_cli(

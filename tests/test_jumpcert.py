@@ -1,14 +1,15 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
+from turanlab import serialize as ser
 from turanlab.errors import (
     CertificateError,
     InvalidArgumentError,
     OutOfRangeError,
+    UnsupportedSizeError,
 )
 from turanlab.hypercore import (
     EdgeTypeSet,
@@ -41,12 +42,11 @@ class TestClassify12:
         for alpha in oracles.weak_jump_values(100):
             assert classify12(alpha).verdict == "weak_jump", alpha
 
-    @given(st.integers(min_value=0, max_value=10000))
-    @settings(max_examples=300)
-    def test_grid_agrees_with_oracle_set(self, i):
-        alpha = F(i, 5000)
-        expect = "weak_jump" if alpha in WEAK_GRID else "strong_jump"
-        assert classify12(alpha).verdict == expect
+    def test_grid_agrees_with_oracle_set(self):
+        for i in range(10001):
+            alpha = F(i, 5000)
+            expect = "weak_jump" if alpha in WEAK_GRID else "strong_jump"
+            assert classify12(alpha).verdict == expect, alpha
 
     # frozen: hand-solved interval endpoints
     @pytest.mark.parametrize(
@@ -175,12 +175,129 @@ class TestKnownTuranDensity:
         got = known_turan_density(ForbiddenFamily(AMBIENT, (relabeled,)))
         assert got is not None and got[0] == F(1)
 
+    # every catalogue family with members on at most 4 vertices
     @pytest.mark.parametrize("n", [3, 4])
-    def test_catalog_upper_bounds_search(self, n):
+    @pytest.mark.parametrize(
+        "members,value",
+        [
+            ((Hypergraph(1, ((0,),)), complete(2, (2,))), F(0)),
+            ((Hypergraph(1, ((0,),)), complete(3, (2,))), F(1, 2)),
+            ((Hypergraph(1, ((0,),)), complete(4, (2,))), F(2, 3)),
+            ((chain_graph(),), F(1)),
+            ((marked_clique(3), complete(2, (1, 2))), F(9, 8)),
+            ((marked_clique(4), complete(2, (1, 2))), F(7, 6)),
+            ((complete(2, (1, 2)),), F(5, 4)),
+            ((complete(3, (1, 2)),), F(3, 2)),
+            ((complete(4, (1, 2)),), F(5, 3)),
+            ((), F(2)),
+        ],
+        ids=[
+            "k1_k2", "k1_k3", "k1_k4", "chain", "mc3_k2_12", "mc4_k2_12",
+            "k2_12", "k3_12", "k4_12", "empty",
+        ],
+    )
+    def test_catalog_upper_bounds_search(self, members, value, n):
         # pi_n decreases toward the closed form, never below it
-        family = ForbiddenFamily(AMBIENT, (complete(2, (1, 2)),))
-        value, _ = known_turan_density(family)
+        family = ForbiddenFamily(AMBIENT, members)
+        assert known_turan_density(family)[0] == value
         assert pi_n(family, n).pi_n >= value
+
+
+# frozen: sha256 over the classify12 and weak_jump_witness JSON on the grids
+# i/240 and i/1001 of [0, 2], and over known_turan_density on _digest_families
+GRID_DIGEST = "36b4b4758d0767246beeac1e3c22a62907d79c680de67db2bc06709697b0f3c8"
+CATALOGUE_DIGEST = "599cc278535c968841926e62efce79f40c933de8066f6c0fff0ae435f02e812d"
+# weak values 1 + k/(4(k+1)) on those grids whose marked-clique family has a
+# member on t = k + 2 > 16 vertices: canonical labeling refuses it, so the
+# witness fails
+CAPPED_WITNESSES = [F(99, 80), F(149, 120), F(299, 240), F(96, 77), F(1251, 1001)]
+
+
+def _digest_families():
+    """Catalogue families for t = 1..16, near misses and induced variants."""
+    k1 = Hypergraph(1, ((0,),))
+    k2 = complete(2, (1, 2))
+    chain = chain_graph()
+    pairs_only = EdgeTypeSet((2,))
+    wide = EdgeTypeSet((1, 2, 3))
+    families = [
+        ForbiddenFamily(EdgeTypeSet(sizes), ())
+        for sizes in ((1, 2), (2,), (1,), (1, 2, 3))
+    ]
+    families += [
+        ForbiddenFamily(AMBIENT, members)
+        for members in ((chain,), (k2,), (chain, k2), (k1,), (k1, chain), (k1, k2))
+    ]
+    for t in range(1, 17):
+        pairs = complete(t, (2,))
+        mixed = complete(t, (1, 2))
+        families += [
+            ForbiddenFamily(AMBIENT, (k1, pairs)),
+            ForbiddenFamily(AMBIENT, (mixed,)),
+            ForbiddenFamily(pairs_only, (pairs,)),
+            ForbiddenFamily(AMBIENT, (pairs,)),
+            ForbiddenFamily(AMBIENT, (k1, mixed)),
+            ForbiddenFamily(AMBIENT, (k2, pairs)),
+            ForbiddenFamily(AMBIENT, (chain, mixed)),
+            ForbiddenFamily(wide, (mixed,)),
+            ForbiddenFamily(wide, (k1, pairs)),
+        ]
+        if t >= 2:
+            marked = marked_clique(t)
+            missing_pair = Hypergraph(t, pairs.edges[1:])
+            families += [
+                ForbiddenFamily(AMBIENT, (marked, k2)),
+                ForbiddenFamily(AMBIENT, (marked,)),
+                ForbiddenFamily(AMBIENT, (marked, chain)),
+                ForbiddenFamily(AMBIENT, (marked, k2, k1)),
+                ForbiddenFamily(AMBIENT, (k1, missing_pair)),
+                ForbiddenFamily(pairs_only, (missing_pair,)),
+                ForbiddenFamily(AMBIENT, (Hypergraph(t, mixed.edges[1:]),)),
+                ForbiddenFamily(AMBIENT, (marked.with_edges((1,)), k2)),
+            ]
+    return families + [
+        ForbiddenFamily(f.ambient, f.members, "induced") for f in families
+    ]
+
+
+class TestCatalogueDigest:
+    def test_grid_output_is_pinned(self):
+        digest = hashlib.sha256()
+        capped = []
+        for den in (240, 1001):
+            for i in range(2 * den + 1):
+                alpha = F(i, den)
+                obj = ser.classify_to_obj(classify12(alpha))
+                try:
+                    witness = weak_jump_witness(alpha)
+                except UnsupportedSizeError as exc:
+                    capped.append(alpha)
+                    obj["witness"] = f"UnsupportedSizeError: {exc}"
+                else:
+                    obj["witness"] = (
+                        None if witness is None else ser.weak_witness_to_obj(witness)
+                    )
+                digest.update(ser.dumps_canonical(obj).encode() + b"\n")
+        assert capped == CAPPED_WITNESSES
+        assert digest.hexdigest() == GRID_DIGEST
+
+    def test_capped_witness_message(self):
+        with pytest.raises(UnsupportedSizeError) as info:
+            weak_jump_witness(F(99, 80))
+        assert str(info.value) == "canonical form is capped at 16 vertices"
+
+    def test_known_densities_are_pinned(self):
+        digest = hashlib.sha256()
+        for family in _digest_families():
+            known = known_turan_density(family)
+            obj = {
+                "family": ser.family_to_obj(family),
+                "known": None if known is None else [
+                    ser.format_fraction(known[0]), known[1]
+                ],
+            }
+            digest.update(ser.dumps_canonical(obj).encode() + b"\n")
+        assert digest.hexdigest() == CATALOGUE_DIGEST
 
 
 class TestBuildCertificate:
