@@ -102,16 +102,15 @@ def _cmd_lagrangian(args) -> int:
     obj = _read_json(args.graph, "input")
     target = _graph_or_pattern(obj, "input")
     config = OptimizerConfig(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        rational_certificate=args.certify,
+        restarts=args.restarts, max_iters=args.max_iters, seed=args.seed
     )
     result = maximize(target, config)
     payload = ser.result_to_obj(result)
     hints = []
-    if result.certified_lower_bound is not None:
+    if args.certify:
         hints.append(("certified lower bound", result.certified_lower_bound))
+    else:
+        payload["certified_lower_bound"] = payload["certificate_point"] = None
     _emit(payload, hints)
     return _EXIT_OK
 
@@ -207,7 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0, help="deterministic seed")
     p.add_argument("--certify", action="store_true",
-                   help="also produce an exact rational certificate")
+                   help="print the exact rational certificate, which is "
+                   "always computed")
     p.set_defaults(run=_cmd_lagrangian)
 
     p = sub.add_parser("turan",

@@ -574,14 +574,18 @@ def _format_encoding(key) -> bytes:
     return f"{n}|{body}".encode("ascii")
 
 
-@lru_cache(maxsize=100_000)
-def canonical_form(graph: Hypergraph) -> bytes:
-    """Canonical byte encoding: equal byte strings iff isomorphic graphs."""
-    n = graph.n
+def _check_labeling_cap(n: int) -> None:
     if n > MAX_LABELING_VERTICES:
         raise UnsupportedSizeError(
             f"canonical form is capped at {MAX_LABELING_VERTICES} vertices"
         )
+
+
+@lru_cache(maxsize=100_000)
+def canonical_form(graph: Hypergraph) -> bytes:
+    """Canonical byte encoding: equal byte strings iff isomorphic graphs."""
+    n = graph.n
+    _check_labeling_cap(n)
     edges = graph.edges
     incident = [[] for _ in range(n)]
     for e in edges:

@@ -16,12 +16,15 @@ third row starts at k = 1, so no weak value lies between 5/4 and 3/2.
 A certificate that alpha is a (strong) jump consists of a finite family F
 with density evidence pi(F) <= alpha (strictly below for strong) together
 with a certified rational lower bound lambda(F) > alpha for every member.
+The certificate types check themselves: a ``LambdaWitness`` computes its
+value from its point, and a ``JumpCertificate`` checks its conditions and
+any closed-form evidence against the catalogue when it is constructed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -33,6 +36,7 @@ from .hypercore import (
     EdgeTypeSet,
     Hypergraph,
     SimplexPoint,
+    _check_labeling_cap,
     canonical_form,
     chain_graph,
     complete,
@@ -205,6 +209,7 @@ def weak_jump_witness(alpha) -> WeakJumpWitness | None:
         members, text = row.limit_family, row.limit_text
     else:
         t = result.k + 2
+        _check_labeling_cap(t)  # before building a member on t vertices
         members, text = row.family(t), row.family_text.format(t=t, v=a)
     return WeakJumpWitness(
         a, "pi_family", text,
@@ -258,9 +263,19 @@ def known_turan_density(family: ForbiddenFamily) -> tuple[Fraction, str] | None:
 
 @dataclass(frozen=True)
 class LambdaWitness:
+    """A member and a rational point.  ``value``, the exact lower bound for
+    lambda(member), is the form's value at the point, computed here; it is 0
+    for an edgeless member, and a member on 0 vertices takes any point."""
+
     member: Hypergraph
     point: SimplexPoint
-    value: Fraction  # exact lower bound for lambda(member)
+    value: Fraction = field(init=False)
+
+    def __post_init__(self):
+        value = Fraction(0)
+        if self.member.n:
+            value = certify_at(self.member, self.point)
+        object.__setattr__(self, "value", value)
 
 
 @dataclass(frozen=True)
@@ -280,11 +295,13 @@ class JumpCertificate:
     """A validated jump certificate; construction is the one place its
     conditions are checked.
 
-    For every member F a certified rational point with lambda(F) > alpha; the
-    density evidence satisfies value <= alpha (strictly below for the strong
-    kind).  Every failed condition, a missing ``pi_evidence`` included, is
-    listed in one CertificateError.  ``gap`` is the positive margin
-    min lambda - alpha.
+    For every member F a certified rational point with lambda(F) > alpha,
+    where each witness value is computed from its point; the density
+    evidence satisfies value <= alpha (strictly below for the strong kind),
+    and closed-form evidence must be the catalogue's value for the family
+    (``known_turan_density``).  Every failed condition, a missing
+    ``pi_evidence`` included, is listed in one CertificateError.  ``gap`` is
+    the positive margin min lambda - alpha.
     """
 
     alpha: Fraction
@@ -322,6 +339,13 @@ class JumpCertificate:
                 f"condition fails: density evidence {evidence.value} "
                 f"exceeds alpha {a}"
             )
+        if evidence is not None and evidence.grade == "closed_form":
+            known = known_turan_density(self.family)
+            if known is None or known[0] != evidence.value:
+                failures.append(
+                    f"closed-form density evidence {evidence.value} does not "
+                    "match the recognized-family catalog"
+                )
         if failures:
             raise CertificateError(failures)
 
@@ -330,17 +354,10 @@ class JumpCertificate:
         return min(w.value for w in self.lambda_witnesses) - self.alpha
 
 
-def _lambda_witness(member: Hypergraph, point, config) -> LambdaWitness:
-    if point is not None:
-        pt = point if isinstance(point, SimplexPoint) else SimplexPoint(tuple(point))
-        return LambdaWitness(member, pt, certify_at(member, pt))
+def _lambda_witness(member: Hypergraph, config) -> LambdaWitness:
     if not member.edges:
-        pt = SimplexPoint.uniform(max(member.n, 1))
-        return LambdaWitness(member, pt, Fraction(0))
-    result = maximize(member, config)
-    return LambdaWitness(
-        member, result.certificate_point, result.certified_lower_bound
-    )
+        return LambdaWitness(member, SimplexPoint.uniform(max(member.n, 1)))
+    return LambdaWitness(member, maximize(member, config).certificate_point)
 
 
 def build_certificate(
@@ -348,7 +365,6 @@ def build_certificate(
     family: ForbiddenFamily,
     strict: bool = False,
     config: OptimizerConfig | None = None,
-    lambda_points=None,
     pi_evidence: PiEvidence | None = None,
     exhaustive_n: int | None = None,
 ) -> JumpCertificate:
@@ -362,21 +378,11 @@ def build_certificate(
     pi <= alpha the strong certificate fails.
     """
     a = _require_fraction(alpha)
-    cfg = config or OptimizerConfig(rational_certificate=True)
     if not family.members:
         raise CertificateError(
             ["a certificate needs at least one forbidden member"]
         )
-
-    points = list(lambda_points) if lambda_points is not None else [None] * len(
-        family.members
-    )
-    if len(points) != len(family.members):
-        raise InvalidArgumentError("one witness point per member expected")
-    witnesses = tuple(
-        _lambda_witness(member, point, cfg)
-        for member, point in zip(family.members, points)
-    )
+    witnesses = tuple(_lambda_witness(m, config) for m in family.members)
 
     evidence = pi_evidence
     if evidence is None:

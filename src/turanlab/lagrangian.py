@@ -10,7 +10,8 @@ each support the KKT system of the homogenized quadratic form is solved in
 rationals, and the maximum, its point and its certificate are exact.  A form
 with a term of degree >= 3 runs projected gradient ascent with Armijo
 backtracking on each support, then verifies first-order optimality and
-certifies a rational lower bound at a rounded rational point.  An ascent that
+certifies a rational lower bound at a rounded rational point.  Every result
+carries its certificate, from one result step for both kinds.  An ascent that
 stalls stops at its first repeated state (see ``_ascend``); from there the
 full loop would only cycle to max_iters, so the result is byte-identical to
 running it out.  A failure reports how many ascents stalled.
@@ -19,9 +20,9 @@ running it out.  A failure reports how many ascents stalled.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -196,7 +197,6 @@ class OptimizerConfig:
     restarts: int = 32
     max_iters: int = 10_000
     seed: int = 0
-    rational_certificate: bool = True
 
     def __post_init__(self):
         if self.restarts < 0 or self.max_iters < 1:
@@ -453,14 +453,6 @@ def _solve_kkt(Q: list[list[Fraction]]):
     return [rows[r][size] for r in range(k)], rows[k][size]
 
 
-def _support_value_closed(form: PolynomialForm, var: int) -> float:
-    total = Fraction(0)
-    for coeff, expo in form.terms:
-        if all(k == 0 or i == var for i, k in enumerate(expo)):
-            total += coeff
-    return float(total)
-
-
 def _starts(dim: int, cfg: OptimizerConfig, support_key: int):
     yield np.full(dim, 1.0 / dim)
     for r in range(cfg.restarts):
@@ -469,15 +461,41 @@ def _starts(dim: int, cfg: OptimizerConfig, support_key: int):
         yield rng.dirichlet(np.ones(dim))
 
 
+def _ascent_maximum(form: PolynomialForm, cfg: OptimizerConfig):
+    """Best point of the ascents over every candidate support of the form,
+    and one converged flag per ascent.  Ties go to the least support."""
+    converged_runs = []
+    best = None  # (value, support, weights)
+    for support in _candidate_supports(form):
+        if len(support) == 1:
+            value = float(evaluate(form.restrict(support), (1,)))
+            weights = (1.0,)
+        else:
+            num = _NumericForm(form.restrict(support))
+            key = sum(1 << i for i in support)
+            value = None
+            for x0 in _starts(len(support), cfg, key):
+                x, fx, conv = _ascend(num, x0, cfg)
+                converged_runs.append(conv)
+                if value is None or fx > value:
+                    value, weights = fx, x
+        if best is None or (-value, support) < (-best[0], best[1]):
+            best = (value, support, weights)
+    _, support, weights = best
+    z = np.zeros(form.nvars)
+    z[list(support)] = weights
+    return z, converged_runs
+
+
 def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
-    """Global maximum of the form over the simplex.
+    """Global maximum of the form over the simplex, with a rational certificate.
 
     Collapses equivalent vertices first (hypergraphs and simple patterns), so
     most structured inputs reduce to very few free variables.  A form of
-    degree <= 2 is solved exactly (``_kkt_maximum``) and ignores the restarts,
-    iterations and seed of the config.  Otherwise each support runs the
-    ascent; symmetric inputs with a single class resolve by the closed
-    single-variable path.
+    degree <= 2 is solved exactly (``_kkt_maximum``), ignores the restarts,
+    iterations and seed of the config, and is certified at its exact
+    maximizer.  Otherwise each support runs the ascent, and the certificate
+    is the exact value at the maximizer rounded by ``_rationalize``.
     """
     cfg = config or OptimizerConfig()
     form = polynomial_form(obj)
@@ -489,123 +507,67 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
         graph = obj
     elif isinstance(obj, Pattern) and obj.is_simple():
         graph = obj.to_hypergraph()
-    if graph is not None and graph.n == form.nvars:
+    if graph is not None:
         classes = equivalence_classes(graph)
     else:
         classes = tuple((i,) for i in range(form.nvars))
     qform = form.quotient(classes)
+    value_exact = None
     if all(sum(expo) <= 2 for _, expo in qform.terms):
-        return _exact_result(form, classes, qform, cfg)
-
-    converged_runs = []  # one flag per ascent, over every support
-    best = None  # (value, support, weights): highest value, then least support
-    for support in _candidate_supports(qform):
-        if len(support) == 1:
-            value, weights = _support_value_closed(qform, support[0]), (1.0,)
-        else:
-            num = _NumericForm(qform.restrict(support))
-            key = 0
-            for i in support:
-                key |= 1 << i
-            value = None
-            for x0 in _starts(len(support), cfg, key):
-                x, fx, conv = _ascend(num, x0, cfg)
-                converged_runs.append(conv)
-                if value is None or fx > value:
-                    value, weights = fx, x
-        if best is None or (-value, support) < (-best[0], best[1]):
-            best = (value, support, weights)
-    _, best_support, weights = best
-    z = np.zeros(qform.nvars)
-    for i, w in zip(best_support, weights):
-        z[i] = w
+        value_exact, z = _kkt_maximum(qform)
+    else:
+        z, converged_runs = _ascent_maximum(qform, cfg)
 
     # expand the quotient point back to the original variables
-    x_full = np.zeros(form.nvars)
+    x = [None] * form.nvars
     for c, members in enumerate(classes):
-        if z[c] > 0:
-            share = z[c] / len(members)
-            for v in members:
-                x_full[v] = share
-    x_full = _project_simplex(x_full)
-
-    value = _NumericForm(form).value(x_full)
-    residual = stationarity_residual(form, tuple(float(w) for w in x_full))
-    maximizer = SimplexPoint(tuple(float(w) for w in x_full))
-    support = maximizer.support
+        for v in members:
+            x[v] = z[c] / len(members)
+    if value_exact is None:
+        x = _project_simplex(np.array(x))
+        value = _NumericForm(form).value(x)
+    else:
+        value = float(value_exact)
+    maximizer = SimplexPoint(tuple(float(w) for w in x))
+    result = LagrangianResult(
+        value=value,
+        maximizer=maximizer,
+        support=maximizer.support,
+        certified_lower_bound=None,
+        certificate_point=None,
+        stationarity_residual=stationarity_residual(form, maximizer),
+        value_exact=value_exact,
+        method="ascent" if value_exact is None else "exact_kkt",
+    )
 
     # a stalled ascent can still end on a stationary point, once no float
     # step raises f near the maximum; only the residual decides
-    if residual >= STATIONARITY_TOL:
-        partial = LagrangianResult(
-            value=value,
-            maximizer=maximizer,
-            support=support,
-            certified_lower_bound=None,
-            certificate_point=None,
-            stationarity_residual=residual,
-            value_exact=None,
-            method="ascent",
-        )
+    residual = result.stationarity_residual
+    if value_exact is None and residual >= STATIONARITY_TOL:
         raise OptimizerFailureError(
             f"no run reached stationarity {STATIONARITY_TOL} "
             f"(residual {residual:.3e}) "
             f"({converged_runs.count(False)} of {len(converged_runs)} "
             f"ascents stalled)",
-            best_so_far=partial,
+            best_so_far=result,
         )
 
-    certified = None
-    cert_point = None
-    if cfg.rational_certificate:
+    if value_exact is None:
         cert_point = _rationalize(maximizer)
-        certified = evaluate(form, cert_point)
-        if float(certified) > value + CERTIFICATE_SLACK:
-            raise OptimizerFailureError(
-                "certificate exceeded the numeric value beyond slack",
-                best_so_far=None,
-            )
-
-    return LagrangianResult(
-        value=value,
-        maximizer=maximizer,
-        support=support,
-        certified_lower_bound=certified,
-        certificate_point=cert_point,
-        stationarity_residual=residual,
-        value_exact=None,
-        method="ascent",
-    )
-
-
-def _exact_result(form, classes, qform, cfg) -> LagrangianResult:
-    """The exact KKT maximum of a degree <= 2 quotient, expanded back through
-    the classes with x_v = z_c / |c|."""
-    value, z = _kkt_maximum(qform)
-    x = [Fraction(0)] * form.nvars
-    for c, members in enumerate(classes):
-        for v in members:
-            x[v] = z[c] / len(members)
-    point = SimplexPoint(tuple(x))
-    maximizer = SimplexPoint(tuple(float(w) for w in x))
-    certified = None
-    cert_point = None
-    if cfg.rational_certificate:
-        cert_point = point
-        certified = evaluate(form, point)
-        if certified != value:
-            raise TuranLabError(
-                f"the form is {certified} at its KKT point, not the value {value}"
-            )
-    return LagrangianResult(
-        value=float(value),
-        maximizer=maximizer,
-        support=point.support,
-        certified_lower_bound=certified,
-        certificate_point=cert_point,
-        stationarity_residual=stationarity_residual(form, x),
-        value_exact=value,
-        method="exact_kkt",
+    else:
+        cert_point = SimplexPoint(tuple(x))
+    certified = evaluate(form, cert_point)
+    if value_exact is not None and certified != value_exact:
+        raise TuranLabError(
+            f"the form is {certified} at its KKT point, not the value {value_exact}"
+        )
+    if float(certified) > value + CERTIFICATE_SLACK:
+        raise OptimizerFailureError(
+            "certificate exceeded the numeric value beyond slack",
+            best_so_far=None,
+        )
+    return replace(
+        result, certified_lower_bound=certified, certificate_point=cert_point
     )
 
 

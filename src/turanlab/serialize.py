@@ -9,7 +9,6 @@ compact separators, so identical values serialize identically.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -21,9 +20,8 @@ from .jumpcert import (
     LambdaWitness,
     PiEvidence,
     WeakJumpWitness,
-    known_turan_density,
 )
-from .lagrangian import LagrangianResult, OptimizerConfig, certify_at
+from .lagrangian import LagrangianResult
 from .seqdensity import SequenceGenerator, UpperDensityReport
 from .turansearch import DensityBound, ForbiddenFamily, PiRecord
 
@@ -39,8 +37,6 @@ __all__ = [
     "point_from_obj",
     "family_to_obj",
     "family_from_obj",
-    "config_to_obj",
-    "config_from_obj",
     "result_to_obj",
     "record_to_obj",
     "bound_to_obj",
@@ -241,23 +237,7 @@ def bound_to_tsv(bound: DensityBound) -> str:
 
 
 # ---------------------------------------------------------------------------
-# optimizer config and results
-
-
-def config_to_obj(config: OptimizerConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
-_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(OptimizerConfig))
-
-
-def config_from_obj(obj, where: str = "config") -> OptimizerConfig:
-    _expect_keys(obj, where, (), _CONFIG_KEYS)
-    kwargs = {}
-    for key in _CONFIG_KEYS:
-        if key in obj:
-            kwargs[key] = obj[key]
-    return _wrap(where, lambda: OptimizerConfig(**kwargs))
+# optimizer results
 
 
 def result_to_obj(result: LagrangianResult) -> dict:
@@ -357,11 +337,12 @@ def certificate_to_obj(cert: JumpCertificate) -> dict:
 
 
 def certificate_from_obj(obj, where: str = "certificate") -> JumpCertificate:
-    """Parse and re-verify a certificate.
+    """Parse a certificate; constructing it re-verifies it.
 
-    Every witness value is recomputed exactly from its point; a closed-form
-    evidence value is rechecked against the recognized-family catalog.  Any
-    disagreement, or a violated certificate inequality, raises ParseError.
+    Each witness computes its value exactly from its point, and the
+    certificate checks its conditions and any closed-form evidence against
+    the recognized-family catalog.  A stated value or gap that differs from
+    the recomputed one, or a failed check, raises ParseError.
     """
     _expect_keys(
         obj, where,
@@ -379,23 +360,14 @@ def certificate_from_obj(obj, where: str = "certificate") -> JumpCertificate:
         member = graph_from_obj(w["member"], f"{wwhere}.member")
         point = point_from_obj(w["point"], f"{wwhere}.point")
         claimed = parse_fraction(w["value"])
-        if not point.is_rational:
-            raise ParseError(f"{wwhere}.point: certificate points must be rational")
-        actual = _wrap(wwhere, certify_at, member, point)
-        if actual != claimed:
+        witness = _wrap(wwhere, LambdaWitness, member, point)
+        if witness.value != claimed:
             raise ParseError(
                 f"{wwhere}: stated value {format_fraction(claimed)} "
-                f"differs from the recomputed {format_fraction(actual)}"
+                f"differs from the recomputed {format_fraction(witness.value)}"
             )
-        witnesses.append(LambdaWitness(member, point, actual))
+        witnesses.append(witness)
     evidence = evidence_from_obj(obj["pi_evidence"], f"{where}.pi_evidence")
-    if evidence.grade == "closed_form":
-        known = known_turan_density(family)
-        if known is None or known[0] != evidence.value:
-            raise ParseError(
-                f"{where}.pi_evidence: closed-form value does not match "
-                "the recognized-family catalog"
-            )
     cert = _wrap(
         where, JumpCertificate, alpha, kind, family, tuple(witnesses), evidence,
     )

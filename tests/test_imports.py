@@ -1,0 +1,46 @@
+"""Every library module uses each name it imports.
+
+An AST scan: a name bound by an import must appear as a name somewhere else
+in the module, or be listed in its ``__all__``.  ``__init__.py`` only
+re-exports, so it is exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "turanlab"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(name for name in imported if name not in used)
+
+
+def test_scan_finds_an_unused_name():
+    source = (
+        "import numpy as np\nfrom math import comb, factorial\n"
+        "__all__ = ['factorial']\nnp.zeros(3)\n"
+    )
+    assert unused_imports(source) == ["comb"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_its_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

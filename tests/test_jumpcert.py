@@ -343,8 +343,12 @@ class TestBuildCertificate:
                 points.append(SimplexPoint((F(1, 2), F(1, 2))))
             else:
                 points.append(SimplexPoint((F(2, 3), F(1, 6), F(1, 6))))
-        cert = build_certificate(
-            F(23, 20), family, strict=True, lambda_points=points
+        # a caller with its own points builds the certificate directly
+        value, detail = known_turan_density(family)
+        cert = JumpCertificate(
+            F(23, 20), "strong_jump", family,
+            tuple(LambdaWitness(m, p) for m, p in zip(family.members, points)),
+            PiEvidence("closed_form", value, detail),
         )
         assert cert.pi_evidence.value == F(9, 8)
         assert cert.gap == F(7, 6) - F(23, 20)
@@ -398,11 +402,7 @@ class TestBuildCertificate:
 
 class TestJumpCertificateValidation:
     def _witness(self):
-        return LambdaWitness(
-            chain_graph(),
-            SimplexPoint((F(3, 4), F(1, 4))),
-            F(9, 8),
-        )
+        return LambdaWitness(chain_graph(), SimplexPoint((F(3, 4), F(1, 4))))
 
     def test_constructor_rejects_low_witness(self):
         with pytest.raises(CertificateError):
@@ -433,3 +433,39 @@ class TestJumpCertificateValidation:
             pi_evidence=PiEvidence("asserted", F(1), "x"),
         )
         assert cert.gap == F(1, 40)
+
+    def test_witness_value_comes_from_its_point(self):
+        # the chain is 1 at (1/2, 1/2), not its maximum 9/8
+        witness = LambdaWitness(chain_graph(), SimplexPoint((F(1, 2), F(1, 2))))
+        assert witness.value == 1
+        with pytest.raises(CertificateError) as info:
+            JumpCertificate(
+                alpha=F(11, 10),
+                kind="strong_jump",
+                family=ForbiddenFamily(AMBIENT, (chain_graph(),)),
+                lambda_witnesses=(witness,),
+                pi_evidence=PiEvidence("asserted", F(1), "x"),
+            )
+        (failure,) = info.value.failures
+        assert "condition on lambda fails" in failure
+
+    def test_edgeless_witness_is_zero(self):
+        for n in (0, 3):
+            point = SimplexPoint.uniform(max(n, 1))
+            assert LambdaWitness(Hypergraph(n, ()), point).value == 0
+        # the point is still checked
+        with pytest.raises(InvalidArgumentError, match="rational"):
+            LambdaWitness(Hypergraph(2, ()), SimplexPoint((0.5, 0.5)))
+
+    def test_closed_form_evidence_must_match_the_catalogue(self):
+        # the chain family has density 1, so 1/2 is not its closed form
+        with pytest.raises(CertificateError) as info:
+            JumpCertificate(
+                alpha=F(11, 10),
+                kind="strong_jump",
+                family=ForbiddenFamily(AMBIENT, (chain_graph(),)),
+                lambda_witnesses=(self._witness(),),
+                pi_evidence=PiEvidence("closed_form", F(1, 2), "x"),
+            )
+        (failure,) = info.value.failures
+        assert "catalog" in failure

@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +11,14 @@ from hypothesis import strategies as st
 
 import oracles
 import turanlab.lagrangian as lagrangian
+from turanlab import serialize as ser
 from strategies import hypergraphs, patterns
 from turanlab.errors import InvalidArgumentError, OptimizerFailureError
 from turanlab.hypercore import (
     Hypergraph,
     Pattern,
     SimplexPoint,
+    blow_up,
     chain_graph,
     complete,
     empty_graph,
@@ -36,6 +41,30 @@ K4_MINUS = Hypergraph(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
 # perfbench's random3[1]: 4 of its 15 ascents at restarts=2 stall at a point
 # they can no longer move
 RANDOM3_1 = Hypergraph(4, [(0, 1), (1, 2), (0, 2, 3), (1, 2, 3)])
+# sha256 of the outcomes of test_output_is_pinned, one canonical JSON line each
+OUTPUT_DIGEST = "ba41d5e2072d3aec8bd1e621a23561858f58ad2e64fd9ea4297be884ea944f84"
+
+
+def pinned_inputs():
+    """80 seeded random graphs on 2-5 vertices, then eight stock inputs."""
+    rng = random.Random(0)
+    size_sets = ((1, 2), (2,), (2, 3), (3,), (1, 3), (1, 2, 3))
+    out = []
+    while len(out) < 80:
+        n = rng.randint(2, 5)
+        sizes = rng.choice(size_sets)
+        edges = [
+            e for r in sizes for e in itertools.combinations(range(n), r)
+            if rng.random() < 0.4
+        ]
+        if edges:
+            out.append(Hypergraph(n, edges))
+    return out + [
+        chain_graph(), complete(4, (3,)), K4_MINUS,
+        Pattern(2, ((1, 1), (2, 0))), Pattern(2, ((2, 1),)),
+        Pattern(3, ((1, 1, 1), (0, 2, 0))),
+        marked_clique(5), blow_up(chain_graph(), (2, 3)),
+    ]
 
 
 @st.composite
@@ -248,6 +277,24 @@ class TestMaximize:
         assert len(calls) < 2000
         assert result.certified_lower_bound == F(128, 243)
 
+    def test_output_is_pinned(self):
+        # every result, failure text and partial result, both exact and
+        # ascent, at a full config and at one that fails most ascents
+        digest = hashlib.sha256()
+        configs = (
+            OptimizerConfig(restarts=2, seed=0),
+            OptimizerConfig(restarts=0, max_iters=1),
+        )
+        for cfg in configs:
+            for obj in pinned_inputs():
+                try:
+                    out = ser.result_to_obj(maximize(obj, cfg))
+                except OptimizerFailureError as exc:
+                    best = exc.best_so_far
+                    out = [str(exc), None if best is None else ser.result_to_obj(best)]
+                digest.update(ser.dumps_canonical(out).encode() + b"\n")
+        assert digest.hexdigest() == OUTPUT_DIGEST
+
     def test_pattern_with_multiplicities(self):
         # single row (2,): f = x^2, maximum 1 at x = 1
         result = maximize(Pattern(1, ((2,),)), FAST)
@@ -337,3 +384,7 @@ class TestOptimizerConfig:
             OptimizerConfig(restarts=-1)
         with pytest.raises(InvalidArgumentError):
             OptimizerConfig(max_iters=0)
+
+    def test_certificate_is_not_optional(self):
+        with pytest.raises(TypeError):
+            OptimizerConfig(rational_certificate=False)

@@ -130,23 +130,6 @@ class TestFamilyAndConfig:
         obj = {"ambient": [2], "members": []}
         assert ser.family_from_obj(obj).mode == "subgraph"
 
-    def test_config_round_trip(self):
-        cfg = OptimizerConfig(restarts=4, seed=9)
-        assert ser.config_from_obj(ser.config_to_obj(cfg)) == cfg
-
-    def test_config_defaults(self):
-        assert ser.config_from_obj({}) == OptimizerConfig()
-
-    def test_config_typo_rejected(self):
-        with pytest.raises(ParseError, match="unknown"):
-            ser.config_from_obj({"restartz": 4})
-        # the removed thread-pool knob is an unknown key now, not ignored
-        with pytest.raises(ParseError, match="unknown"):
-            ser.config_from_obj({"threads": 2})
-        # so are the ascent constants, which no longer belong to the config
-        with pytest.raises(ParseError, match="unknown"):
-            ser.config_from_obj({"tol": 1e-9})
-
 
 class TestResultAndBound:
     def test_result_fields(self):
