@@ -7,6 +7,7 @@ equality, hashing, and serialized output are all deterministic.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -89,6 +90,11 @@ def _normalize_edge(edge) -> tuple[int, ...]:
     return e
 
 
+def _edge_order(e: tuple[int, ...]) -> tuple:
+    """The global edge order: by size, then lexicographically."""
+    return (len(e), e)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A finite hypergraph on vertex set {0, ..., n-1}.
@@ -116,7 +122,7 @@ class Hypergraph:
                     f"edge of size {len(e)} exceeds the cap of {MAX_EDGE_SIZE}"
                 )
             seen[e] = None
-        edges = tuple(sorted(seen, key=lambda e: (len(e), e)))
+        edges = tuple(sorted(seen, key=_edge_order))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
 
@@ -142,6 +148,28 @@ class Hypergraph:
 
     def with_edges(self, *extra) -> "Hypergraph":
         return Hypergraph(self.n, self.edges + tuple(tuple(e) for e in extra))
+
+    @classmethod
+    def _from_normalized(cls, n: int, edges: tuple) -> "Hypergraph":
+        """Build without validation, for callers that construct valid edges.
+
+        Precondition: n is an int >= 0, and ``edges`` is a tuple of distinct
+        non-empty tuples, each strictly increasing, inside 0..n-1 and at most
+        MAX_EDGE_SIZE long, in ``_edge_order``: exactly what ``__post_init__``
+        would have made of them.  Nothing checks it; a breach gives a graph
+        that compares, hashes and encodes wrongly."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "edges", edges)
+        return graph
+
+    def _with_edge(self, e: tuple[int, ...]) -> "Hypergraph":
+        """``with_edges(e)`` without re-validation, for a non-edge e that
+        meets the edge precondition of ``_from_normalized``: inserted at its
+        slot in the edge order, it leaves the edges normalized."""
+        edges = self.edges
+        at = bisect.bisect(edges, _edge_order(e), key=_edge_order)
+        return Hypergraph._from_normalized(self.n, edges[:at] + (e,) + edges[at:])
 
 
 @dataclass(frozen=True)
@@ -394,11 +422,13 @@ def blow_up(graph: Hypergraph, class_sizes) -> Hypergraph:
     vertex).  A class of size 0 deletes the vertex along with its edges.
     """
     total, classes = _vertex_classes(graph.n, class_sizes)
+    # the classes are increasing intervals, so each transversal is strictly
+    # increasing, and distinct edges of graph give disjoint sets of them
     edges = []
     for e in graph.edges:
-        for combo in itertools.product(*(classes[i] for i in e)):
-            edges.append(combo)
-    return Hypergraph(total, tuple(edges))
+        edges.extend(itertools.product(*(classes[i] for i in e)))
+    edges.sort(key=_edge_order)
+    return Hypergraph._from_normalized(total, tuple(edges))
 
 
 def realize(pattern: Pattern, class_sizes) -> Hypergraph:
@@ -436,6 +466,23 @@ def _degree_table(graph: Hypergraph, sizes) -> list[tuple[int, ...]]:
     return [tuple(row) for row in table]
 
 
+@lru_cache(maxsize=1024)
+def _search_plan(small: Hypergraph):
+    """The side of ``_embedding_search`` that depends on small alone, made
+    once per forbidden member: its edge sizes, degree table, placement order,
+    and the edges checked at each step."""
+    sizes = small.edge_sizes()
+    small_deg = tuple(_degree_table(small, sizes))
+    order = tuple(sorted(range(small.n), key=lambda v: (-sum(small_deg[v]), v)))
+    pos_of = {v: i for i, v in enumerate(order)}
+    # edges of small checked at the step that completes them
+    check_at = [[] for _ in range(small.n)]
+    for e in small.edges:
+        last = max(pos_of[v] for v in e)
+        check_at[last].append(e)
+    return sizes, small_deg, order, tuple(tuple(es) for es in check_at)
+
+
 def _embedding_search(big: Hypergraph, small: Hypergraph, induced: bool):
     """Backtracking search for an injection mapping small's edges onto big's.
 
@@ -446,16 +493,8 @@ def _embedding_search(big: Hypergraph, small: Hypergraph, induced: bool):
     h, g = small.n, big.n
     if h > g:
         return None
-    sizes = small.edge_sizes()
-    small_deg = _degree_table(small, sizes)
+    sizes, small_deg, order, check_at = _search_plan(small)
     big_deg = _degree_table(big, sizes)
-    order = sorted(range(h), key=lambda v: (-sum(small_deg[v]), v))
-    pos_of = {v: i for i, v in enumerate(order)}
-    # edges of small checked at the step that completes them
-    check_at = [[] for _ in range(h)]
-    for e in small.edges:
-        last = max(pos_of[v] for v in e)
-        check_at[last].append(e)
     # images of v: the vertices of big with at least v's degree in every size
     fits = [
         [c for c in range(g) if all(b >= s for b, s in zip(big_deg[c], small_deg[v]))]
@@ -538,6 +577,17 @@ def contains_induced(big: Hypergraph, small: Hypergraph) -> bool:
 # the subtree that individualizes u onto the one that individualizes w, and
 # both subtrees hold the same leaf keys: the least key is unchanged.
 #
+# Refinement stops at the first pass that leaves the number of cells
+# unchanged.  Each pass keys a vertex by its old colour first, so the new
+# partition refines the old one, and an equal cell count means an equal
+# partition: it is stable.  The new colours are then the dense ranks of the
+# old ones, a monotone relabeling.  It keeps the order of every sorted
+# profile and signature, so a further pass would return the same ranks; the
+# old loop ran that pass only to see no change.  The 2-edge entries of a
+# profile hold a bare neighbour colour in place of a 1-tuple: entries are
+# compared only within one edge size, where both orders agree, so the
+# colours are those of the tuple profiles.
+#
 # A graph whose size layers are each empty or complete needs no fast path:
 # all its vertices form one twin class, so the search walks one branch per
 # level, and every labeling of it encodes the same edge set, the
@@ -545,25 +595,32 @@ def contains_induced(big: Hypergraph, small: Hypergraph) -> bool:
 
 
 def _refine_colors(n, incident, colors):
+    """Refine ``colors`` to the coarsest stable partition below it; returns
+    its dense colour ranks.  ``incident[v]`` holds ``(|e|, others)`` for each
+    edge e at v, where ``others`` is e's other vertex for a 2-edge and the
+    tuple of e's other vertices otherwise."""
+    cells = len(set(colors))
     while True:
         sigs = []
         for v in range(n):
             profile = sorted(
-                (len(others) + 1, tuple(sorted(colors[u] for u in others)))
-                for others in incident[v]
+                (size, colors[others] if size == 2
+                 else others if size == 1
+                 else tuple(sorted([colors[u] for u in others])))
+                for size, others in incident[v]
             )
             sigs.append((colors[v], tuple(profile)))
         palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         fresh = [palette[sig] for sig in sigs]
-        if fresh == colors:
-            return colors
-        colors = fresh
+        if len(palette) == cells:
+            return fresh
+        colors, cells = fresh, len(palette)
 
 
 def _encode_labeled(n, edges, label):
     mapped = sorted(
         (tuple(sorted(label[v] for v in e)) for e in edges),
-        key=lambda e: (len(e), e),
+        key=_edge_order,
     )
     return (n, tuple(mapped))
 
@@ -589,8 +646,10 @@ def canonical_form(graph: Hypergraph) -> bytes:
     edges = graph.edges
     incident = [[] for _ in range(n)]
     for e in edges:
+        size = len(e)
         for v in e:
-            incident[v].append(tuple(u for u in e if u != v))
+            others = tuple(u for u in e if u != v)
+            incident[v].append((size, others[0] if size == 2 else others))
     start = _degree_table(graph, graph.edge_sizes())
     class_of = [0] * n
     for i, cls in enumerate(equivalence_classes(graph)):
@@ -612,10 +671,8 @@ def canonical_form(graph: Hypergraph) -> bytes:
                 target = cells[c]
                 break
         if target is None:
-            label = [0] * n
-            for rank, v in enumerate(sorted(range(n), key=lambda v: colors[v])):
-                label[v] = rank
-            key = _encode_labeled(n, edges, label)
+            # a discrete partition: the dense ranks are the labeling
+            key = _encode_labeled(n, edges, colors)
             if best[0] is None or key < best[0]:
                 best[0] = key
             return
@@ -645,7 +702,9 @@ def _decode_encoding(data: bytes) -> Hypergraph:
     if body:
         for part in body.split(";"):
             edges.append(tuple(int(v) for v in part.split(",")))
-    return Hypergraph(n, tuple(edges))
+    # _encode_labeled sorted each edge and the edge list, and relabeling by a
+    # permutation keeps the edges distinct
+    return Hypergraph._from_normalized(n, tuple(edges))
 
 
 def is_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:

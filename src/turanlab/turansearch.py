@@ -142,7 +142,7 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
                 # skip e unless it meets every twin class in a prefix
                 if any(pred[v] >= 0 and pred[v] not in e for v in e):
                     continue
-                child = g.with_edges(e)
+                child = g._with_edge(e)
                 if admits is not None and not admits(child):
                     continue
                 maximal = False

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -36,6 +37,7 @@ from turanlab.hypercore import (
     marked_clique,
     realize,
 )
+from turanlab.turansearch import _grow, enumerate_graphs
 
 F = Fraction
 PATH3 = Hypergraph(3, ((0, 1), (1, 2)))
@@ -76,6 +78,50 @@ class TestHypergraph:
     def test_with_edges(self):
         g = empty_graph(3).with_edges((0, 1), (2,))
         assert g.edges == ((2,), (0, 1))
+
+
+def _assert_validated(g):
+    # a graph built without validation equals the validated one on its edges
+    checked = Hypergraph(g.n, g.edges)
+    assert g == checked
+    assert hash(g) == hash(checked)
+    assert g.edge_set == checked.edge_set
+    assert type(g.n) is int and type(g.edges) is tuple
+
+
+class TestUnvalidatedConstruction:
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.sets(st.integers(min_value=1, max_value=3), min_size=1),
+        st.randoms(use_true_random=False),
+    )
+    def test_grow_children(self, n, sizes, rnd):
+        # admits sees every child _grow builds; admitting a random third of
+        # them reaches deep levels while keeping the run small
+        def admits(child):
+            _assert_validated(child)
+            return rnd.random() < 0.3
+
+        for g, _ in _grow(n, EdgeTypeSet(tuple(sizes)), admits):
+            _assert_validated(g)
+
+    @given(
+        hypergraphs(max_n=4).flatmap(
+            lambda g: st.tuples(
+                st.just(g),
+                st.lists(
+                    st.integers(min_value=0, max_value=3),
+                    min_size=g.n, max_size=g.n,
+                ),
+            )
+        )
+    )
+    def test_blow_up(self, drawn):
+        _assert_validated(blow_up(*drawn))
+
+    @given(hypergraphs(max_n=7, sizes=(1, 2, 3, 4)))
+    def test_canonical_graph(self, g):
+        _assert_validated(canonical_graph(g))
 
 
 class TestLubell:
@@ -334,6 +380,55 @@ class TestCanonical:
         rnd.shuffle(perm)
         b = Hypergraph(a.n, tuple(tuple(perm[v] for v in e) for e in edges))
         assert is_isomorphic(a, b) == oracles.brute_is_isomorphic(a, b)
+
+
+def _canonical_corpus():
+    """Seeded random graphs on n <= 8 over seven edge-size sets, each paired
+    with a random relabeling of itself."""
+    rnd = random.Random(13)
+    for sizes in ((1,), (2,), (1, 2), (3,), (2, 3), (1, 2, 3), (4,)):
+        for n in range(1, 9):
+            pool = [
+                e for r in sizes if r <= n
+                for e in itertools.combinations(range(n), r)
+            ]
+            for _ in range(30):
+                p = rnd.random()
+                g = Hypergraph(n, tuple(e for e in pool if rnd.random() < p))
+                perm = list(range(n))
+                rnd.shuffle(perm)
+                yield g, Hypergraph(
+                    n, tuple(tuple(perm[v] for v in e) for e in g.edges)
+                )
+
+
+# frozen: sha256 over the canonical forms of the corpus above, and over the
+# enumerate_graphs orders below, recorded while refinement still ran a last
+# pass to confirm a stable partition; stopping at it keeps both
+CORPUS_DIGEST = "a1e839678bef0867009c2cdd1d91b252c4cdbbd9f40f1f821953022d24eeabc7"
+ENUMERATION_DIGEST = "96c36bebd3a26fad12b896de13e9f2971d5d17e8ab572715f2f6c574b55f8ea5"
+
+
+class TestCanonicalDigest:
+    def test_random_corpus(self):
+        digest = hashlib.sha256()
+        for g, relabeled in _canonical_corpus():
+            key = canonical_form(g)
+            assert canonical_form(relabeled) == key
+            digest.update(key + b"\n")
+        assert digest.hexdigest() == CORPUS_DIGEST
+
+    def test_enumeration_order(self):
+        # the first 400 classes of each: all but those of (6, (3,)), whose
+        # 3-graphs with up to 8 edges need more than one refinement pass
+        digest = hashlib.sha256()
+        for n, sizes in (
+            (6, (2,)), (4, (1, 2)), (3, (1, 2, 3)), (5, (3,)), (4, (2, 3)), (6, (3,))
+        ):
+            digest.update(f"{n} {sizes}\n".encode("ascii"))
+            for g in itertools.islice(enumerate_graphs(n, EdgeTypeSet(sizes)), 400):
+                digest.update(canonical_form(g) + b"\n")
+        assert digest.hexdigest() == ENUMERATION_DIGEST
 
 
 class TestEquivalenceClasses:

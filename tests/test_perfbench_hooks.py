@@ -61,3 +61,11 @@ def test_tracer_records_every_layer_and_uninstalls():
         after = _bindings(module)
         for name, value in bindings.items():
             assert after[name] is value, f"{module.__name__}.{name}"
+
+
+def test_canonical_form_keeps_its_cache_hooks():
+    # perfbench/run.py clears the cache before each pass and reads its hit
+    # ratio after it
+    assert callable(hypercore.canonical_form.cache_clear)
+    info = hypercore.canonical_form.cache_info()
+    assert info.hits >= 0 and info.misses >= 0
