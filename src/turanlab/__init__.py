@@ -28,6 +28,7 @@ from .hypercore import (
     complete,
     contains_induced,
     contains_subgraph,
+    disjoint_type_union,
     empty_graph,
     equivalence_classes,
     find_embedding,
@@ -72,7 +73,6 @@ from .turansearch import (
     ForbiddenFamily,
     PiRecord,
     density_sequence,
-    disjoint_type_union,
     enumerate_graphs,
     pi_n,
 )

@@ -34,8 +34,10 @@ __all__ = [
     "lubell",
     "induced_subgraph",
     "blow_up",
+    "disjoint_type_union",
     "realize",
     "find_embedding",
+    "find_induced_embedding",
     "contains_subgraph",
     "contains_induced",
     "canonical_form",
@@ -429,6 +431,21 @@ def blow_up(graph: Hypergraph, class_sizes) -> Hypergraph:
         edges.extend(itertools.product(*(classes[i] for i in e)))
     edges.sort(key=_edge_order)
     return Hypergraph._from_normalized(total, tuple(edges))
+
+
+def disjoint_type_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
+    """Union of two graphs on the same vertices with disjoint edge-size sets.
+
+    The Lubell density of the union is exactly the sum of the two densities.
+    """
+    if a.n != b.n:
+        raise InvalidArgumentError("union requires equal vertex counts")
+    shared = set(a.edge_sizes()) & set(b.edge_sizes())
+    if shared:
+        raise InvalidArgumentError(
+            f"edge-size sets overlap in {sorted(shared)}; union would conflate layers"
+        )
+    return Hypergraph(a.n, a.edges + b.edges)
 
 
 def realize(pattern: Pattern, class_sizes) -> Hypergraph:

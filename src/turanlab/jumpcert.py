@@ -31,6 +31,7 @@ from .errors import (
     CertificateError,
     InvalidArgumentError,
     OutOfRangeError,
+    UnsupportedSizeError,
 )
 from .hypercore import (
     EdgeTypeSet,
@@ -55,9 +56,19 @@ __all__ = [
     "weak_jump_witness",
     "known_turan_density",
     "build_certificate",
+    "MAX_WITNESS_VERTICES",
 ]
 
 _AMBIENT_12 = EdgeTypeSet((1, 2))
+MAX_WITNESS_VERTICES = 1024  # complete witnesses cost time and memory ~ n^2
+
+
+def _complete_witness(t: int, sizes) -> tuple[Hypergraph, SimplexPoint]:
+    if t > MAX_WITNESS_VERTICES:  # refused before anything is built
+        raise UnsupportedSizeError(
+            f"a witness on {t} vertices exceeds the cap of {MAX_WITNESS_VERTICES}"
+        )
+    return complete(t, sizes), SimplexPoint.uniform(t)
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,7 @@ class _Row:
 _ROWS = (
     _Row(
         Fraction(1), Fraction(1), 0, "k/(k+1)",
-        lambda k: (complete(k + 1, (2,)), SimplexPoint.uniform(k + 1)),
+        lambda k: _complete_witness(k + 1, (2,)),
         "the complete pair graph on {t} vertices has lambda = {a}",
         lambda t: (Hypergraph(1, ((0,),)), complete(t, (2,))),
         "no 1-edges plus a pair layer without a complete graph on {t} "
@@ -116,7 +127,7 @@ _ROWS = (
     ),
     _Row(
         Fraction(2), Fraction(1), 1, "(2k+1)/(k+1)",
-        lambda k: (complete(k + 1, (1, 2)), SimplexPoint.uniform(k + 1)),
+        lambda k: _complete_witness(k + 1, (1, 2)),
         "the complete {{1,2}}-graph on {t} vertices has lambda = {a}",
         lambda t: (complete(t, (1, 2)),),
         "forbidding the complete {{1,2}}-graph on {t} vertices gives "

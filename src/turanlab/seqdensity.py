@@ -34,9 +34,9 @@ from .hypercore import (
     SimplexPoint,
     blow_up,
     complete,
+    disjoint_type_union,
     equivalence_classes,
 )
-from .turansearch import disjoint_type_union
 
 __all__ = [
     "SequenceGenerator",
@@ -48,8 +48,6 @@ __all__ = [
 ]
 
 MAX_SUBSET_SIZE = 8
-
-_KINDS = ("blowup", "turan", "union", "constant")
 
 
 def proportional_sizes(weights, total: int) -> tuple[int, ...]:
@@ -85,10 +83,9 @@ class SequenceGenerator:
     """Rule for the i-th member of a hypergraph sequence.
 
     Vertex counts come either from an explicit ``ns`` list or from the
-    arithmetic rule n_start + i * n_step.  The member itself is built from
-    the kind: a blow-up of a base graph with fixed proportions, a balanced
-    complete multipartite pair graph, a disjoint edge-type union of two
-    component sequences, or a fixed graph padded with isolated vertices.
+    arithmetic rule n_start + i * n_step.  A member is a blow-up of a base
+    graph with fixed proportions, the disjoint edge-type union of the
+    components' members, or a fixed graph padded with isolated vertices.
     """
 
     kind: str
@@ -100,7 +97,7 @@ class SequenceGenerator:
     components: tuple["SequenceGenerator", ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in ("blowup", "union", "constant"):
             raise InvalidArgumentError(f"unknown generator kind {self.kind!r}")
         if self.ns is not None:
             ns = tuple(int(n) for n in self.ns)
@@ -114,7 +111,7 @@ class SequenceGenerator:
                 raise InvalidArgumentError("give either ns or a start/step rule")
             if self.n_start < 1 or self.n_step < 1:
                 raise InvalidArgumentError("need n_start >= 1 and n_step >= 1")
-        if self.kind in ("blowup", "turan"):
+        if self.kind == "blowup":
             if self.base is None or self.proportions is None:
                 raise InvalidArgumentError(f"{self.kind} needs base and proportions")
             props = tuple(Fraction(w) for w in self.proportions)
@@ -141,19 +138,17 @@ class SequenceGenerator:
     @classmethod
     def blow_up_generator(cls, base: Hypergraph, proportions, *,
                           ns=None, n_start=None, n_step=None):
-        return cls("blowup", ns=tuple(ns) if ns is not None else None,
-                   n_start=n_start, n_step=n_step,
-                   base=base, proportions=tuple(proportions))
+        return cls("blowup", ns=ns, n_start=n_start, n_step=n_step,
+                   base=base, proportions=proportions)
 
     @classmethod
-    def turan_generator(cls, parts: int, *, ns=None, n_start=None, n_step=None):
+    def turan_generator(cls, parts: int, **sizes):
         """Balanced complete ``parts``-partite pair graphs."""
         if parts < 2:
             raise InvalidArgumentError("need at least two parts")
-        props = tuple(Fraction(1, parts) for _ in range(parts))
-        return cls("turan", ns=tuple(ns) if ns is not None else None,
-                   n_start=n_start, n_step=n_step,
-                   base=complete(parts, (2,)), proportions=props)
+        return cls.blow_up_generator(
+            complete(parts, (2,)), (Fraction(1, parts),) * parts, **sizes
+        )
 
     @classmethod
     def union_generator(cls, *components: "SequenceGenerator"):
@@ -166,8 +161,8 @@ class SequenceGenerator:
     @classmethod
     def constant_generator(cls, graph: Hypergraph, *,
                            ns=None, n_start=None, n_step=None):
-        return cls("constant", ns=tuple(ns) if ns is not None else None,
-                   n_start=n_start, n_step=n_step, base=graph)
+        return cls("constant", ns=ns, n_start=n_start, n_step=n_step,
+                   base=graph)
 
     # -- the sequence ------------------------------------------------------
 
@@ -199,7 +194,7 @@ class SequenceGenerator:
         m refined intervals becomes m clones of its base vertex.
         """
         n = self.size(i)
-        if self.kind in ("blowup", "turan"):
+        if self.kind == "blowup":
             return self.base, proportional_sizes(self.proportions, n)
         if self.kind == "constant":
             b = self.base.n

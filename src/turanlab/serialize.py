@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .errors import ParseError, TuranLabError
-from .hypercore import EdgeTypeSet, Hypergraph, Pattern, SimplexPoint, complete
+from .hypercore import EdgeTypeSet, Hypergraph, Pattern, SimplexPoint
 from .jumpcert import (
     ClassifyResult,
     JumpCertificate,
@@ -59,7 +59,7 @@ def format_fraction(x: Fraction) -> str:
 
 
 def parse_fraction(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {type(s).__name__}")
@@ -110,9 +110,9 @@ def _expect_list(value, where: str) -> list:
     return value
 
 
-def _wrap(where: str, fn, *args):
+def _wrap(where: str, fn, *args, **kwargs):
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except TuranLabError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -381,48 +381,46 @@ def certificate_from_obj(obj, where: str = "certificate") -> JumpCertificate:
 
 
 def genspec_to_obj(gen: SequenceGenerator) -> dict:
-    kind = gen.kind
-    params: dict = {}
-    if kind == "union":
+    if gen.kind == "union":
         # the size sequence is implied by the components
-        params["components"] = [genspec_to_obj(c) for c in gen.components]
-        return {"kind": kind, "params": params}
-    if gen.ns is not None:
-        params["ns"] = list(gen.ns)
-    else:
-        params["n_start"] = gen.n_start
-        params["n_step"] = gen.n_step
+        components = [genspec_to_obj(c) for c in gen.components]
+        return {"kind": "union", "params": {"components": components}}
+    params = ({"ns": list(gen.ns)} if gen.ns is not None
+              else {"n_start": gen.n_start, "n_step": gen.n_step})
+    kind, k = gen.kind, gen.base.n
     if kind == "constant":
         params["graph"] = graph_to_obj(gen.base)
-    elif kind == "turan" and gen.base == complete(gen.base.n, (2,)) and all(
-        w == Fraction(1, gen.base.n) for w in gen.proportions
-    ):
-        params["parts"] = gen.base.n
+    elif k >= 2 and gen == SequenceGenerator.turan_generator(k, **params):
+        # the short spelling of an equal-proportion blow-up of complete(k, (2,))
+        kind, params["parts"] = "turan", k
     else:
-        # blowup, or a turan generator rebuilt with custom weights: both
-        # mean the same member rule, so serialize the general form
-        kind = "blowup"
         params["base"] = graph_to_obj(gen.base)
         params["proportions"] = [format_fraction(w) for w in gen.proportions]
     return {"kind": kind, "params": params}
 
 
-def _size_rule(params: dict, where: str):
-    ns = params.get("ns")
-    if ns is not None:
-        ns = tuple(
-            _expect_int(n, f"{where}.ns") for n in _expect_list(ns, f"{where}.ns")
-        )
-    n_start = params.get("n_start")
-    if n_start is not None:
-        n_start = _expect_int(n_start, f"{where}.n_start")
-    n_step = params.get("n_step")
-    if n_step is not None:
-        n_step = _expect_int(n_step, f"{where}.n_step")
-    return ns, n_start, n_step
-
-
 _SIZE_KEYS = ("ns", "n_start", "n_step")
+
+# kind -> constructor and its params besides the size rule, in parse order;
+# every params key has its parser in _GENSPEC_PARAMS
+_GENSPEC_KINDS = {
+    "turan": (SequenceGenerator.turan_generator, ("parts",)),
+    "blowup": (SequenceGenerator.blow_up_generator, ("base", "proportions")),
+    "constant": (SequenceGenerator.constant_generator, ("graph",)),
+}
+_GENSPEC_PARAMS = {
+    "parts": _expect_int,
+    "base": graph_from_obj,
+    "graph": graph_from_obj,
+    "proportions": lambda ws, where: tuple(
+        parse_fraction(w) for w in _expect_list(ws, where)
+    ),
+    "ns": lambda ns, where: tuple(
+        _expect_int(n, where) for n in _expect_list(ns, where)
+    ),
+    "n_start": _expect_int,
+    "n_step": _expect_int,
+}
 
 
 def genspec_from_obj(obj, where: str = "generator") -> SequenceGenerator:
@@ -432,52 +430,24 @@ def genspec_from_obj(obj, where: str = "generator") -> SequenceGenerator:
     if not isinstance(params, dict):
         raise ParseError(f"{where}.params: expected an object")
     pw = f"{where}.params"
-    if kind == "turan":
-        _expect_keys(params, pw, ("parts",), _SIZE_KEYS)
-        parts = _expect_int(params["parts"], f"{pw}.parts")
-        ns, n_start, n_step = _size_rule(params, pw)
-        return _wrap(
-            where,
-            lambda: SequenceGenerator.turan_generator(
-                parts, ns=ns, n_start=n_start, n_step=n_step,
-            ),
-        )
-    if kind == "blowup":
-        _expect_keys(params, pw, ("base", "proportions"), _SIZE_KEYS)
-        base = graph_from_obj(params["base"], f"{pw}.base")
-        props = tuple(
-            parse_fraction(w)
-            for w in _expect_list(params["proportions"], f"{pw}.proportions")
-        )
-        ns, n_start, n_step = _size_rule(params, pw)
-        return _wrap(
-            where,
-            lambda: SequenceGenerator.blow_up_generator(
-                base, props, ns=ns, n_start=n_start, n_step=n_step,
-            ),
-        )
-    if kind == "constant":
-        _expect_keys(params, pw, ("graph",), _SIZE_KEYS)
-        graph = graph_from_obj(params["graph"], f"{pw}.graph")
-        ns, n_start, n_step = _size_rule(params, pw)
-        return _wrap(
-            where,
-            lambda: SequenceGenerator.constant_generator(
-                graph, ns=ns, n_start=n_start, n_step=n_step,
-            ),
-        )
     if kind == "union":
         _expect_keys(params, pw, ("components",))
         components = tuple(
             genspec_from_obj(c, f"{pw}.components[{i}]")
             for i, c in enumerate(_expect_list(params["components"], f"{pw}.components"))
         )
-        return _wrap(
-            where, lambda: SequenceGenerator.union_generator(*components)
+        return _wrap(where, SequenceGenerator.union_generator, *components)
+    if kind not in _GENSPEC_KINDS:
+        raise ParseError(
+            f"{where}.kind: expected blowup, turan, union, or constant, got {kind!r}"
         )
-    raise ParseError(
-        f"{where}.kind: expected blowup, turan, union, or constant, got {kind!r}"
-    )
+    build, keys = _GENSPEC_KINDS[kind]
+    _expect_keys(params, pw, keys, _SIZE_KEYS)
+    args = [_GENSPEC_PARAMS[key](params[key], f"{pw}.{key}") for key in keys]
+    # the size rule, read once: a null or missing key is left unset
+    sizes = {key: _GENSPEC_PARAMS[key](value, f"{pw}.{key}")
+             for key in _SIZE_KEYS if (value := params.get(key)) is not None}
+    return _wrap(where, build, *args, **sizes)
 
 
 def report_to_obj(report: UpperDensityReport) -> dict:

@@ -31,6 +31,7 @@ from .hypercore import (
     complete,
     contains_induced,
     contains_subgraph,
+    disjoint_type_union,
     equivalence_classes,
     lubell,
 )
@@ -243,18 +244,3 @@ def density_sequence(family: ForbiddenFamily, n_max: int, progress=None) -> Dens
         previous = rec.pi_n
         records.append(rec)
     return DensityBound(family=family, records=tuple(records))
-
-
-def disjoint_type_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
-    """Union of two graphs on the same vertices with disjoint edge-size sets.
-
-    The Lubell density of the union is exactly the sum of the two densities.
-    """
-    if a.n != b.n:
-        raise InvalidArgumentError("union requires equal vertex counts")
-    shared = set(a.edge_sizes()) & set(b.edge_sizes())
-    if shared:
-        raise InvalidArgumentError(
-            f"edge-size sets overlap in {sorted(shared)}; union would conflate layers"
-        )
-    return Hypergraph(a.n, a.edges + b.edges)

@@ -259,6 +259,12 @@ class TestClassify12:
         payload = json.loads(out)
         assert payload["witness"]["point"] == ["3/4", "1/4"]
 
+    def test_huge_witness_refused(self, capsys):
+        code, out, _ = run_cli(capsys, "classify12", "4999/5000")
+        assert code == 0 and json.loads(out)["k"] == 4999
+        code, _, err = run_cli(capsys, "classify12", "4999/5000", "--witness")
+        assert code == 2 and "5000 vertices" in err
+
     def test_decimal_rejected(self, capsys):
         code, _, err = run_cli(capsys, "classify12", "1.1")
         assert code == 2 and "11/10" in err

@@ -2,10 +2,13 @@
 
 An AST scan: a name bound by an import must appear as a name somewhere else
 in the module, or be listed in its ``__all__``.  ``__init__.py`` only
-re-exports, so it is exempt.
+re-exports, so it is exempt; instead, each name it takes from a module must
+be in that module's ``__all__`` (a module without one, such as ``errors``,
+exports every name it binds that has no leading underscore).
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,20 @@ def test_scan_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_reexports_only_listed_names():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    unlisted = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"turanlab.{node.module}")
+            listed = getattr(module, "__all__", None) or [
+                name for name in vars(module) if not name.startswith("_")
+            ]
+            unlisted += [
+                f"{node.module}.{alias.name}"
+                for alias in node.names
+                if alias.name not in listed
+            ]
+    assert unlisted == []

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from turanlab import jumpcert
 from turanlab import serialize as ser
 from turanlab.errors import (
     CertificateError,
@@ -20,6 +21,7 @@ from turanlab.hypercore import (
     marked_clique,
 )
 from turanlab.jumpcert import (
+    MAX_WITNESS_VERTICES,
     JumpCertificate,
     LambdaWitness,
     PiEvidence,
@@ -127,6 +129,31 @@ class TestWeakJumpWitness:
         alpha = F(2 * k + 1, k + 1)
         w = weak_jump_witness(alpha)
         assert certify_at(w.graph, w.point) == alpha
+
+    @pytest.mark.parametrize("alpha", [F(4999, 5000), F(9999, 5000)])
+    def test_huge_lambda_graph_refused_before_it_is_built(self, monkeypatch, alpha):
+        def no_build(*args):
+            raise AssertionError("witness graph built")
+
+        monkeypatch.setattr(jumpcert, "complete", no_build)
+        assert classify12(alpha).k == 4999
+        with pytest.raises(UnsupportedSizeError) as info:
+            weak_jump_witness(alpha)
+        assert str(info.value) == (
+            f"a witness on 5000 vertices exceeds the cap of {MAX_WITNESS_VERTICES}"
+        )
+
+    def test_cap_admits_its_own_size(self, monkeypatch):
+        # an edgeless stand-in keeps the test fast
+        monkeypatch.setattr(jumpcert, "complete", lambda t, sizes: Hypergraph(t, ()))
+        w = weak_jump_witness(F(MAX_WITNESS_VERTICES - 1, MAX_WITNESS_VERTICES))
+        assert w.graph.n == MAX_WITNESS_VERTICES
+
+    def test_marked_clique_families_keep_the_labeling_cap(self):
+        # a row-2 value far past the witness cap goes to its pi-family
+        with pytest.raises(UnsupportedSizeError) as info:
+            weak_jump_witness(1 + F(4999, 4 * 5000))
+        assert str(info.value) == "canonical form is capped at 16 vertices"
 
     def test_unit_density_family(self):
         w = weak_jump_witness(F(1))

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from turanlab import serialize as ser
 from turanlab.errors import InvalidArgumentError, UnsupportedSizeError
 from turanlab.hypercore import Hypergraph, chain_graph, complete, lubell
 from turanlab.seqdensity import (
@@ -48,6 +51,58 @@ def one_of_each_kind(ns):
 
 def no_build(self, i):
     raise AssertionError("member built")
+
+
+def generator_corpus():
+    """Thirty generators: every kind, nested unions, three size rules."""
+    rng = random.Random(14)
+
+    def random_graph(n, sizes):
+        pool = [e for r in sizes for e in itertools.combinations(range(n), r)]
+        return Hypergraph(n, [e for e in pool if rng.random() < 0.5])
+
+    corpus = []
+    for rule in ({"ns": (3, 5, 8, 13)}, {"n_start": 4, "n_step": 1},
+                 {"n_start": 6, "n_step": 3}):
+        def blow(base, weights):
+            props = tuple(F(w, sum(weights)) for w in weights)
+            return SequenceGenerator.blow_up_generator(base, props, **rule)
+
+        singles = blow(random_graph(3, (1,)), (2, 1, 1))
+        pairs = blow(random_graph(4, (2,)), (1, 2, 0, 3))
+        triples = blow(random_graph(3, (3,)), (1, 1, 1))
+        corpus += [
+            SequenceGenerator.turan_generator(2, **rule),
+            SequenceGenerator.turan_generator(5, **rule),
+            blow(chain_graph(), (3, 1)),
+            # equal weights on a 1-vertex base: the complete pair graph on
+            # one vertex has no edges, so this is no turan generator
+            blow(complete(1, (2,)), (1,)),
+            blow(complete(3, (2,)), (2, 1, 1)),
+            blow(random_graph(4, (1, 2, 3)), (3, 1, 2, 1)),
+            SequenceGenerator.constant_generator(
+                random_graph(3, (1, 2, 3)), **rule
+            ),
+            SequenceGenerator.union_generator(singles, pairs),
+            SequenceGenerator.union_generator(
+                SequenceGenerator.union_generator(singles, triples),
+                SequenceGenerator.turan_generator(3, **rule),
+            ),
+            SequenceGenerator.union_generator(
+                SequenceGenerator.constant_generator(
+                    Hypergraph(3, ((0,), (2,))), **rule
+                ),
+                pairs,
+                triples,
+            ),
+        ]
+    return corpus
+
+
+# sha256 over the genspec JSON, its round trip, density_estimate and
+# sigma_t at t = 2..5 of every corpus generator, taken before the turan
+# kind became a spelling of blowup
+GENERATOR_DIGEST = "7e9b1fd1fbddcd087e4c169ce0f8e5b43714449bc62fc0f914767ed07a538e19"
 
 
 class TestProportionalSizes:
@@ -95,6 +150,15 @@ class TestSequenceGenerator:
         assert len(BIPARTITE.member(3).edges) == 25
         assert BIPARTITE.size(5) == 14
         assert BIPARTITE.count is None
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("rule", [{"ns": (4, 9)}, {"n_start": 3, "n_step": 2}])
+    def test_turan_is_an_equal_blow_up_of_the_pair_clique(self, k, rule):
+        gen = SequenceGenerator.turan_generator(k, **rule)
+        assert gen.kind == "blowup"
+        assert gen == SequenceGenerator.blow_up_generator(
+            complete(k, (2,)), (F(1, k),) * k, **rule
+        )
 
     def test_explicit_sizes(self):
         gen = SequenceGenerator.turan_generator(2, ns=(4, 8))
@@ -152,7 +216,7 @@ class TestSequenceGenerator:
         with pytest.raises(InvalidArgumentError):
             SequenceGenerator.turan_generator(1, ns=(4,))
         with pytest.raises(InvalidArgumentError):
-            SequenceGenerator("turan", ns=(4,), n_start=4, n_step=2,
+            SequenceGenerator("blowup", ns=(4,), n_start=4, n_step=2,
                               base=complete(2, (2,)),
                               proportions=(F(1, 2), F(1, 2)))
         with pytest.raises(InvalidArgumentError):
@@ -161,6 +225,23 @@ class TestSequenceGenerator:
             )
         with pytest.raises(InvalidArgumentError):
             SequenceGenerator("unknown", ns=(4,))
+
+
+class TestGeneratorDigest:
+    def test_corpus_output_is_pinned(self):
+        digest = hashlib.sha256()
+        for gen in generator_corpus():
+            text = ser.dumps_canonical(ser.genspec_to_obj(gen))
+            back = ser.genspec_from_obj(json.loads(text))
+            assert back == gen
+            digest.update(f"{text}\n".encode("ascii"))
+            digest.update(ser.dumps_canonical(ser.genspec_to_obj(back)).encode("ascii"))
+            trend = density_estimate(gen, 3)
+            digest.update(repr((trend.sizes, trend.values, trend.diffs)).encode("ascii"))
+            for t in range(2, 6):
+                report = sigma_t(gen, t, i_range=(0, 3))
+                digest.update(ser.dumps_canonical(ser.report_to_obj(report)).encode("ascii"))
+        assert digest.hexdigest() == GENERATOR_DIGEST
 
 
 class TestDensityEstimate:

@@ -47,6 +47,21 @@ class TestFractions:
         with pytest.raises(ParseError):
             ser.parse_fraction(bad)
 
+    def test_parse_rejects_booleans(self):
+        # bool is a subclass of int, but a JSON true is no rational
+        for flag in (True, False):
+            with pytest.raises(ParseError, match="got bool"):
+                ser.parse_fraction(flag)
+        obj = {"grade": "asserted", "value": True, "detail": "known exactly"}
+        with pytest.raises(ParseError, match="got bool"):
+            ser.evidence_from_obj(obj)
+        spec = {"kind": "blowup", "params": {
+            "base": {"n": 2, "edges": [[0, 1]]},
+            "proportions": [True, False], "ns": [4],
+        }}
+        with pytest.raises(ParseError, match="got bool"):
+            ser.genspec_from_obj(spec)
+
     @given(rational_points(n=3))
     def test_round_trip(self, p):
         for w in p.weights:
@@ -250,6 +265,24 @@ class TestGenspecObjects:
         }
         assert ser.genspec_from_obj(obj) == gen
 
+    def test_equal_blowup_of_the_pair_clique_is_spelled_turan(self):
+        gen = SequenceGenerator.blow_up_generator(
+            complete(3, (2,)), (F(1, 3),) * 3, n_start=6, n_step=3
+        )
+        text = ser.dumps_canonical(ser.genspec_to_obj(gen))
+        turan = SequenceGenerator.turan_generator(3, n_start=6, n_step=3)
+        assert text == ser.dumps_canonical(ser.genspec_to_obj(turan))
+        assert ser.genspec_from_obj(json.loads(text)) == gen
+
+    def test_one_vertex_base_keeps_the_blowup_spelling(self):
+        # complete(1, (2,)) is one vertex and no edge; "parts": 1 would not
+        # parse back
+        for base in (complete(1, (2,)), Hypergraph(1, ((0,),))):
+            gen = SequenceGenerator.blow_up_generator(base, (F(1),), ns=(3,))
+            obj = ser.genspec_to_obj(gen)
+            assert obj["kind"] == "blowup"
+            assert ser.genspec_from_obj(obj) == gen
+
     def test_blowup_round_trip(self):
         gen = SequenceGenerator.blow_up_generator(
             chain_graph(), (F(3, 4), F(1, 4)), ns=(8, 12)
@@ -272,6 +305,48 @@ class TestGenspecObjects:
             ser.genspec_from_obj(
                 {"kind": "blowup", "params": {"parts": 2, "ns": [3]}}
             )
+
+    # frozen: the texts, and which of several faults is named first
+    @pytest.mark.parametrize("spec,text", [
+        ({"kind": "spiral", "params": {"ns": [3]}},
+         "generator.kind: expected blowup, turan, union, or constant, got 'spiral'"),
+        ({"kind": "blowup", "params": "x"},
+         "generator.params: expected an object"),
+        ({"kind": "blowup", "params": {"parts": 2, "ns": [3]}},
+         "generator.params: missing keys ['base', 'proportions']"),
+        ({"kind": "turan", "params": {"parts": 1, "ns": [4]}},
+         "generator: need at least two parts"),
+        ({"kind": "turan", "params": {"parts": "x", "ns": "bad"}},
+         "generator.params.parts: expected an integer"),
+        ({"kind": "blowup", "params": {"base": {"n": 2, "edges": [[0]]},
+                                       "proportions": ["1/2"], "ns": "bad"}},
+         "generator.params.ns: expected a list"),
+        ({"kind": "blowup", "params": {"base": {"n": 2, "edges": [[0]]},
+                                       "proportions": ["1/2"], "ns": [4]}},
+         "generator: one proportion per base vertex"),
+        ({"kind": "turan", "params": {"parts": 2, "ns": [4], "n_start": 2}},
+         "generator: give either ns or a start/step rule"),
+        ({"kind": "constant", "params": {"graph": {"n": 2, "edges": []},
+                                         "n_start": "4", "n_step": 1}},
+         "generator.params.n_start: expected an integer"),
+        ({"kind": "turan", "params": {"parts": 2, "ns": None,
+                                      "n_start": 3, "n_step": 0}},
+         "generator: need n_start >= 1 and n_step >= 1"),
+        ({"kind": "union", "params": {"components": [
+            {"kind": "turan", "params": {"parts": 2, "ns": [4]}}], "ns": [4]}},
+         "generator.params: unknown keys ['ns']"),
+        ({"kind": "union", "params": {"components": [
+            {"kind": "turan", "params": {"parts": "x", "ns": [4]}},
+            {"kind": "turan", "params": {"parts": 2, "ns": [4]}}]}},
+         "generator.params.components[0].params.parts: expected an integer"),
+        ({"kind": "union", "params": {"components": [
+            {"kind": "turan", "params": {"parts": 2, "ns": [4]}}]}},
+         "generator: union needs at least two components"),
+    ])
+    def test_error_texts(self, spec, text):
+        with pytest.raises(ParseError) as err:
+            ser.genspec_from_obj(spec)
+        assert str(err.value) == text
 
     def test_flat_keys_rejected(self):
         with pytest.raises(ParseError):
