@@ -28,7 +28,13 @@ from .errors import (
     TuranLabError,
     UnsupportedSizeError,
 )
-from .jumpcert import build_certificate, classify12, weak_jump_witness
+from .hypercore import lubell
+from .jumpcert import (
+    PiEvidence,
+    build_certificate,
+    classify12,
+    weak_jump_witness,
+)
 from .lagrangian import OptimizerConfig, maximize
 from .seqdensity import sigma_t
 from .turansearch import ForbiddenFamily, density_sequence
@@ -86,8 +92,6 @@ def _emit(payload, hints) -> None:
 def _cmd_lubell(args) -> int:
     obj = _read_json(args.graph, "graph")
     graph = ser.graph_from_obj(obj)
-    from .hypercore import lubell
-
     value = lubell(graph)
     payload = {
         "n": graph.n,
@@ -155,8 +159,6 @@ def _cmd_certify(args) -> int:
     family = ser.family_from_obj(_read_json(args.family, "family"))
     evidence = None
     if args.pi is not None:
-        from .jumpcert import PiEvidence
-
         evidence = PiEvidence(
             "asserted", _cli_fraction(args.pi),
             args.pi_detail or "asserted on the command line",

@@ -14,7 +14,9 @@ certifies a rational lower bound at a rounded rational point.  Every result
 carries its certificate, from one result step for both kinds.  An ascent that
 stalls stops at its first repeated state (see ``_ascend``); from there the
 full loop would only cycle to max_iters, so the result is byte-identical to
-running it out.  A failure reports how many ascents stalled.
+running it out.  A failure reports how many ascents stalled.  Only the
+ascent uses numpy, and each of its functions imports it, so the exact path
+and every other module run without loading it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
-
-import numpy as np
 
 from .errors import InvalidArgumentError, OptimizerFailureError, TuranLabError
 from .hypercore import Hypergraph, Pattern, SimplexPoint, equivalence_classes
@@ -224,6 +224,8 @@ class LagrangianResult:
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the simplex by sort and threshold."""
+    import numpy as np
+
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, len(v) + 1)
@@ -237,6 +239,8 @@ class _NumericForm:
     """Float view of a PolynomialForm for the inner ascent loop."""
 
     def __init__(self, form: PolynomialForm):
+        import numpy as np
+
         self.nvars = form.nvars
         self.coeffs = np.array([float(c) for c, _ in form.terms])
         self.expo = np.array([e for _, e in form.terms], dtype=float)
@@ -246,6 +250,8 @@ class _NumericForm:
         self._active = [np.flatnonzero(col > 0) for col in self.expo.T]
 
     def value(self, x: np.ndarray) -> float:
+        import numpy as np
+
         return float(self.coeffs @ np.prod(x[None, :] ** self.expo, axis=1))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
@@ -256,6 +262,8 @@ class _NumericForm:
         the rounding is that of a loop over the variables.  Inactive entries
         (k_ta = 0) may be inf or nan at a zero coordinate; they are dropped.
         """
+        import numpy as np
+
         powers = x ** self.expo
         others = np.repeat(powers[:, None, :], self.nvars, axis=1)
         others[:, self._diagonal] = 1.0
@@ -288,6 +296,8 @@ def _ascend(num: _NumericForm, x0: np.ndarray, cfg: OptimizerConfig):
       it on to max_iters would return the same (x, f(x), False);
     - max_iters iterations: stalled.
     """
+    import numpy as np
+
     x = x0.copy()
     fx = num.value(x)
     step = _STEP_INIT
@@ -454,6 +464,8 @@ def _solve_kkt(Q: list[list[Fraction]]):
 
 
 def _starts(dim: int, cfg: OptimizerConfig, support_key: int):
+    import numpy as np
+
     yield np.full(dim, 1.0 / dim)
     for r in range(cfg.restarts):
         seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(support_key, r))
@@ -464,6 +476,8 @@ def _starts(dim: int, cfg: OptimizerConfig, support_key: int):
 def _ascent_maximum(form: PolynomialForm, cfg: OptimizerConfig):
     """Best point of the ascents over every candidate support of the form,
     and one converged flag per ascent.  Ties go to the least support."""
+    import numpy as np
+
     converged_runs = []
     best = None  # (value, support, weights)
     for support in _candidate_supports(form):
@@ -524,6 +538,8 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
         for v in members:
             x[v] = z[c] / len(members)
     if value_exact is None:
+        import numpy as np
+
         x = _project_simplex(np.array(x))
         value = _NumericForm(form).value(x)
     else:

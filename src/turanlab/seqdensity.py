@@ -31,7 +31,6 @@ from itertools import accumulate
 from .errors import InvalidArgumentError, UnsupportedSizeError
 from .hypercore import (
     Hypergraph,
-    SimplexPoint,
     blow_up,
     complete,
     disjoint_type_union,
@@ -56,16 +55,11 @@ def proportional_sizes(weights, total: int) -> tuple[int, ...]:
     Largest-remainder rounding: floor the ideal sizes, then hand out the
     remaining units by descending fractional part (ties to lower index).
     """
-    if isinstance(weights, SimplexPoint):
-        if not weights.is_rational:
-            raise InvalidArgumentError("proportions must be exact rationals")
-        ws = weights.weights
-    else:
-        ws = tuple(Fraction(w) for w in weights)
-        if any(w < 0 for w in ws):
-            raise InvalidArgumentError("proportions must be nonnegative")
-        if sum(ws) != 1:
-            raise InvalidArgumentError("proportions must sum to 1")
+    ws = tuple(Fraction(w) for w in weights)
+    if any(w < 0 for w in ws):
+        raise InvalidArgumentError("proportions must be nonnegative")
+    if sum(ws) != 1:
+        raise InvalidArgumentError("proportions must sum to 1")
     if total < 0:
         raise InvalidArgumentError("total must be nonnegative")
     ideal = [w * total for w in ws]

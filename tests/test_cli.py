@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -29,7 +30,8 @@ CHAIN_FAMILY = {
 }
 TRIANGLE_FAMILY = {"ambient": [2], "members": [{"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}]}
 BIPARTITE_GEN = {"kind": "turan", "params": {"parts": 2, "n_start": 4, "n_step": 2}}
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def declared_console_script(name):
@@ -405,3 +407,70 @@ class TestSubprocessEntryPoints:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+
+# Runs `main(argv)` (or only `import turanlab` when argv is empty) and
+# reports on stderr's last line whether numpy was loaded.
+NUMPY_PROBE = (
+    "import sys\n"
+    "import turanlab\n"
+    "code = 0\n"
+    "if sys.argv[1:]:\n"
+    "    from turanlab.cli import main\n"
+    "    code = main(sys.argv[1:])\n"
+    "print('numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+class TestNumpyStaysUnloaded:
+    """Only the ascent for forms with a term of degree >= 3 imports numpy."""
+
+    def loads_numpy(self, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr.splitlines()[-1] == "True"
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        files = {
+            "chain": CHAIN,
+            "k4_minus": K4_MINUS,
+            "chain_family": CHAIN_FAMILY,
+            "triangle_family": TRIANGLE_FAMILY,
+            "bipartite": BIPARTITE_GEN,
+        }
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        return {name: str(tmp_path / f"{name}.json") for name in files}
+
+    def test_import(self):
+        assert not self.loads_numpy()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lubell", "{chain}"),
+            ("lagrangian", "{chain}", "--certify"),
+            ("certify", "11/10", "{chain_family}", "--strict"),
+            ("classify12", "9/8", "--witness"),
+            ("turan", "{triangle_family}", "--n-max", "4"),
+            ("sigma", "{bipartite}", "--t", "4"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exact_subcommands(self, inputs, argv):
+        assert not self.loads_numpy(*(a.format(**inputs) for a in argv))
+
+    def test_ascent_loads_it(self, inputs):
+        # the probe is not vacuous: a form with 3-edges ascends in floats
+        assert self.loads_numpy(
+            "lagrangian", inputs["k4_minus"], "--restarts", "2", "--seed", "0"
+        )

@@ -4,7 +4,9 @@ An AST scan: a name bound by an import must appear as a name somewhere else
 in the module, or be listed in its ``__all__``.  ``__init__.py`` only
 re-exports, so it is exempt; instead, each name it takes from a module must
 be in that module's ``__all__`` (a module without one, such as ``errors``,
-exports every name it binds that has no leading underscore).
+exports every name it binds that has no leading underscore).  No module
+imports numpy when it is loaded: only the float ascent uses it, and imports
+it inside its own functions.
 """
 
 import ast
@@ -44,9 +46,41 @@ def test_scan_finds_an_unused_name():
     assert unused_imports(source) == ["comb"]
 
 
+def load_time_imports(source: str) -> list[str]:
+    """Top-level packages imported when the module is loaded: outside any
+    function body, class bodies and conditional blocks included."""
+    found = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module.split(".")[0])
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_scan_finds_a_load_time_import():
+    source = (
+        "try:\n    import numpy.linalg\nexcept ImportError:\n    pass\n"
+        "from scipy import optimize\nfrom . import errors\n"
+        "class A:\n    import json\n"
+        "def f():\n    import numpy as np\n    return np\n"
+    )
+    assert load_time_imports(source) == ["json", "numpy", "scipy"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_imported_only_where_it_is_used(path):
+    assert "numpy" not in load_time_imports(path.read_text(encoding="utf-8"))
 
 
 def test_package_reexports_only_listed_names():
