@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import hypergraphs
+from turanlab import hypercore
 from turanlab.errors import (
     InvalidArgumentError,
     InvalidHypergraphError,
     UnsupportedSizeError,
 )
 from turanlab.hypercore import (
+    MAX_LABELING_VERTICES,
     EdgeTypeSet,
     Hypergraph,
     Pattern,
@@ -42,6 +44,13 @@ from turanlab.turansearch import _grow, enumerate_graphs
 F = Fraction
 PATH3 = Hypergraph(3, ((0, 1), (1, 2)))
 C4 = Hypergraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+TWO_K2 = Hypergraph(4, ((0, 1), (2, 3)))
+C5 = Hypergraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+C6 = Hypergraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)))
+C3_C4 = Hypergraph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)))
+BLOW_UP_BASES = (
+    chain_graph(), marked_clique(3), PATH3, Hypergraph(3, ((0,), (0, 1, 2)))
+)
 
 
 class TestHypergraph:
@@ -334,9 +343,9 @@ class TestCanonical:
         assert canonical_form(graph) == encoding
 
     def test_invariant_where_refinement_cannot_split(self):
-        # C3 + C4 is regular and twin-free, so refinement leaves one cell of
-        # non-automorphic vertices and the search must branch on both cycles
-        g = Hypergraph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)))
+        # C3 + C4 is regular, so refinement leaves one cell, whose vertices
+        # fall in three twin classes, and the search must branch on both cycles
+        g = C3_C4
         rnd = random.Random(0)
         for _ in range(20):
             perm = list(range(g.n))
@@ -347,9 +356,7 @@ class TestCanonical:
             assert canonical_form(relabeled) == b"7|0,1;0,2;1,2;3,4;3,5;4,6;5,6"
 
     @given(
-        st.sampled_from(
-            [chain_graph(), marked_clique(3), PATH3, Hypergraph(3, ((0,), (0, 1, 2)))]
-        )
+        st.sampled_from(BLOW_UP_BASES)
         .flatmap(
             lambda base: st.tuples(
                 st.just(base),
@@ -368,18 +375,72 @@ class TestCanonical:
         # one edge moved to a non-edge of the same size.
         base, sizes = drawn
         a = blow_up(base, sizes)
-        edges = list(a.edges)
-        if rnd.random() < 0.5:
-            old = edges.pop(rnd.randrange(len(edges)))
-            free = [
-                e for e in itertools.combinations(range(a.n), len(old))
-                if e not in a.edge_set
-            ]
-            edges.append(rnd.choice(free) if free else old)
-        perm = list(range(a.n))
-        rnd.shuffle(perm)
-        b = Hypergraph(a.n, tuple(tuple(perm[v] for v in e) for e in edges))
+        b = _relabeled_maybe_moving_an_edge(a, rnd)
         assert is_isomorphic(a, b) == oracles.brute_is_isomorphic(a, b)
+
+    @given(
+        st.tuples(
+            st.sampled_from(BLOW_UP_BASES).flatmap(
+                lambda base: st.tuples(
+                    st.just(base),
+                    st.lists(
+                        st.integers(min_value=1, max_value=4),
+                        min_size=base.n, max_size=base.n,
+                    ),
+                )
+            ),
+            st.sampled_from([C4, TWO_K2, C5]),
+        ).filter(lambda drawn: sum(drawn[0][1]) + drawn[1].n <= 7),
+        st.randoms(use_true_random=False),
+    )
+    def test_isomorphism_of_blow_ups_beside_regular_parts(self, drawn, rnd):
+        # at the root the regular part shares cells with blow-up vertices,
+        # so cells made of one twin class sit beside cells that are not
+        (base, sizes), part = drawn
+        a = _vertex_disjoint_union(blow_up(base, sizes), part)
+        b = _relabeled_maybe_moving_an_edge(a, rnd)
+        assert is_isomorphic(a, b) == oracles.brute_is_isomorphic(a, b)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [complete(16, (2,)), marked_clique(16), blow_up(chain_graph(), (8, 8))],
+    )
+    def test_twin_cells_refine_once(self, graph, monkeypatch):
+        # every root cell is one twin class, so the root is the only node
+        calls = []
+        refine = hypercore._refine_colors
+        monkeypatch.setattr(
+            hypercore, "_refine_colors",
+            lambda *args: calls.append(None) or refine(*args),
+        )
+        canonical_form.cache_clear()
+        canonical_form(graph)
+        assert len(calls) == 1
+
+
+def _relabeled_maybe_moving_an_edge(a, rnd):
+    """A random relabeling of a, half the time with one edge moved to a
+    non-edge of the same size."""
+    edges = list(a.edges)
+    if rnd.random() < 0.5:
+        old = edges.pop(rnd.randrange(len(edges)))
+        free = [
+            e for e in itertools.combinations(range(a.n), len(old))
+            if e not in a.edge_set
+        ]
+        edges.append(rnd.choice(free) if free else old)
+    return _relabeled(Hypergraph(a.n, tuple(edges)), rnd)
+
+
+def _relabeled(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    return Hypergraph(g.n, tuple(tuple(perm[v] for v in e) for e in g.edges))
+
+
+def _vertex_disjoint_union(a, b):
+    shifted = tuple(tuple(v + a.n for v in e) for e in b.edges)
+    return Hypergraph(a.n + b.n, a.edges + shifted)
 
 
 def _canonical_corpus():
@@ -402,11 +463,32 @@ def _canonical_corpus():
                 )
 
 
+def _mixed_cell_corpus():
+    """Graphs whose root cells are one twin class beside cells that are not:
+    blow-ups with classes of 1-4 vertices, each next to a regular part (C5
+    and C6 are twin-free, C3 + C4 has three twin classes in one cell), up
+    to 16 vertices; then complete(16, (2,)), marked_clique(16) and every
+    blow-up of the chain up to 16 vertices."""
+    for part in (C3_C4, C5, C6):
+        for base in BLOW_UP_BASES:
+            for sizes in itertools.product(range(1, 5), repeat=base.n):
+                if sum(sizes) + part.n <= MAX_LABELING_VERTICES:
+                    yield _vertex_disjoint_union(blow_up(base, sizes), part)
+    yield complete(16, (2,))
+    yield marked_clique(16)
+    for total in range(2, 17):
+        for a in range(1, total):
+            yield blow_up(chain_graph(), (a, total - a))
+
+
 # frozen: sha256 over the canonical forms of the corpus above, and over the
 # enumerate_graphs orders below, recorded while refinement still ran a last
 # pass to confirm a stable partition; stopping at it keeps both
 CORPUS_DIGEST = "a1e839678bef0867009c2cdd1d91b252c4cdbbd9f40f1f821953022d24eeabc7"
 ENUMERATION_DIGEST = "96c36bebd3a26fad12b896de13e9f2971d5d17e8ab572715f2f6c574b55f8ea5"
+# frozen: the same over the corpus just above, recorded while every search
+# node below the root still refined and branched
+MIXED_CELL_DIGEST = "f2052d025b9574cf18a628e151bd44f80802f05d67d00bfe039479312016db79"
 
 
 class TestCanonicalDigest:
@@ -429,6 +511,15 @@ class TestCanonicalDigest:
             for g in itertools.islice(enumerate_graphs(n, EdgeTypeSet(sizes)), 400):
                 digest.update(canonical_form(g) + b"\n")
         assert digest.hexdigest() == ENUMERATION_DIGEST
+
+    def test_twin_cells_beside_other_cells(self):
+        digest = hashlib.sha256()
+        rnd = random.Random(5)
+        for g in _mixed_cell_corpus():
+            key = canonical_form(g)
+            assert canonical_form(_relabeled(g, rnd)) == key
+            digest.update(key + b"\n")
+        assert digest.hexdigest() == MIXED_CELL_DIGEST
 
 
 class TestEquivalenceClasses:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import hypergraphs
+from turanlab import hypercore
 from turanlab.errors import InvalidArgumentError, UnsupportedSizeError
 from turanlab.hypercore import (
     EdgeTypeSet,
@@ -140,6 +141,20 @@ class TestPiN:
         assert record.pi_n == F(13, 10)
         assert record.graphs_enumerated == 1543
         assert calls == [1000]
+
+    def test_mixed_pair_refinement_count(self, monkeypatch):
+        # one search node per refinement; twin cells end the search where
+        # they make up the partition (16 691 calls when every node refined)
+        family = ForbiddenFamily(EdgeTypeSet((1, 2)), (complete(2, (1, 2)),))
+        calls = []
+        refine = hypercore._refine_colors
+        monkeypatch.setattr(
+            hypercore, "_refine_colors",
+            lambda *args: calls.append(None) or refine(*args),
+        )
+        canonical_form.cache_clear()
+        assert pi_n(family, 6).pi_n == F(13, 10)
+        assert len(calls) <= 10_400
 
     def test_forbidding_single_vertex_edge(self):
         family = ForbiddenFamily(EdgeTypeSet((1,)), (Hypergraph(1, ((0,),)),))
