@@ -347,9 +347,17 @@ def equivalence_classes(graph: Hypergraph) -> tuple[tuple[int, ...], ...]:
     twinhood is transitive: each vertex is compared with the first vertex of
     every earlier class.  The Lagrangian optimizer takes equal weights inside
     a class, and sigma_t skips a class-count vector when swapping the counts
-    of two twins gives a larger one.  ``canonical_form`` branches on one twin
-    per class, and ``turansearch._grow`` tries one non-edge per twin orbit.
+    of two twins gives a larger one.  ``canonical_form`` splits only its
+    root's non-singleton cells into twin classes, where it prunes and ends
+    its search, and ``turansearch._grow`` tries one non-edge per twin orbit.
     """
+    return tuple(tuple(c) for c in _twin_classes(graph, (range(graph.n),)))
+
+
+def _twin_classes(graph: Hypergraph, groups) -> list[list[int]]:
+    """Split each group of vertices into twin classes; the classes of each
+    group in order of their least vertex, the groups in the given order.
+    A vertex is compared only with the vertices of its own group."""
     incident = [[] for _ in range(graph.n)]
     for e in graph.edges:
         for v in e:
@@ -370,14 +378,16 @@ def equivalence_classes(graph: Hypergraph) -> tuple[tuple[int, ...], ...]:
         return True
 
     classes: list[list[int]] = []
-    for v in range(graph.n):
-        for cls in classes:
-            if twins(cls[0], v):
-                cls.append(v)
-                break
-        else:
-            classes.append([v])
-    return tuple(tuple(c) for c in classes)
+    for group in groups:
+        first = len(classes)
+        for v in group:
+            for cls in classes[first:]:
+                if twins(cls[0], v):
+                    cls.append(v)
+                    break
+            else:
+                classes.append([v])
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +523,11 @@ def _embedding_search(big: Hypergraph, small: Hypergraph, induced: bool):
     sizes, small_deg, order, check_at = _search_plan(small)
     big_deg = _degree_table(big, sizes)
     # images of v: the vertices of big with at least v's degree in every size
-    fits = [
-        [c for c in range(g) if all(b >= s for b, s in zip(big_deg[c], small_deg[v]))]
-        for v in range(h)
-    ]
+    fits_of = {
+        row: [c for c in range(g) if all(b >= s for b, s in zip(big_deg[c], row))]
+        for row in set(small_deg)
+    }
+    fits = [fits_of[row] for row in small_deg]
     if induced:
         big_incident = [[] for _ in range(g)]
         for e in big.edges:
@@ -594,6 +605,24 @@ def contains_induced(big: Hypergraph, small: Hypergraph) -> bool:
 # the subtree that individualizes u onto the one that individualizes w, and
 # both subtrees hold the same leaf keys: the least key is unchanged.
 #
+# Twins share a stable root cell: swapping them is an automorphism, and
+# refinement from invariant colours respects automorphisms.  So the twin
+# classes are computed once, at the root, by comparing vertices only inside
+# its non-singleton cells; every later cell lies inside a root cell.  A root
+# that refines to a discrete partition computes none.
+#
+# A node whose non-singleton cells each lie inside one twin class is a leaf.
+# Individualizing a vertex v of such a cell splits off {v} and changes no
+# other cell: two vertices left in one cell are twins other than v, so
+# swapping them is an automorphism that fixes v and the path.  Their
+# profiles stay equal, the partition stays stable, and its colours keep
+# their order.  The search below the node is thus one path, individualizing
+# the least vertex of the first non-singleton cell at each level, and its
+# leaf labels the vertices in cell order, ties broken by vertex index; that
+# labeling is encoded directly.  A discrete partition is the case with no
+# non-singleton cell, and a graph whose size layers are each empty or
+# complete, one twin class, is a leaf at its root.
+#
 # Refinement stops at the first pass that leaves the number of cells
 # unchanged.  Each pass keys a vertex by its old colour first, so the new
 # partition refines the old one, and an equal cell count means an equal
@@ -604,11 +633,6 @@ def contains_induced(big: Hypergraph, small: Hypergraph) -> bool:
 # profile hold a bare neighbour colour in place of a 1-tuple: entries are
 # compared only within one edge size, where both orders agree, so the
 # colours are those of the tuple profiles.
-#
-# A graph whose size layers are each empty or complete needs no fast path:
-# all its vertices form one twin class, so the search walks one branch per
-# level, and every labeling of it encodes the same edge set, the
-# identity-labeled one.
 
 
 def _refine_colors(n, incident, colors):
@@ -664,37 +688,44 @@ def canonical_form(graph: Hypergraph) -> bytes:
     incident = [[] for _ in range(n)]
     for e in edges:
         size = len(e)
-        for v in e:
-            others = tuple(u for u in e if u != v)
-            incident[v].append((size, others[0] if size == 2 else others))
+        if size == 1:
+            incident[e[0]].append((1, ()))
+        elif size == 2:
+            a, b = e
+            incident[a].append((2, b))
+            incident[b].append((2, a))
+        else:
+            for v in e:
+                incident[v].append((size, tuple(u for u in e if u != v)))
     start = _degree_table(graph, graph.edge_sizes())
-    class_of = [0] * n
-    for i, cls in enumerate(equivalence_classes(graph)):
-        for v in cls:
-            class_of[v] = i
     palette = {key: i for i, key in enumerate(sorted(set(start)))}
     colors = [palette[key] for key in start]
+    class_of = None  # twin class of each vertex in a non-singleton root cell
 
     best = [None]
 
     def search(colors):
+        nonlocal class_of
         colors = _refine_colors(n, incident, colors)
-        cells = {}
+        cells = [[] for _ in range(max(colors, default=-1) + 1)]
         for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            # a discrete partition: the dense ranks are the labeling
-            key = _encode_labeled(n, edges, colors)
+            cells[c].append(v)
+        split = [cell for cell in cells if len(cell) > 1]
+        if split and class_of is None:
+            class_of = {}
+            for i, cls in enumerate(_twin_classes(graph, split)):
+                for v in cls:
+                    class_of[v] = i
+        if all(len({class_of[v] for v in cell}) == 1 for cell in split):
+            label = [0] * n
+            for i, v in enumerate(itertools.chain.from_iterable(cells)):
+                label[v] = i
+            key = _encode_labeled(n, edges, label)
             if best[0] is None or key < best[0]:
                 best[0] = key
             return
         tried = set()
-        for v in target:
+        for v in split[0]:
             if class_of[v] in tried:
                 continue
             tried.add(class_of[v])

@@ -54,19 +54,21 @@ def proportional_sizes(weights, total: int) -> tuple[int, ...]:
 
     Largest-remainder rounding: floor the ideal sizes, then hand out the
     remaining units by descending fractional part (ties to lower index).
+    Over the common denominator d of the weights, weight w_j is a_j / d, so
+    the floor is a_j * total // d and the fractional part a_j * total % d.
     """
     ws = tuple(Fraction(w) for w in weights)
-    if any(w < 0 for w in ws):
+    d = math.lcm(*(w.denominator for w in ws))
+    nums = [w.numerator * (d // w.denominator) for w in ws]
+    if any(a < 0 for a in nums):
         raise InvalidArgumentError("proportions must be nonnegative")
-    if sum(ws) != 1:
+    if sum(nums) != d:
         raise InvalidArgumentError("proportions must sum to 1")
     if total < 0:
         raise InvalidArgumentError("total must be nonnegative")
-    ideal = [w * total for w in ws]
-    sizes = [int(x) for x in ideal]  # floor: x >= 0
+    sizes = [a * total // d for a in nums]
     leftover = total - sum(sizes)
-    order = sorted(range(len(ws)), key=lambda j: (ideal[j] - sizes[j], -j),
-                   reverse=True)
+    order = sorted(range(len(nums)), key=lambda j: (-(nums[j] * total % d), j))
     for j in order[:leftover]:
         sizes[j] += 1
     return tuple(sizes)

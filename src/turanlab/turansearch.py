@@ -13,7 +13,8 @@ output.  ``_grow`` extends g only by non-edges that meet each twin class of g
 in a prefix of it: permuting twins is an automorphism of g, and it carries
 every other non-edge onto such a one, so every skipped child is isomorphic to
 a child that is tried.  ``canonical_form`` branches once per twin class of its
-target cell, for the reason given at its definition.
+target cell, and labels a node whose non-singleton cells are each one twin
+class without searching below it, for the reasons given at its definition.
 """
 
 from __future__ import annotations
