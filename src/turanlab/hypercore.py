@@ -379,14 +379,15 @@ def _twin_classes(graph: Hypergraph, groups) -> list[list[int]]:
 
     classes: list[list[int]] = []
     for group in groups:
-        first = len(classes)
+        found: list[list[int]] = []
         for v in group:
-            for cls in classes[first:]:
+            for cls in found:
                 if twins(cls[0], v):
                     cls.append(v)
                     break
             else:
-                classes.append([v])
+                found.append([v])
+        classes.extend(found)
     return classes
 
 
