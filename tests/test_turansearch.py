@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -26,10 +28,50 @@ from turanlab.turansearch import (
     disjoint_type_union,
     enumerate_graphs,
     pi_n,
+    _grow,
 )
 
 F = Fraction
 PATH3 = Hypergraph(3, ((0, 1), (1, 2)))
+
+
+def _family(sizes, members, mode="subgraph"):
+    return ForbiddenFamily(EdgeTypeSet(sizes), members, mode)
+
+
+# each case: (n, ambient sizes, the family whose admits _grow takes, or None
+# to grow every class as induced mode and enumerate_graphs do)
+GROW_CASES = {
+    "triangle_free n=6": (6, (2,), _family((2,), (complete(3, (2,)),))),
+    "mixed_pair n=5": (5, (1, 2), _family((1, 2), (complete(2, (1, 2)),))),
+    "marked_pair n=5": (
+        5, (1, 2), _family((1, 2), (marked_clique(3), complete(2, (1, 2)))),
+    ),
+    "k4(3)_free n=5": (5, (3,), _family((3,), (complete(4, (3,)),))),
+    "induced_p3 n=5": (5, (2,), None),
+    "enumerate {2,3} n=4": (4, (2, 3), None),
+}
+# frozen: recorded on the frontier loop that ran admits on every tried child
+GROW_DIGESTS = {
+    "triangle_free n=6": (
+        "90a981eb18bbfded1bb960284f1b7ac5b347916f83336911300cc5c91510528b"
+    ),
+    "mixed_pair n=5": (
+        "42e80b0bcd43e236b47866d0ef74b85b95c13f138768494389a77d52490d5b9e"
+    ),
+    "marked_pair n=5": (
+        "f8e9f14b0c947db9aebd0400834b8fde7849d538de4f08f4a69d9438bad5a32a"
+    ),
+    "k4(3)_free n=5": (
+        "559f0930e8bd0a599f1715e6d984cbbd4cd14f2a43017a88b1fbc31aa74aa5a5"
+    ),
+    "induced_p3 n=5": (
+        "95e0a896f479d7c70867e709eba8a1a21bdfb1e576c27280db8f794551789de1"
+    ),
+    "enumerate {2,3} n=4": (
+        "f399de4ea495948cf11b4081f8585e585baa09f911dc6ecb33bc507216ed5e99"
+    ),
+}
 
 
 class TestEnumeration:
@@ -79,6 +121,64 @@ class TestEnumeration:
         order = [(len(g.edges), canonical_form(g)) for g in graphs]
         assert order == sorted(set(order))
         assert all(canonical_graph(g) == g for g in graphs)
+
+
+@st.composite
+def _small_families(draw):
+    """n <= 4, an ambient, and one or two members on at most 3 vertices,
+    each with an edge, so that the empty graph is free."""
+    sizes = draw(st.sampled_from([(2,), (1, 2), (1, 3), (2, 3)]))
+    members = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        m = draw(st.integers(min_value=min(sizes), max_value=3))
+        pool = [
+            e for r in sizes if r <= m
+            for e in itertools.combinations(range(m), r)
+        ]
+        edges = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        members.append(Hypergraph(m, tuple(edges)))
+    n = draw(st.integers(min_value=1, max_value=4))
+    return n, sizes, tuple(members)
+
+
+class TestGrowOracle:
+    @given(_small_families())
+    @settings(max_examples=100, deadline=None)
+    def test_free_classes_and_maximality(self, drawn):
+        n, sizes, members = drawn
+        family = _family(sizes, members)
+        free = [
+            g for g in oracles.all_labeled_graphs(n, sizes)
+            if not any(oracles.brute_contains(g, m) for m in members)
+        ]
+        free_sets = {frozenset(g.edges) for g in free}
+        pool = {
+            e for r in sizes if r <= n
+            for e in itertools.combinations(range(n), r)
+        }
+        expect = {}
+        for g in free:
+            edges = frozenset(g.edges)
+            # maximal: no free labeled graph has exactly one more edge
+            expect[canonical_form(g)] = not any(
+                edges | {e} in free_sets for e in pool - edges
+            )
+        grown = list(_grow(n, EdgeTypeSet(sizes), family.admits))
+        got = {canonical_form(g): maximal for g, maximal in grown}
+        assert len(got) == len(grown)
+        assert got == expect
+
+
+class TestGrowDigest:
+    # every yield of the frontier loop, in order, with its maximal flag
+    @pytest.mark.parametrize("case", sorted(GROW_CASES))
+    def test_yields_are_pinned(self, case):
+        n, sizes, family = GROW_CASES[case]
+        admits = None if family is None else family.admits
+        digest = hashlib.sha256()
+        for g, maximal in _grow(n, EdgeTypeSet(sizes), admits):
+            digest.update(repr((g.n, g.edges, maximal)).encode("ascii") + b"\n")
+        assert digest.hexdigest() == GROW_DIGESTS[case]
 
 
 class TestPiN:
