@@ -1,12 +1,17 @@
 """Exhaustive small-n Turan densities over non-uniform hypergraphs.
 
-One loop, ``_grow``, generates isomorphism classes level by level: each
-frontier of canonical graphs with k edges is extended by one edge and
-deduplicated through the canonical form, so no seen-set beyond the frontier is
-kept.  ``enumerate_graphs`` and both exhaustive modes of ``pi_n`` run on it.
-In subgraph mode freeness is monotone under edge removal, which lets the loop
-grow only inside the free classes and score only the maximal ones; in induced
-mode it grows every class and scores the free ones.
+One loop, ``_grow``, generates isomorphism classes level by level.  Each
+frontier of canonical graphs with k edges is extended by one edge, and a class
+with k + 1 edges joins the next level only from its canonical parent: the
+class of its canonical graph less its canonical edge.  This is McKay's
+canonical augmentation (J. Algorithms 26, 1998), keyed on ``canonical_form``,
+so the levels, their order and every output are those of deduplicating all
+children by canonical form; a cheap edge invariant drops most children before
+any containment test or canonical form.  ``enumerate_graphs`` and both
+exhaustive modes of ``pi_n`` run on it.  In subgraph mode freeness is monotone
+under edge removal, which lets the loop grow only inside the free classes and
+score only the maximal ones; in induced mode it grows every class and scores
+the free ones.
 
 Two exact twin-pruning rules cut the isomorphic work, and neither changes any
 output.  ``_grow`` extends g only by non-edges that meet each twin class of g
@@ -27,6 +32,7 @@ from .errors import InvalidArgumentError, TuranLabError, UnsupportedSizeError
 from .hypercore import (
     EdgeTypeSet,
     Hypergraph,
+    _degree_table,
     canonical_form,
     canonical_graph,
     complete,
@@ -112,47 +118,134 @@ def _check_cap(n: int) -> None:
         )
 
 
+def _edge_invariant(rows, f) -> tuple:
+    """inv(f) = (|f|, the sorted degree rows of f's vertices), where ``rows``
+    is the graph's ``_degree_table``; an isomorphism maps f to an edge with
+    the same inv."""
+    return len(f), tuple(sorted([rows[v] for v in f]))
+
+
+def _canonical_parent(canon: Hypergraph, types: EdgeTypeSet) -> bytes:
+    """The key of canon - m*, for m* the last edge of the canonical graph
+    ``canon`` in edge order among its edges of largest inv."""
+    rows = _degree_table(canon, types)
+    invs = [_edge_invariant(rows, f) for f in canon.edges]
+    last = len(invs) - 1 - invs[::-1].index(max(invs))
+    edges = canon.edges
+    return canonical_form(
+        Hypergraph._from_normalized(canon.n, edges[:last] + edges[last + 1:])
+    )
+
+
 def _grow(n: int, types: EdgeTypeSet, admits=None):
     """Yield (g, maximal) once per isomorphism class, level by level.
 
-    Within a level the canonical graphs come in canonical-form order.  A
-    child g + e joins the next level only if ``admits`` accepts it (all do
-    when it is None); ``maximal`` says that no child of g was accepted.
+    Within a level the canonical graphs come in canonical-form order, and the
+    next level holds every class g + e that ``admits`` accepts (all when it
+    is None); ``maximal`` says that no child of g is accepted.
+
+    Precondition: ``admits`` is closed under edge deletion (if it accepts a
+    graph, it accepts the graph less any edge).  Subgraph-freeness is.
 
     Only non-edges e that meet every twin class C of g in a prefix of C are
     tried.  Every permutation inside the twin classes is an automorphism of g,
     and the orbit of each non-edge under them holds exactly one such e, so
-    each skipped child is isomorphic to a tried one.  As ``admits`` only sees
-    isomorphism classes, the next level's keys, ``maximal`` and the level
-    order are unchanged.
+    each skipped child is isomorphic to a tried one.
+
+    Canonical augmentation picks which tried child stands for its class.  In
+    a graph h, inv(f) = (|f|, the sorted ``_degree_table`` rows in h of f's
+    vertices) is invariant under isomorphism.  A class C with canonical graph
+    canon has the canonical edge m*, the last edge of canon in edge order
+    among those of largest inv, and the canonical parent class of canon - m*.
+    The child c = g + e of a frontier graph g joins the next level iff
+
+    1. inv(e) is the largest inv in c, read from g's degree rows plus e, so
+       that most children fail before any other test;
+    2. ``admits(c)``; and
+    3. e is the only edge of c with that inv, or canon - m* has g's key.
+       That key is computed once per class and level, not once per child.
+
+    Children are then deduplicated by key.  Sound: a unique top edge of c
+    goes to m* under every isomorphism c -> canon, so c - e = g lies in the
+    canonical parent class, and otherwise check 3 tests that class directly.
+    Complete: the canonical parent of an accepted class is accepted, by the
+    precondition, so by induction it is a frontier graph g, and an
+    isomorphism canon - m* -> g carries m* to a non-edge of g whose twin
+    orbit holds a tried e; g + e is in the class, with e in the place of m*,
+    so it passes all three checks.  Each level thus holds the same classes
+    as when every admitted child was kept.  A child that fails check 1 goes
+    to ``admits`` only to settle ``maximal``, when no child that passed check
+    1 was admitted.
     """
+    if admits is None:
+        def admits(child):
+            return True
+
     universe = complete(n, types).edges
-    frontier = [canonical_graph(Hypergraph(n, ()))]
+    slot = {r: i for i, r in enumerate(types)}
+    empty = Hypergraph(n, ())
+    frontier = [(canonical_form(empty), canonical_graph(empty))]
     while frontier:
         nxt: dict[bytes, Hypergraph] = {}
-        for g in frontier:
+        parent: dict[bytes, bytes] = {}  # class key -> canonical parent key
+        for gkey, g in frontier:
             present = g.edge_set
             # pred[v]: the vertex before v in v's twin class, or -1
             pred = [-1] * n
             for cls in equivalence_classes(g):
                 for a, b in zip(cls, cls[1:]):
                     pred[b] = a
+            rows = _degree_table(g, types)
+            top = len(g.edges[-1]) if g.edges else 0  # largest edge size
+            tops = [f for f in g.edges if len(f) == top]
+            # the largest inv in g: adding e raises degree rows only, so
+            # no edge of g has a smaller inv in g + e than in g
+            floor = max([_edge_invariant(rows, f) for f in tops], default=())
             maximal = True
+            deferred = []  # tried children that fail check 1
             for e in universe:
                 if e in present:
                     continue
                 # skip e unless it meets every twin class in a prefix
                 if any(pred[v] >= 0 and pred[v] not in e for v in e):
                     continue
+                ties = 0  # edges of g with inv(e) in g + e
+                if len(e) < top:
+                    deferred.append(e)
+                    continue
+                if len(e) == top:
+                    i = slot[top]
+                    bumped = rows.copy()
+                    for v in e:
+                        row = rows[v]
+                        bumped[v] = row[:i] + (row[i] + 1,) + row[i + 1:]
+                    inv = _edge_invariant(bumped, e)
+                    if floor > inv:
+                        deferred.append(e)
+                        continue
+                    others = [_edge_invariant(bumped, f) for f in tops]
+                    if max(others) > inv:
+                        deferred.append(e)
+                        continue
+                    ties = others.count(inv)
                 child = g._with_edge(e)
-                if admits is not None and not admits(child):
+                if not admits(child):
                     continue
                 maximal = False
                 key = canonical_form(child)
-                if key not in nxt:
-                    nxt[key] = child
+                if key in nxt:
+                    continue
+                if ties:
+                    if key not in parent:
+                        canon = canonical_graph(child)
+                        parent[key] = _canonical_parent(canon, types)
+                    if parent[key] != gkey:
+                        continue
+                nxt[key] = child
+            if maximal:
+                maximal = not any(admits(g._with_edge(e)) for e in deferred)
             yield g, maximal
-        frontier = [canonical_graph(nxt[key]) for key in sorted(nxt)]
+        frontier = [(key, canonical_graph(nxt[key])) for key in sorted(nxt)]
 
 
 def enumerate_graphs(n: int, types: EdgeTypeSet):

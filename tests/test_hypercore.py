@@ -119,8 +119,10 @@ class TestUnvalidatedConstruction:
         st.randoms(use_true_random=False),
     )
     def test_grow_children(self, n, sizes, rnd):
-        # admits sees every child _grow builds; admitting a random third of
-        # them reaches deep levels while keeping the run small
+        # admits sees each child that _grow builds, which is not one per
+        # tried non-edge: a child that fails the edge-invariant check is
+        # built only when maximal needs it; admitting a random third of the
+        # children reaches deep levels while keeping the run small
         def admits(child):
             _assert_validated(child)
             return rnd.random() < 0.3

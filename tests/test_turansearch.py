@@ -256,6 +256,22 @@ class TestPiN:
         assert pi_n(family, 6).pi_n == F(13, 10)
         assert len(calls) <= 10_400
 
+    def test_mixed_pair_frontier_work(self, monkeypatch):
+        # canonical augmentation drops most children before admits and
+        # canonical_form (14 500 admits calls and 8 112 canonical forms when
+        # every tried child was tested and keyed)
+        family = ForbiddenFamily(EdgeTypeSet((1, 2)), (complete(2, (1, 2)),))
+        calls = []
+        admits = ForbiddenFamily.admits
+        monkeypatch.setattr(
+            ForbiddenFamily, "admits",
+            lambda self, graph: calls.append(None) or admits(self, graph),
+        )
+        canonical_form.cache_clear()
+        assert pi_n(family, 6).pi_n == F(13, 10)
+        assert canonical_form.cache_info().misses <= 3_300
+        assert len(calls) <= 5_000
+
     def test_forbidding_single_vertex_edge(self):
         family = ForbiddenFamily(EdgeTypeSet((1,)), (Hypergraph(1, ((0,),)),))
         record = pi_n(family, 3)
