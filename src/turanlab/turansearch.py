@@ -183,8 +183,8 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
 
     universe = complete(n, types).edges
     slot = {r: i for i, r in enumerate(types)}
-    empty = Hypergraph(n, ())
-    frontier = [(canonical_form(empty), canonical_graph(empty))]
+    empty = Hypergraph(n, ())  # its own canonical graph
+    frontier = [(canonical_form(empty), empty)]
     while frontier:
         nxt: dict[bytes, Hypergraph] = {}
         parent: dict[bytes, bytes] = {}  # class key -> canonical parent key
@@ -198,9 +198,6 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
             rows = _degree_table(g, types)
             top = len(g.edges[-1]) if g.edges else 0  # largest edge size
             tops = [f for f in g.edges if len(f) == top]
-            # the largest inv in g: adding e raises degree rows only, so
-            # no edge of g has a smaller inv in g + e than in g
-            floor = max([_edge_invariant(rows, f) for f in tops], default=())
             maximal = True
             deferred = []  # tried children that fail check 1
             for e in universe:
@@ -209,7 +206,7 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
                 # skip e unless it meets every twin class in a prefix
                 if any(pred[v] >= 0 and pred[v] not in e for v in e):
                     continue
-                ties = 0  # edges of g with inv(e) in g + e
+                ties = 0  # edges of g whose inv in g + e equals inv(e)
                 if len(e) < top:
                     deferred.append(e)
                     continue
@@ -220,9 +217,6 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
                         row = rows[v]
                         bumped[v] = row[:i] + (row[i] + 1,) + row[i + 1:]
                     inv = _edge_invariant(bumped, e)
-                    if floor > inv:
-                        deferred.append(e)
-                        continue
                     others = [_edge_invariant(bumped, f) for f in tops]
                     if max(others) > inv:
                         deferred.append(e)
