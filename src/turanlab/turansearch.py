@@ -1,17 +1,14 @@
 """Exhaustive small-n Turan densities over non-uniform hypergraphs.
 
-One loop, ``_grow``, generates isomorphism classes level by level.  Each
-frontier of canonical graphs with k edges is extended by one edge, and a class
-with k + 1 edges joins the next level only from its canonical parent: the
-class of its canonical graph less its canonical edge.  This is McKay's
-canonical augmentation (J. Algorithms 26, 1998), keyed on ``canonical_form``,
-so the levels, their order and every output are those of deduplicating all
-children by canonical form; a cheap edge invariant drops most children before
-any containment test or canonical form.  ``enumerate_graphs`` and both
-exhaustive modes of ``pi_n`` run on it.  In subgraph mode freeness is monotone
-under edge removal, which lets the loop grow only inside the free classes and
-score only the maximal ones; in induced mode it grows every class and scores
-the free ones.
+One loop, ``_grow``, generates isomorphism classes level by level: each
+frontier of canonical graphs with k edges is extended by one edge and
+deduplicated through the canonical form, so no seen-set beyond the frontier is
+kept.  Only edges of largest invariant in the child are added, an exact cut
+that drops most children before any containment test or canonical form (see
+``_grow``).  ``enumerate_graphs`` and both exhaustive modes of ``pi_n`` run on
+it.  In subgraph mode freeness is monotone under edge removal, which lets the
+loop grow only inside the free classes and score only the maximal ones; in
+induced mode it grows every class and scores the free ones.
 
 Two exact twin-pruning rules cut the isomorphic work, and neither changes any
 output.  ``_grow`` extends g only by non-edges that meet each twin class of g
@@ -118,23 +115,25 @@ def _check_cap(n: int) -> None:
         )
 
 
-def _edge_invariant(rows, f) -> tuple:
-    """inv(f) = (|f|, the sorted degree rows of f's vertices), where ``rows``
-    is the graph's ``_degree_table``; an isomorphism maps f to an edge with
-    the same inv."""
-    return len(f), tuple(sorted([rows[v] for v in f]))
+def _adds_largest_inv(rows, slot, tops, e) -> bool:
+    """Whether inv(e) is the largest inv in g + e (see ``_grow``), for a
+    non-edge e of g, where ``rows`` is g's ``_degree_table``, ``slot`` maps
+    an edge size to its column and ``tops`` holds g's edges of largest size."""
+    if not tops or len(e) > len(tops[0]):
+        return True
+    if len(e) < len(tops[0]):
+        return False
+    i = slot[len(e)]
+    rows = rows.copy()
+    for v in e:
+        row = rows[v]
+        rows[v] = row[:i] + (row[i] + 1,) + row[i + 1:]
 
+    def inv(f):  # edges of one size: their sorted rows in g + e
+        return sorted([rows[v] for v in f])
 
-def _canonical_parent(canon: Hypergraph, types: EdgeTypeSet) -> bytes:
-    """The key of canon - m*, for m* the last edge of the canonical graph
-    ``canon`` in edge order among its edges of largest inv."""
-    rows = _degree_table(canon, types)
-    invs = [_edge_invariant(rows, f) for f in canon.edges]
-    last = len(invs) - 1 - invs[::-1].index(max(invs))
-    edges = canon.edges
-    return canonical_form(
-        Hypergraph._from_normalized(canon.n, edges[:last] + edges[last + 1:])
-    )
+    mine = inv(e)
+    return all(inv(f) <= mine for f in tops)
 
 
 def _grow(n: int, types: EdgeTypeSet, admits=None):
@@ -144,38 +143,32 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
     next level holds every class g + e that ``admits`` accepts (all when it
     is None); ``maximal`` says that no child of g is accepted.
 
-    Precondition: ``admits`` is closed under edge deletion (if it accepts a
-    graph, it accepts the graph less any edge).  Subgraph-freeness is.
+    Precondition: ``admits`` sees only isomorphism classes and is closed
+    under edge deletion (if it accepts a graph, it accepts the graph less any
+    edge).  Freeness in subgraph mode is both.
 
     Only non-edges e that meet every twin class C of g in a prefix of C are
     tried.  Every permutation inside the twin classes is an automorphism of g,
     and the orbit of each non-edge under them holds exactly one such e, so
     each skipped child is isomorphic to a tried one.
 
-    Canonical augmentation picks which tried child stands for its class.  In
-    a graph h, inv(f) = (|f|, the sorted ``_degree_table`` rows in h of f's
-    vertices) is invariant under isomorphism.  A class C with canonical graph
-    canon has the canonical edge m*, the last edge of canon in edge order
-    among those of largest inv, and the canonical parent class of canon - m*.
-    The child c = g + e of a frontier graph g joins the next level iff
-
-    1. inv(e) is the largest inv in c, read from g's degree rows plus e, so
-       that most children fail before any other test;
-    2. ``admits(c)``; and
-    3. e is the only edge of c with that inv, or canon - m* has g's key.
-       That key is computed once per class and level, not once per child.
-
-    Children are then deduplicated by key.  Sound: a unique top edge of c
-    goes to m* under every isomorphism c -> canon, so c - e = g lies in the
-    canonical parent class, and otherwise check 3 tests that class directly.
-    Complete: the canonical parent of an accepted class is accepted, by the
-    precondition, so by induction it is a frontier graph g, and an
-    isomorphism canon - m* -> g carries m* to a non-edge of g whose twin
-    orbit holds a tried e; g + e is in the class, with e in the place of m*,
-    so it passes all three checks.  Each level thus holds the same classes
-    as when every admitted child was kept.  A child that fails check 1 goes
-    to ``admits`` only to settle ``maximal``, when no child that passed check
-    1 was admitted.
+    Of the tried children, only those whose new edge has the largest
+    invariant join the next level.  In a graph h, inv(f) = (|f|, the sorted
+    ``_degree_table`` rows in h of f's vertices), so an isomorphism maps each
+    edge to one with the same inv.  The child g + e joins, once per key, iff
+    inv(e) is the largest inv in g + e, read from g's degree rows plus e, and
+    ``admits`` accepts it; most children fail the first test, and skip
+    ``admits`` and ``canonical_form``.  Nothing is lost, by induction on the
+    level: a class C accepted at level k + 1 has an edge m of largest inv in
+    its canonical graph canon.  canon - m is accepted, by the precondition,
+    so its class has a frontier graph g, and an isomorphism canon - m -> g
+    carries m onto a non-edge of g whose twin orbit holds a tried e.  Then
+    g + e is in C with e in the place of m, so inv(e) is the largest in it,
+    and ``admits`` accepts it.
+    This is the canonical-deletion half of McKay's canonical augmentation
+    (J. Algorithms 26, 1998); his parent test is not needed, since children
+    are deduplicated by key.  A child that fails the inv test goes to
+    ``admits`` only to settle ``maximal``, when no other child was admitted.
     """
     if admits is None:
         def admits(child):
@@ -183,12 +176,10 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
 
     universe = complete(n, types).edges
     slot = {r: i for i, r in enumerate(types)}
-    empty = Hypergraph(n, ())  # its own canonical graph
-    frontier = [(canonical_form(empty), empty)]
+    frontier = [Hypergraph(n, ())]  # its own canonical graph
     while frontier:
         nxt: dict[bytes, Hypergraph] = {}
-        parent: dict[bytes, bytes] = {}  # class key -> canonical parent key
-        for gkey, g in frontier:
+        for g in frontier:
             present = g.edge_set
             # pred[v]: the vertex before v in v's twin class, or -1
             pred = [-1] * n
@@ -196,50 +187,29 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
                 for a, b in zip(cls, cls[1:]):
                     pred[b] = a
             rows = _degree_table(g, types)
-            top = len(g.edges[-1]) if g.edges else 0  # largest edge size
-            tops = [f for f in g.edges if len(f) == top]
+            tops = [f for f in g.edges if len(f) == len(g.edges[-1])]
             maximal = True
-            deferred = []  # tried children that fail check 1
+            deferred = []  # tried children that fail the inv test
             for e in universe:
                 if e in present:
                     continue
                 # skip e unless it meets every twin class in a prefix
                 if any(pred[v] >= 0 and pred[v] not in e for v in e):
                     continue
-                ties = 0  # edges of g whose inv in g + e equals inv(e)
-                if len(e) < top:
+                if not _adds_largest_inv(rows, slot, tops, e):
                     deferred.append(e)
                     continue
-                if len(e) == top:
-                    i = slot[top]
-                    bumped = rows.copy()
-                    for v in e:
-                        row = rows[v]
-                        bumped[v] = row[:i] + (row[i] + 1,) + row[i + 1:]
-                    inv = _edge_invariant(bumped, e)
-                    others = [_edge_invariant(bumped, f) for f in tops]
-                    if max(others) > inv:
-                        deferred.append(e)
-                        continue
-                    ties = others.count(inv)
                 child = g._with_edge(e)
                 if not admits(child):
                     continue
                 maximal = False
                 key = canonical_form(child)
-                if key in nxt:
-                    continue
-                if ties:
-                    if key not in parent:
-                        canon = canonical_graph(child)
-                        parent[key] = _canonical_parent(canon, types)
-                    if parent[key] != gkey:
-                        continue
-                nxt[key] = child
+                if key not in nxt:
+                    nxt[key] = child
             if maximal:
                 maximal = not any(admits(g._with_edge(e)) for e in deferred)
             yield g, maximal
-        frontier = [(key, canonical_graph(nxt[key])) for key in sorted(nxt)]
+        frontier = [canonical_graph(nxt[key]) for key in sorted(nxt)]
 
 
 def enumerate_graphs(n: int, types: EdgeTypeSet):
