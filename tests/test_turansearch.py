@@ -24,11 +24,11 @@ from turanlab.hypercore import (
 )
 from turanlab.turansearch import (
     ForbiddenFamily,
+    _grow,
     density_sequence,
     disjoint_type_union,
     enumerate_graphs,
     pi_n,
-    _grow,
 )
 
 F = Fraction
