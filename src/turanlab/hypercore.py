@@ -309,13 +309,16 @@ def lubell(graph: Hypergraph) -> Fraction:
 def complete(n: int, sizes) -> Hypergraph:
     """All subsets of {0..n-1} whose size lies in ``sizes`` (sizes > n give none)."""
     types = sizes if isinstance(sizes, EdgeTypeSet) else EdgeTypeSet(tuple(sizes))
-    edges = [
+    # ascending sizes, each in lexicographic order: already the edge order
+    edges = tuple(
         c
         for r in types.sizes
         if r <= n
         for c in itertools.combinations(range(n), r)
-    ]
-    return Hypergraph(n, tuple(edges))
+    )
+    if n < 0:
+        raise InvalidHypergraphError("vertex count must be >= 0")
+    return Hypergraph._from_normalized(int(n), edges)
 
 
 def empty_graph(n: int) -> Hypergraph:
@@ -331,7 +334,7 @@ def marked_clique(t: int) -> Hypergraph:
     """Complete pair graph on t >= 2 vertices plus a singleton edge at vertex 0."""
     if t < 2:
         raise InvalidArgumentError("marked clique needs t >= 2")
-    return complete(t, (2,)).with_edges((0,))
+    return complete(t, (2,))._with_edge((0,))
 
 
 # ---------------------------------------------------------------------------

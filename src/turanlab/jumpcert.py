@@ -10,8 +10,12 @@ each accumulating at its limit L:
 
 The table ``_ROWS`` holds one row per sequence with its witnesses and texts,
 and ``classify12``, ``weak_jump_witness`` and ``known_turan_density`` all read
-it.  Membership is decided exactly by solving L - s/(k+1) = alpha for k; the
-third row starts at k = 1, so no weak value lies between 5/4 and 3/2.
+it.  Membership is decided exactly, in integers: with alpha = p/q, L = Ln/Ld
+and s = sn/sd, the row is the first with p*Ld <= Ln*q, and one
+divmod(sn*Ld*q, sd*(Ln*q - p*Ld)) solves k + 1 = s/(L - alpha) for k; alpha
+is weak exactly when it is a row's limit or the division leaves no remainder
+and k >= k_min.  The third row starts at k = 1, so no weak value lies between
+5/4 and 3/2.
 
 A certificate that alpha is a (strong) jump consists of a finite family F
 with density evidence pi(F) <= alpha (strictly below for strong) together
@@ -92,9 +96,18 @@ class _Row:
     limit_note: str  # classify12
     limit_text: str  # weak_jump_witness
     limit_detail: str | None  # known_turan_density
+    # (Ln, Ld, sn, sd) with L = Ln/Ld and s = sn/sd
+    terms: tuple[int, int, int, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", (
+            self.limit.numerator, self.limit.denominator,
+            self.step.numerator, self.step.denominator,
+        ))
 
     def value(self, k: int) -> Fraction:
-        return self.limit - self.step / (k + 1)
+        ln, ld, sn, sd = self.terms
+        return Fraction(ln * sd * (k + 1) - sn * ld, ld * sd * (k + 1))
 
 
 _ROWS = (
@@ -152,37 +165,55 @@ class ClassifyResult:
 
 
 def _require_fraction(alpha) -> Fraction:
+    if type(alpha) is Fraction:
+        return alpha
     if isinstance(alpha, float):
         raise InvalidArgumentError(
             "alpha must be an exact rational; convert floats explicitly"
         )
     try:
         return Fraction(alpha)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidArgumentError(f"cannot read {alpha!r} as a rational") from exc
+
+
+def _locate(alpha) -> tuple[Fraction, int, int | None, bool]:
+    """(a, i, k, weak) for alpha in [0, 2]: a = alpha as a Fraction, i the
+    index in ``_ROWS`` of the first row with a <= L, k = floor(s/(L - a)) - 1
+    (None at a = L), and whether a is weak.  Integer arithmetic only."""
+    a = _require_fraction(alpha)
+    p, q = a.numerator, a.denominator
+    if p < 0 or p > 2 * q:
+        raise OutOfRangeError(f"alpha = {a} lies outside [0, 2]")
+    for i, row in enumerate(_ROWS):
+        ln, ld, sn, sd = row.terms
+        gap = ln * q - p * ld  # (L - a) * Ld * q
+        if gap >= 0:
+            break
+    if gap == 0:
+        return a, i, None, True
+    # k + 1 = s/(L - a) = sn*Ld*q / (sd*gap); a lies above the limit of the
+    # row before, so k >= 0 on every row
+    k1, rem = divmod(sn * ld * q, sd * gap)
+    k = k1 - 1
+    return a, i, k, rem == 0 and k >= row.k_min
 
 
 def classify12(alpha) -> ClassifyResult:
     """Exact weak/strong verdict for a rational alpha in [0, 2]."""
-    a = _require_fraction(alpha)
-    if a < 0 or a > 2:
-        raise OutOfRangeError(f"alpha = {a} lies outside [0, 2]")
-    below = Fraction(0)  # the limit of the row before
-    for row in _ROWS:
-        if a <= row.limit:
-            break
-        below = row.limit
-    if a == row.limit:
+    a, i, k, weak = _locate(alpha)
+    row = _ROWS[i]
+    if k is None:
         return ClassifyResult(
             a, "weak_jump", matched_form=str(a), note=row.limit_note
         )
-    k = row.step / (row.limit - a) - 1
-    kf = int(k)
-    if k == kf and kf >= row.k_min:
+    if weak:
         note = "left endpoint; realized by edgeless graphs" if a == 0 else None
-        return ClassifyResult(a, "weak_jump", matched_form=row.form, k=kf, note=note)
-    lo = row.value(kf) if kf >= row.k_min else below
-    return ClassifyResult(a, "strong_jump", interval=(lo, row.value(kf + 1)))
+        return ClassifyResult(a, "weak_jump", matched_form=row.form, k=k, note=note)
+    # the first row starts at k = 0, so only a later row falls back to the
+    # limit of the row before
+    lo = row.value(k) if k >= row.k_min else _ROWS[i - 1].limit
+    return ClassifyResult(a, "strong_jump", interval=(lo, row.value(k + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +234,11 @@ class WeakJumpWitness:
 def weak_jump_witness(alpha) -> WeakJumpWitness | None:
     """Why alpha cannot be a strong jump: a graph with lambda = alpha or a
     family with density exactly alpha.  None for strong jumps."""
-    a = _require_fraction(alpha)
-    result = classify12(a)
-    if result.verdict != "weak_jump":
+    a, i, k, weak = _locate(alpha)
+    if not weak:
         return None
-    row = next(r for r in _ROWS if a <= r.limit)
-    found = None if result.k is None else row.lambda_graph(result.k)
+    row = _ROWS[i]
+    found = None if k is None else row.lambda_graph(k)
     if found is not None:
         graph, point = found
         text = "the edgeless graph has lambda = {a}" if a == 0 else row.lambda_text
@@ -216,10 +246,10 @@ def weak_jump_witness(alpha) -> WeakJumpWitness | None:
             a, "lambda_graph", text.format(t=graph.n, a=a),
             graph=graph, point=point,
         )
-    if result.k is None:
+    if k is None:
         members, text = row.limit_family, row.limit_text
     else:
-        t = result.k + 2
+        t = k + 2
         _check_labeling_cap(t)  # before building a member on t vertices
         members, text = row.family(t), row.family_text.format(t=t, v=a)
     return WeakJumpWitness(

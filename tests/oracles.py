@@ -310,11 +310,42 @@ def brute_sigma_witness(graphs, t: int):
     return best, witness
 
 
+# the texts classify12 attaches to the weak values it names
+_LIMIT_NOTES = {
+    Fraction(1): "limit of k/(k+1); density of chain-free graphs",
+    Fraction(5, 4): "limit of 1 + k/(4(k+1))",
+    Fraction(2): "right endpoint; full Lubell range for two edge types",
+}
+_ZERO_NOTE = "left endpoint; realized by edgeless graphs"
+
+
+def _labelled_weak_values(k_max: int):
+    """Each closed-form weak jump with parameter up to k_max, mapped to
+    (matched_form, k, note) as classify12 reports it."""
+    values = {Fraction(0): ("k/(k+1)", 0, _ZERO_NOTE)}
+    for limit, note in _LIMIT_NOTES.items():
+        values[limit] = (str(limit), None, note)
+    for k in range(1, k_max + 1):
+        values[Fraction(k, k + 1)] = ("k/(k+1)", k, None)
+        values[1 + Fraction(k, 4 * (k + 1))] = ("1+k/(4(k+1))", k, None)
+        values[Fraction(2 * k + 1, k + 1)] = ("(2k+1)/(k+1)", k, None)
+    return values
+
+
 def weak_jump_values(k_max: int):
     """The closed-form list of weak jumps with parameter up to k_max."""
-    values = {Fraction(0), Fraction(1), Fraction(5, 4), Fraction(2)}
-    for k in range(1, k_max + 1):
-        values.add(Fraction(k, k + 1))
-        values.add(1 + Fraction(k, 4 * (k + 1)))
-        values.add(Fraction(2 * k + 1, k + 1))
-    return values
+    return set(_labelled_weak_values(k_max))
+
+
+def brute_classify12(alpha: Fraction):
+    """(verdict, matched_form, k, interval, note) for alpha in [0, 2], by a
+    scan of the closed-form values with k up to 4q, q the denominator of
+    alpha.  A strong alpha lies at least 1/(4q) from every limit, so its
+    nearest values on either side have k <= q and are in the scan."""
+    values = _labelled_weak_values(4 * alpha.denominator)
+    if alpha in values:
+        form, k, note = values[alpha]
+        return "weak_jump", form, k, None, note
+    lo = max(v for v in values if v < alpha)
+    hi = min(v for v in values if v > alpha)
+    return "strong_jump", None, None, (lo, hi), None

@@ -148,6 +148,29 @@ class TestUnvalidatedConstruction:
     def test_canonical_graph(self, g):
         _assert_validated(canonical_graph(g))
 
+    @given(
+        st.integers(min_value=0, max_value=8),
+        st.sets(st.integers(min_value=1, max_value=10), min_size=1),
+    )
+    def test_complete(self, n, sizes):
+        g = complete(n, sizes)
+        _assert_validated(g)
+        assert len(g.edges) == sum(math.comb(n, r) for r in sizes)
+
+    @given(st.integers(min_value=2, max_value=9))
+    def test_marked_clique(self, t):
+        g = marked_clique(t)
+        _assert_validated(g)
+        assert g.edges == ((0,),) + complete(t, (2,)).edges
+
+    def test_complete_and_marked_clique_keep_their_errors(self):
+        with pytest.raises(InvalidHypergraphError, match="vertex count"):
+            complete(-1, (2,))
+        with pytest.raises(UnsupportedSizeError, match="edge size 17"):
+            complete(17, (2, 17))
+        with pytest.raises(InvalidArgumentError, match="t >= 2"):
+            marked_clique(1)
+
 
 class TestLubell:
     # frozen: independently recomputed from the definition

@@ -2,6 +2,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from turanlab import jumpcert
@@ -37,6 +39,30 @@ F = Fraction
 AMBIENT = EdgeTypeSet((1, 2))
 FAST = OptimizerConfig(restarts=8, seed=0)
 WEAK_GRID = oracles.weak_jump_values(5000)
+# matched_form -> (L, s): the weak values of a row are L - s/(k+1)
+_WEAK_ROWS = {
+    "k/(k+1)": (F(1), F(1)),
+    "1+k/(4(k+1))": (F(5, 4), F(1, 4)),
+    "(2k+1)/(k+1)": (F(2), F(1)),
+}
+
+
+def _fractions_in_range(q_max):
+    """p/q in [0, 2] with 1 <= q <= q_max."""
+    return st.integers(min_value=1, max_value=q_max).flatmap(
+        lambda q: st.builds(F, st.integers(min_value=0, max_value=2 * q), st.just(q))
+    )
+
+
+def _assert_on_its_row(result):
+    """A weak result is a limit or satisfies L - s/(k+1) = alpha."""
+    assert result.verdict == "weak_jump"
+    if result.k is None:
+        assert result.alpha in (1, F(5, 4), 2)
+        assert result.matched_form == str(result.alpha)
+    else:
+        limit, step = _WEAK_ROWS[result.matched_form]
+        assert limit - step / (result.k + 1) == result.alpha
 
 
 class TestClassify12:
@@ -98,6 +124,69 @@ class TestClassify12:
             classify12(F(21, 10))
         with pytest.raises(OutOfRangeError):
             classify12(F(-1, 10))
+
+    def test_zero_denominator_is_an_invalid_argument(self):
+        for read in (classify12, weak_jump_witness):
+            with pytest.raises(InvalidArgumentError) as info:
+                read("1/0")
+            assert str(info.value) == "cannot read '1/0' as a rational"
+        with pytest.raises(InvalidArgumentError):
+            build_certificate(
+                "1/0", ForbiddenFamily(AMBIENT, (chain_graph(),)), config=FAST
+            )
+
+    @settings(max_examples=100)
+    @given(_fractions_in_range(q_max=500))
+    def test_agrees_with_the_referee(self, alpha):
+        result = classify12(alpha)
+        got = (
+            result.verdict, result.matched_form, result.k, result.interval,
+            result.note,
+        )
+        assert got == oracles.brute_classify12(alpha)
+        assert result.alpha == alpha
+
+    @given(_fractions_in_range(q_max=10**30))
+    def test_large_denominators(self, alpha):
+        result = classify12(alpha)
+        if result.verdict == "weak_jump":
+            _assert_on_its_row(result)
+            return
+        lo, hi = result.interval
+        assert lo < alpha < hi
+        for end in (lo, hi):
+            _assert_on_its_row(classify12(end))
+
+    @given(
+        st.sampled_from(list(_WEAK_ROWS)),
+        st.integers(min_value=1, max_value=10**30),
+    )
+    def test_large_k_weak_values(self, form, k):
+        limit, step = _WEAK_ROWS[form]
+        result = classify12(limit - step / (k + 1))
+        assert (result.verdict, result.matched_form, result.k) == (
+            "weak_jump", form, k
+        )
+
+    def test_solves_membership_without_fraction_arithmetic(self, monkeypatch):
+        # the row, k and the interval ends come from integer arithmetic:
+        # Fraction subtraction, division and comparison were most of the
+        # time of a call
+        grid = [F(i, 5000) for i in range(10001)]
+        calls = []
+        for name in (
+            "__sub__", "__rsub__", "__truediv__", "__rtruediv__", "__lt__",
+            "__le__",
+        ):
+            method = getattr(F, name)
+            monkeypatch.setattr(
+                F, name,
+                lambda a, b, name=name, method=method: calls.append(name)
+                or method(a, b),
+            )
+        for alpha in grid:
+            classify12(alpha)
+        assert calls == []
 
 
 class TestWeakJumpWitness:

@@ -52,6 +52,15 @@ def test_density_sweep_json_is_pinned(tmp_path):
     }
 
 
+def test_jump_scan_output_is_pinned():
+    # every verdict, matched form, k and note on the grid i/240 as printed
+    proc = run_script("jump_scan.py", "--denominator", "240")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "3144272ebc02afb6833f48a8771cbdae50c1d9f227d7df9ed9d75cf1b8bc854d"
+    )
+
+
 @pytest.mark.parametrize(
     "name,argv",
     [
