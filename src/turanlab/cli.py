@@ -73,7 +73,7 @@ def _cli_fraction(text: str) -> Fraction:
 def _graph_or_pattern(obj, where: str):
     # pattern edges are {"mults": [...]} objects, graph edges are plain lists
     edges = obj.get("edges") if isinstance(obj, dict) else None
-    if edges and isinstance(edges[0], dict):
+    if isinstance(edges, list) and edges and isinstance(edges[0], dict):
         return ser.pattern_from_obj(obj, where)
     return ser.graph_from_obj(obj, where)
 

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, isnan
 
 from .errors import (
     InvalidArgumentError,
@@ -266,6 +266,8 @@ class SimplexPoint:
                 raise InvalidArgumentError("rational weights must sum to exactly 1")
         else:
             ws = tuple(float(w) for w in ws)
+            if any(isnan(w) for w in ws):
+                raise InvalidArgumentError("NaN weight in simplex point")
             if any(w < 0 for w in ws):
                 raise InvalidArgumentError("negative weight in simplex point")
             if abs(sum(ws) - 1.0) > self.SUM_TOL:

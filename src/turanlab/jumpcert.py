@@ -171,6 +171,8 @@ def _require_fraction(alpha) -> Fraction:
         raise InvalidArgumentError(
             "alpha must be an exact rational; convert floats explicitly"
         )
+    if isinstance(alpha, bool):
+        raise InvalidArgumentError("alpha must be a rational, not a bool")
     try:
         return Fraction(alpha)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -327,6 +329,8 @@ class PiEvidence:
     n: int | None = None
 
     def __post_init__(self):
+        # a plain int value is stored as the rational it stands for
+        object.__setattr__(self, "value", Fraction(self.value))
         if self.grade not in ("closed_form", "exhaustive", "asserted"):
             raise InvalidArgumentError(f"unknown evidence grade {self.grade!r}")
 
@@ -352,7 +356,8 @@ class JumpCertificate:
     pi_evidence: PiEvidence
 
     def __post_init__(self):
-        a = self.alpha
+        a = Fraction(self.alpha)
+        object.__setattr__(self, "alpha", a)
         failures = []
         if self.kind not in ("jump", "strong_jump"):
             failures.append(f"unknown certificate kind {self.kind!r}")

@@ -5,6 +5,13 @@ explicit denominator; floats stay JSON numbers; every mapping is strict on
 read (unknown or missing keys, wrong types, duplicate edges all raise
 ParseError).  dumps_canonical produces byte-stable output: sorted keys and
 compact separators, so identical values serialize identically.
+
+Writing is one encoder, ``_encode``, and one table, ``_KEYS``, of each
+result type's JSON keys; the public ``*_to_obj`` names of those types are
+all bound to it, so a new result type is one more row.  Patterns, generator
+specs and density bounds keep their own encoders, because their JSON is not
+a copy of their fields.  Reading stays hand-written: each parser checks its
+keys and types strictly and names the place of a fault.
 """
 
 from __future__ import annotations
@@ -77,6 +84,64 @@ def dumps_canonical(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the encoder
+
+# type -> its JSON keys; a (key, attribute) pair renames the attribute.
+# PiRecord.elapsed is left out, so JSON output stays byte-identical.
+_KEYS = {
+    LagrangianResult: (
+        "value", "maximizer", "support", "certified_lower_bound",
+        "certificate_point", "stationarity_residual", "value_exact", "method",
+    ),
+    ForbiddenFamily: ("ambient", "members", "mode"),
+    PiRecord: (
+        "n", "pi_n", "extremal", ("count", "graphs_enumerated"), "exhaustive",
+    ),
+    ClassifyResult: ("alpha", "verdict", "matched_form", "k", "interval", "note"),
+    WeakJumpWitness: (
+        "alpha", "kind", "description", "graph", "point", "family", "pi_value",
+    ),
+    LambdaWitness: ("member", "point", "value"),
+    PiEvidence: ("grade", "value", "detail", "n"),
+    JumpCertificate: (
+        "alpha", "kind", "family", "lambda_witnesses", "pi_evidence", "gap",
+    ),
+    UpperDensityReport: (
+        "t", "value", "attaining", "h_values", "exhaustive", "i_range",
+    ),
+}
+# the same as (key, attribute) pairs, so _encode need not test for renames
+_FIELDS = {
+    kind: tuple(k if isinstance(k, tuple) else (k, k) for k in keys)
+    for kind, keys in _KEYS.items()
+}
+
+
+def _encode(value):
+    kind = type(value)
+    if kind is Fraction:
+        return f"{value.numerator}/{value.denominator}"
+    if kind is tuple:
+        return [_encode(v) for v in value]
+    if kind is Hypergraph:
+        # the hot path for large witnesses: edges hold plain ints
+        return {"n": value.n, "edges": [list(e) for e in value.edges]}
+    if kind is SimplexPoint:
+        return [_encode(w) for w in value.weights]
+    if kind is EdgeTypeSet:
+        return list(value.sizes)
+    fields = _FIELDS.get(kind)
+    if fields is None:
+        return value
+    return {key: _encode(getattr(value, attr)) for key, attr in fields}
+
+
+graph_to_obj = point_to_obj = family_to_obj = record_to_obj = _encode
+result_to_obj = classify_to_obj = weak_witness_to_obj = _encode
+evidence_to_obj = certificate_to_obj = _encode
+
+
+# ---------------------------------------------------------------------------
 # helpers
 
 
@@ -121,10 +186,6 @@ def _wrap(where: str, fn, *args, **kwargs):
 # graphs and patterns
 
 
-def graph_to_obj(graph: Hypergraph) -> dict:
-    return {"n": graph.n, "edges": [list(e) for e in graph.edges]}
-
-
 def graph_from_obj(obj, where: str = "graph") -> Hypergraph:
     _expect_keys(obj, where, ("n", "edges"))
     n = _expect_int(obj["n"], f"{where}.n")
@@ -161,12 +222,6 @@ def pattern_from_obj(obj, where: str = "pattern") -> Pattern:
     return _wrap(where, Pattern, n, tuple(rows))
 
 
-def point_to_obj(point: SimplexPoint) -> list:
-    if point.is_rational:
-        return [format_fraction(w) for w in point.weights]
-    return [float(w) for w in point.weights]
-
-
 def point_from_obj(obj, where: str = "point") -> SimplexPoint:
     ws = _expect_list(obj, where)
     if not ws:
@@ -181,15 +236,7 @@ def point_from_obj(obj, where: str = "point") -> SimplexPoint:
 
 
 # ---------------------------------------------------------------------------
-# families and density records
-
-
-def family_to_obj(family: ForbiddenFamily) -> dict:
-    return {
-        "ambient": list(family.ambient.sizes),
-        "members": [graph_to_obj(m) for m in family.members],
-        "mode": family.mode,
-    }
+# families and density bounds
 
 
 def family_from_obj(obj, where: str = "family") -> ForbiddenFamily:
@@ -207,22 +254,11 @@ def family_from_obj(obj, where: str = "family") -> ForbiddenFamily:
     return _wrap(where, ForbiddenFamily, ambient, members, _expect_str(mode, f"{where}.mode"))
 
 
-def record_to_obj(record: PiRecord) -> dict:
-    # elapsed is intentionally left out: JSON output stays byte-identical
-    return {
-        "n": record.n,
-        "pi_n": format_fraction(record.pi_n),
-        "extremal": [graph_to_obj(g) for g in record.extremal],
-        "count": record.graphs_enumerated,
-        "exhaustive": record.exhaustive,
-    }
-
-
 def bound_to_obj(bound: DensityBound) -> dict:
     return {
-        "family": family_to_obj(bound.family),
+        "family": _encode(bound.family),
         "mode": bound.family.mode,
-        "records": [record_to_obj(r) for r in bound.records],
+        "records": _encode(bound.records),
     }
 
 
@@ -237,71 +273,7 @@ def bound_to_tsv(bound: DensityBound) -> str:
 
 
 # ---------------------------------------------------------------------------
-# optimizer results
-
-
-def result_to_obj(result: LagrangianResult) -> dict:
-    return {
-        "value": result.value,
-        "maximizer": [float(w) for w in result.maximizer.weights],
-        "support": list(result.support),
-        "certified_lower_bound": (
-            None if result.certified_lower_bound is None
-            else format_fraction(result.certified_lower_bound)
-        ),
-        "certificate_point": (
-            None if result.certificate_point is None
-            else point_to_obj(result.certificate_point)
-        ),
-        "stationarity_residual": result.stationarity_residual,
-        "value_exact": (
-            None if result.value_exact is None
-            else format_fraction(result.value_exact)
-        ),
-        "method": result.method,
-    }
-
-
-# ---------------------------------------------------------------------------
-# classification and certificates
-
-
-def classify_to_obj(result: ClassifyResult) -> dict:
-    return {
-        "alpha": format_fraction(result.alpha),
-        "verdict": result.verdict,
-        "matched_form": result.matched_form,
-        "k": result.k,
-        "interval": (
-            None if result.interval is None
-            else [format_fraction(result.interval[0]),
-                  format_fraction(result.interval[1])]
-        ),
-        "note": result.note,
-    }
-
-
-def weak_witness_to_obj(witness: WeakJumpWitness) -> dict:
-    return {
-        "alpha": format_fraction(witness.alpha),
-        "kind": witness.kind,
-        "description": witness.description,
-        "graph": None if witness.graph is None else graph_to_obj(witness.graph),
-        "point": None if witness.point is None else point_to_obj(witness.point),
-        "family": None if witness.family is None else family_to_obj(witness.family),
-        "pi_value": (
-            None if witness.pi_value is None else format_fraction(witness.pi_value)
-        ),
-    }
-
-
-def evidence_to_obj(evidence: PiEvidence) -> dict:
-    return {
-        "grade": evidence.grade,
-        "value": format_fraction(evidence.value),
-        "detail": evidence.detail,
-        "n": evidence.n,
-    }
+# certificates
 
 
 def evidence_from_obj(obj, where: str = "pi_evidence") -> PiEvidence:
@@ -316,24 +288,6 @@ def evidence_from_obj(obj, where: str = "pi_evidence") -> PiEvidence:
         _expect_str(obj["detail"], f"{where}.detail"),
         n,
     )
-
-
-def certificate_to_obj(cert: JumpCertificate) -> dict:
-    return {
-        "alpha": format_fraction(cert.alpha),
-        "kind": cert.kind,
-        "family": family_to_obj(cert.family),
-        "lambda_witnesses": [
-            {
-                "member": graph_to_obj(w.member),
-                "point": point_to_obj(w.point),
-                "value": format_fraction(w.value),
-            }
-            for w in cert.lambda_witnesses
-        ],
-        "pi_evidence": evidence_to_obj(cert.pi_evidence),
-        "gap": format_fraction(cert.gap),
-    }
 
 
 def certificate_from_obj(obj, where: str = "certificate") -> JumpCertificate:
@@ -389,12 +343,12 @@ def genspec_to_obj(gen: SequenceGenerator) -> dict:
               else {"n_start": gen.n_start, "n_step": gen.n_step})
     kind, k = gen.kind, gen.base.n
     if kind == "constant":
-        params["graph"] = graph_to_obj(gen.base)
+        params["graph"] = _encode(gen.base)
     elif k >= 2 and gen == SequenceGenerator.turan_generator(k, **params):
         # the short spelling of an equal-proportion blow-up of complete(k, (2,))
         kind, params["parts"] = "turan", k
     else:
-        params["base"] = graph_to_obj(gen.base)
+        params["base"] = _encode(gen.base)
         params["proportions"] = [format_fraction(w) for w in gen.proportions]
     return {"kind": kind, "params": params}
 
@@ -451,12 +405,7 @@ def genspec_from_obj(obj, where: str = "generator") -> SequenceGenerator:
 
 
 def report_to_obj(report: UpperDensityReport) -> dict:
+    obj = _encode(report)
     member, subset = report.attaining
-    return {
-        "t": report.t,
-        "value": format_fraction(report.value),
-        "attaining": {"member": member, "subset": list(subset)},
-        "h_values": [format_fraction(h) for h in report.h_values],
-        "exhaustive": report.exhaustive,
-        "i_range": list(report.i_range),
-    }
+    obj["attaining"] = {"member": member, "subset": list(subset)}
+    return obj

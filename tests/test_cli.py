@@ -156,6 +156,14 @@ class TestLagrangian:
         assert code == 0
         assert abs(json.loads(out)["value"] - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("edges", [{"a": [0, 1]}, 5, True])
+    def test_malformed_edges_are_bad_input(self, capsys, tmp_path, edges):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 2, "edges": edges}))
+        code, out, err = run_cli(capsys, "lagrangian", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: input.edges: expected a list\n"
+
     def test_byte_identical_across_runs(self, capsys, chain_file):
         _, out1, _ = run_cli(
             capsys, "lagrangian", chain_file, "--restarts", "6", "--seed", "5",

@@ -264,6 +264,13 @@ class TestSimplexPoint:
         with pytest.raises(InvalidArgumentError):
             SimplexPoint((0.3, 0.8))
 
+    def test_nan_refused(self):
+        # NaN fails both the sign and the sum test, so it is named alone
+        with pytest.raises(InvalidArgumentError, match="NaN"):
+            SimplexPoint((math.nan, 1.0))
+        with pytest.raises(InvalidArgumentError):
+            SimplexPoint((math.inf, 0.0))
+
     def test_uniform_and_support(self):
         p = SimplexPoint.uniform(4)
         assert p.is_rational and sum(p.weights) == 1

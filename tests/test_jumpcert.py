@@ -125,6 +125,16 @@ class TestClassify12:
         with pytest.raises(OutOfRangeError):
             classify12(F(-1, 10))
 
+    def test_rejects_bools(self):
+        # a JSON true is no rational either (serialize.parse_fraction)
+        for read in (classify12, weak_jump_witness):
+            with pytest.raises(InvalidArgumentError, match="bool"):
+                read(True)
+        with pytest.raises(InvalidArgumentError, match="bool"):
+            build_certificate(
+                True, ForbiddenFamily(AMBIENT, (chain_graph(),)), config=FAST
+            )
+
     def test_zero_denominator_is_an_invalid_argument(self):
         for read in (classify12, weak_jump_witness):
             with pytest.raises(InvalidArgumentError) as info:

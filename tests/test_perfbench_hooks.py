@@ -3,9 +3,13 @@
 ``perfbench/spans.py`` rebinds public turanlab functions by name, so deleting
 or renaming one of them breaks ``perfbench/run.py --trace 1``.  This test
 installs the tracer on a tiny pass and checks that the layer spans are
-recorded and that uninstalling restores the original objects.
+recorded and that uninstalling restores the original objects.  The
+workloads call the rest of the API by attribute (``tl.maximize``,
+``ser.result_to_obj``, ...); an AST scan checks that each of those resolves.
 """
 
+import ast
+import importlib
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -69,3 +73,47 @@ def test_canonical_form_keeps_its_cache_hooks():
     assert callable(hypercore.canonical_form.cache_clear)
     info = hypercore.canonical_form.cache_info()
     assert info.hits >= 0 and info.misses >= 0
+
+
+def module_attributes(source: str) -> set[tuple[str, str]]:
+    """(module, attribute) for each ``alias.name`` whose alias is bound by
+    ``import module as alias``; an AST scan, so text such as
+    ``parser.add_argument`` or a string is not read as a use."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.asname
+    }
+    return {
+        (aliases[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id in aliases
+    }
+
+
+def test_scan_reads_only_aliased_modules():
+    source = (
+        "import json as js\nimport turanlab.serialize as ser\n"
+        "parser.add_argument('--ser.x')\nser.dumps_canonical(js.dumps)\n"
+        "other.ser.y\n"
+    )
+    assert module_attributes(source) == {
+        ("json", "dumps"), ("turanlab.serialize", "dumps_canonical"),
+    }
+
+
+def test_workloads_call_only_existing_names():
+    source = (ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8")
+    used = {
+        (module, name) for module, name in module_attributes(source)
+        if module.split(".")[0] == "turanlab"
+    }
+    assert ("turanlab.serialize", "result_to_obj") in used
+    assert ("turanlab.lagrangian", "stationarity_residual") in used
+    missing = [
+        f"{module}.{name}" for module, name in sorted(used)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

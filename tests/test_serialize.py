@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +9,12 @@ from hypothesis import given
 
 from strategies import hypergraphs, patterns, rational_points
 from turanlab import serialize as ser
-from turanlab.errors import CertificateError, ParseError
+from turanlab.errors import (
+    CertificateError,
+    OptimizerFailureError,
+    ParseError,
+    UnsupportedSizeError,
+)
 from turanlab.hypercore import (
     EdgeTypeSet,
     Hypergraph,
@@ -15,6 +23,8 @@ from turanlab.hypercore import (
     complete,
 )
 from turanlab.jumpcert import (
+    JumpCertificate,
+    LambdaWitness,
     PiEvidence,
     build_certificate,
     classify12,
@@ -26,6 +36,79 @@ from turanlab.turansearch import ForbiddenFamily, density_sequence
 
 F = Fraction
 FAST = OptimizerConfig(restarts=6, seed=0)
+# sha256 of encoding_corpus(), one canonical JSON line per encoded value
+CORPUS_DIGEST = "af4917f9684ddd349dcea3cd2f786535cc60a852028f209913c26e8dff7040f7"
+
+
+def encoding_corpus():
+    """(encoder name, encoded value) for every encoder on a fixed corpus."""
+    rng = random.Random(7)
+    size_sets = ((1, 2), (2,), (2, 3), (3,), (1, 2, 3))
+    graphs = []
+    while len(graphs) < 40:
+        n = rng.randint(2, 5)
+        sizes = rng.choice(size_sets)
+        edges = [
+            e for r in sizes for e in itertools.combinations(range(n), r)
+            if rng.random() < 0.4
+        ]
+        if edges:
+            graphs.append(Hypergraph(n, edges))
+    for g in graphs:
+        yield "graph", ser.graph_to_obj(g)
+        yield "result", ser.result_to_obj(maximize(g, FAST))
+    k4_minus = Hypergraph(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
+    with pytest.raises(OptimizerFailureError) as failure:
+        maximize(k4_minus, OptimizerConfig(restarts=0, max_iters=1))
+    yield "result", ser.result_to_obj(failure.value.best_so_far)
+
+    for i in range(481):
+        alpha = F(i, 240)
+        yield "classify", ser.classify_to_obj(classify12(alpha))
+        try:
+            witness = weak_jump_witness(alpha)
+        except UnsupportedSizeError:  # a family member past the vertex cap
+            continue
+        if witness is not None:
+            yield "weak_witness", ser.weak_witness_to_obj(witness)
+
+    pairs = EdgeTypeSet((2,))
+    triangle = complete(3, (2,))
+    chain_family = ForbiddenFamily(EdgeTypeSet((1, 2)), (chain_graph(),))
+    induced = ForbiddenFamily(pairs, (triangle,), mode="induced")
+    certs = (
+        build_certificate(F(11, 10), chain_family, strict=True, config=FAST),
+        build_certificate(F(1), chain_family, config=FAST),
+        build_certificate(F(3, 5), induced, config=FAST, exhaustive_n=5),
+    )
+    for cert in certs:
+        yield "certificate", ser.certificate_to_obj(cert)
+        yield "evidence", ser.evidence_to_obj(cert.pi_evidence)
+    bound = density_sequence(ForbiddenFamily(pairs, (triangle,)), 5)
+    yield "bound", ser.bound_to_obj(bound)
+    for record in bound.records:
+        yield "record", ser.record_to_obj(record)
+    yield "family", ser.family_to_obj(induced)
+    yield "family", ser.family_to_obj(chain_family)
+
+    turan2 = SequenceGenerator.turan_generator(2, n_start=4, n_step=2)
+    chain_seq = SequenceGenerator.blow_up_generator(
+        chain_graph(), (F(3, 4), F(1, 4)), n_start=4, n_step=4
+    )
+    for gen in (turan2, chain_seq):
+        yield "genspec", ser.genspec_to_obj(gen)
+        for t in (2, 3, 5):
+            yield "report", ser.report_to_obj(sigma_t(gen, t, i_range=(0, 4)))
+    yield "point", ser.point_to_obj(SimplexPoint((F(1, 3), F(2, 3))))
+    yield "point", ser.point_to_obj(SimplexPoint((0.25, 0.75)))
+    yield "point", ser.point_to_obj(SimplexPoint((1,)))
+
+    # built directly with plain int rationals
+    evidence = PiEvidence("asserted", 1, "known exactly")
+    yield "evidence", ser.evidence_to_obj(evidence)
+    witness = LambdaWitness(chain_graph(), SimplexPoint((F(3, 4), F(1, 4))))
+    cert = JumpCertificate(1, "jump", chain_family, (witness,), evidence)
+    yield "certificate", ser.certificate_to_obj(cert)
 
 
 class TestFractions:
@@ -128,6 +211,11 @@ class TestPatternAndPointObjects:
     def test_float_points_stay_floats(self):
         back = ser.point_from_obj([0.5, 0.5])
         assert not back.is_rational
+
+    def test_nan_point_refused(self):
+        # Python's json reads the NaN literal as a float
+        with pytest.raises(ParseError, match="point: NaN"):
+            ser.point_from_obj(json.loads("[NaN, 1.0]"))
 
     def test_rejects_mixed_points(self):
         with pytest.raises(ParseError, match="mix"):
@@ -370,3 +458,56 @@ class TestGenspecObjects:
         assert obj["exhaustive"] is True
         assert "samples" not in obj
         assert set(obj["attaining"]) == {"member", "subset"}
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return list(encoding_corpus())
+
+
+class TestEncoderCorpus:
+    KEYS = {
+        "graph": {"n", "edges"},
+        "result": {
+            "value", "maximizer", "support", "certified_lower_bound",
+            "certificate_point", "stationarity_residual", "value_exact", "method",
+        },
+        "classify": {"alpha", "verdict", "matched_form", "k", "interval", "note"},
+        "weak_witness": {
+            "alpha", "kind", "description", "graph", "point", "family", "pi_value",
+        },
+        "certificate": {
+            "alpha", "kind", "family", "lambda_witnesses", "pi_evidence", "gap",
+        },
+        "evidence": {"grade", "value", "detail", "n"},
+        "bound": {"family", "mode", "records"},
+        "record": {"n", "pi_n", "extremal", "count", "exhaustive"},
+        "family": {"ambient", "members", "mode"},
+        "genspec": {"kind", "params"},
+        "report": {"t", "value", "attaining", "h_values", "exhaustive", "i_range"},
+    }
+
+    def test_bytes_are_pinned(self, corpus):
+        digest = hashlib.sha256()
+        for _, obj in corpus:
+            digest.update(ser.dumps_canonical(obj).encode() + b"\n")
+        assert digest.hexdigest() == CORPUS_DIGEST
+
+    def test_key_sets(self, corpus):
+        seen = set()
+        for name, obj in corpus:
+            seen.add(name)
+            if name == "point":
+                assert isinstance(obj, list)
+                continue
+            assert set(obj) == self.KEYS[name], name
+            if name == "certificate":
+                for w in obj["lambda_witnesses"]:
+                    assert set(w) == {"member", "point", "value"}
+        assert seen == set(self.KEYS) | {"point"}
+
+    def test_plain_int_rationals_print_as_fractions(self, corpus):
+        *_, (_, evidence), (_, cert) = corpus
+        assert evidence["value"] == "1/1"
+        assert cert["alpha"] == "1/1" and cert["pi_evidence"]["value"] == "1/1"
+        assert cert["gap"] == "1/8"
