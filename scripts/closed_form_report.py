@@ -10,7 +10,6 @@ runs the float ascent and the script takes no optimizer settings.
 """
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 

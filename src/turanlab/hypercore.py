@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +52,15 @@ __all__ = [
 ]
 
 
+def _require_int(value, what: str) -> int:
+    """``value`` as an int, through ``operator.index`` so that a float or
+    any other non-integer is refused instead of truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{what} must be an integer, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class EdgeTypeSet:
     """A finite set of admissible edge sizes, kept sorted and distinct."""
@@ -58,7 +68,7 @@ class EdgeTypeSet:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(sorted(set(int(r) for r in self.sizes)))
+        sizes = tuple(sorted({_require_int(r, "edge size") for r in self.sizes}))
         if not sizes:
             raise InvalidArgumentError("edge type set must be non-empty")
         if sizes[0] < 1:
@@ -84,7 +94,7 @@ class EdgeTypeSet:
 
 
 def _normalize_edge(edge) -> tuple[int, ...]:
-    e = tuple(sorted(int(v) for v in edge))
+    e = tuple(sorted(_require_int(v, "vertex") for v in edge))
     if len(e) == 0:
         raise InvalidHypergraphError("empty edge")
     if len(set(e)) != len(e):
@@ -109,7 +119,7 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        n = int(self.n)
+        n = _require_int(self.n, "vertex count")
         if n < 0:
             raise InvalidHypergraphError("vertex count must be >= 0")
         seen = {}
@@ -186,13 +196,13 @@ class Pattern:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = int(self.n)
+        n = _require_int(self.n, "vertex count")
         if n < 1:
             raise InvalidHypergraphError("pattern needs at least one vertex")
         rows = []
         seen = set()
         for row in self.edges:
-            r = tuple(int(k) for k in row)
+            r = tuple(_require_int(k, "multiplicity") for k in row)
             if len(r) != n:
                 raise InvalidHypergraphError(
                     f"multiplicity row {r} has length {len(r)}, expected {n}"
@@ -310,6 +320,7 @@ def lubell(graph: Hypergraph) -> Fraction:
 
 def complete(n: int, sizes) -> Hypergraph:
     """All subsets of {0..n-1} whose size lies in ``sizes`` (sizes > n give none)."""
+    n = _require_int(n, "vertex count")
     types = sizes if isinstance(sizes, EdgeTypeSet) else EdgeTypeSet(tuple(sizes))
     # ascending sizes, each in lexicographic order: already the edge order
     edges = tuple(
@@ -320,7 +331,7 @@ def complete(n: int, sizes) -> Hypergraph:
     )
     if n < 0:
         raise InvalidHypergraphError("vertex count must be >= 0")
-    return Hypergraph._from_normalized(int(n), edges)
+    return Hypergraph._from_normalized(n, edges)
 
 
 def empty_graph(n: int) -> Hypergraph:
@@ -402,7 +413,7 @@ def _twin_classes(graph: Hypergraph, groups) -> list[list[int]]:
 
 def induced_subgraph(graph: Hypergraph, vertices) -> Hypergraph:
     """Restriction to a vertex subset, relabeled to 0..|S|-1 in sorted order."""
-    s = sorted(set(int(v) for v in vertices))
+    s = sorted({_require_int(v, "vertex") for v in vertices})
     if not s:
         raise InvalidArgumentError("induced subgraph needs a non-empty vertex set")
     if s[0] < 0 or s[-1] >= graph.n:
@@ -418,7 +429,7 @@ def induced_subgraph(graph: Hypergraph, vertices) -> Hypergraph:
 def _vertex_classes(n: int, class_sizes) -> tuple[int, list[range]]:
     """Check n class sizes >= 0; return the vertex count and the consecutive
     vertex range of each class."""
-    sizes = tuple(int(s) for s in class_sizes)
+    sizes = tuple(_require_int(s, "class size") for s in class_sizes)
     if len(sizes) != n:
         raise InvalidArgumentError(
             f"expected {n} class sizes, got {len(sizes)}"

@@ -164,19 +164,19 @@ class ClassifyResult:
     note: str | None = None
 
 
-def _require_fraction(alpha) -> Fraction:
-    if type(alpha) is Fraction:
-        return alpha
-    if isinstance(alpha, float):
+def _require_fraction(value, what: str = "alpha") -> Fraction:
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
         raise InvalidArgumentError(
-            "alpha must be an exact rational; convert floats explicitly"
+            f"{what} must be an exact rational; convert floats explicitly"
         )
-    if isinstance(alpha, bool):
-        raise InvalidArgumentError("alpha must be a rational, not a bool")
+    if isinstance(value, bool):
+        raise InvalidArgumentError(f"{what} must be a rational, not a bool")
     try:
-        return Fraction(alpha)
+        return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InvalidArgumentError(f"cannot read {alpha!r} as a rational") from exc
+        raise InvalidArgumentError(f"cannot read {value!r} as a rational") from exc
 
 
 def _locate(alpha) -> tuple[Fraction, int, int | None, bool]:
@@ -330,7 +330,8 @@ class PiEvidence:
 
     def __post_init__(self):
         # a plain int value is stored as the rational it stands for
-        object.__setattr__(self, "value", Fraction(self.value))
+        value = _require_fraction(self.value, "density value")
+        object.__setattr__(self, "value", value)
         if self.grade not in ("closed_form", "exhaustive", "asserted"):
             raise InvalidArgumentError(f"unknown evidence grade {self.grade!r}")
 
@@ -356,7 +357,7 @@ class JumpCertificate:
     pi_evidence: PiEvidence
 
     def __post_init__(self):
-        a = Fraction(self.alpha)
+        a = _require_fraction(self.alpha)
         object.__setattr__(self, "alpha", a)
         failures = []
         if self.kind not in ("jump", "strong_jump"):

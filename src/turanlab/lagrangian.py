@@ -10,13 +10,15 @@ each support the KKT system of the homogenized quadratic form is solved in
 rationals, and the maximum, its point and its certificate are exact.  A form
 with a term of degree >= 3 runs projected gradient ascent with Armijo
 backtracking on each support, then verifies first-order optimality and
-certifies a rational lower bound at a rounded rational point.  Every result
-carries its certificate, from one result step for both kinds.  An ascent that
-stalls stops at its first repeated state (see ``_ascend``); from there the
-full loop would only cycle to max_iters, so the result is byte-identical to
-running it out.  A failure reports how many ascents stalled.  Only the
-ascent uses numpy, and each of its functions imports it, so the exact path
-and every other module run without loading it.
+certifies a rational lower bound at a rounded rational point.  Both solvers
+hand their (value, support, weights) candidates to one pick, ``_pick``, and
+``evaluate`` and ``gradient`` multiply out every term with one routine,
+``_term``.  Every result carries its certificate, from one result step for
+both kinds.  An ascent that stalls stops at its first repeated state (see
+``_ascend``); from there the full loop would only cycle to max_iters, so the
+result is byte-identical to running it out.  A failure reports how many
+ascents stalled.  Only the ascent uses numpy, and each of its functions
+imports it, so the exact path and every other module run without loading it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from math import factorial
 
 from .errors import InvalidArgumentError, OptimizerFailureError, TuranLabError
 from .hypercore import Hypergraph, Pattern, SimplexPoint, equivalence_classes
+from .hypercore import _require_int
 
 __all__ = [
     "PolynomialForm",
@@ -64,9 +67,11 @@ class PolynomialForm:
     def __post_init__(self):
         merged: dict[tuple[int, ...], Fraction] = {}
         for coeff, expo in self.terms:
-            expo = tuple(int(k) for k in expo)
+            expo = tuple(_require_int(k, "exponent") for k in expo)
             if len(expo) != self.nvars:
                 raise InvalidArgumentError("exponent vector length mismatch")
+            if any(k < 0 for k in expo):
+                raise InvalidArgumentError(f"negative exponent in {expo}")
             c = Fraction(coeff)
             if c <= 0:
                 raise InvalidArgumentError("term coefficients must be positive")
@@ -134,57 +139,50 @@ def polynomial_form(obj) -> PolynomialForm:
 
 
 def _point_weights(point, nvars: int):
+    """The point's weights and the zero of their arithmetic: Fraction(0) when
+    every weight is a Fraction or an int, else 0.0."""
     ws = point.weights if isinstance(point, SimplexPoint) else tuple(point)
     if len(ws) != nvars:
         raise InvalidArgumentError(
             f"point has {len(ws)} coordinates, expected {nvars}"
         )
-    return ws
+    exact = all(isinstance(w, (Fraction, int)) for w in ws)
+    return ws, Fraction(0) if exact else 0.0
+
+
+def _term(coeff, expo, ws, zero, scale=1):
+    """scale * coeff * w**k over the nonzero exponents k, multiplied left to
+    right in the arithmetic of ``zero``."""
+    prod = (coeff if isinstance(zero, Fraction) else float(coeff)) * scale
+    for w, k in zip(ws, expo):
+        if k:
+            prod *= w**k
+    return prod
 
 
 def evaluate(obj, point):
     """Value of the form; exact Fraction for rational input, float otherwise."""
     form = polynomial_form(obj)
-    ws = _point_weights(point, form.nvars)
-    exact = all(isinstance(w, (Fraction, int)) for w in ws)
-    total = Fraction(0) if exact else 0.0
+    ws, zero = _point_weights(point, form.nvars)
+    total = zero
     for coeff, expo in form.terms:
-        prod = coeff if exact else float(coeff)
-        for w, k in zip(ws, expo):
-            if k:
-                prod *= w**k
-        total += prod
+        total += _term(coeff, expo, ws, zero)
     return total
 
 
 def gradient(obj, point):
-    """Partial derivatives of the form at the point, matching its arithmetic."""
+    """Partial derivatives of the form at the point, matching its arithmetic.
+
+    At finite nonnegative weights a term with a zero factor adds +0.0 (or
+    Fraction 0) to a partial that is never -0.0, so it changes no bit."""
     form = polynomial_form(obj)
-    ws = _point_weights(point, form.nvars)
-    exact = all(isinstance(w, (Fraction, int)) for w in ws)
-    zero = Fraction(0) if exact else 0.0
+    ws, zero = _point_weights(point, form.nvars)
     grads = [zero] * form.nvars
     for coeff, expo in form.terms:
         for a, ka in enumerate(expo):
-            if ka == 0:
-                continue
-            prod = coeff if exact else float(coeff)
-            prod *= ka
-            dead = False
-            for i, k in enumerate(expo):
-                if i == a:
-                    if ka > 1:
-                        if ws[i] == 0:
-                            dead = True
-                            break
-                        prod *= ws[i] ** (ka - 1)
-                elif k:
-                    if ws[i] == 0:
-                        dead = True
-                        break
-                    prod *= ws[i] ** k
-            if not dead:
-                grads[a] += prod
+            if ka:
+                lowered = expo[:a] + (ka - 1,) + expo[a + 1:]
+                grads[a] += _term(coeff, lowered, ws, zero, ka)
     return tuple(grads)
 
 
@@ -336,8 +334,7 @@ def stationarity_residual(obj, point) -> float:
     exceed the common value.  The residual is the worst violation.
     """
     form = polynomial_form(obj)
-    ws = _point_weights(point, form.nvars)
-    ws = tuple(float(w) for w in ws)
+    ws = tuple(float(w) for w in _point_weights(point, form.nvars)[0])
     g = gradient(form, ws)
     on = [g[i] for i, w in enumerate(ws) if w > 0]
     off = [g[i] for i, w in enumerate(ws) if w == 0]
@@ -391,7 +388,7 @@ def _candidate_supports(form: PolynomialForm) -> list[tuple[int, ...]]:
     return out
 
 
-def _kkt_maximum(form: PolynomialForm) -> tuple[Fraction, tuple[Fraction, ...]]:
+def _kkt_maximum(form: PolynomialForm) -> tuple[Fraction, list[Fraction]]:
     """Exact maximum and maximizer over the simplex of a form of degree <= 2.
 
     On the simplex the form equals z^T Q z, with every term of degree d < 2
@@ -426,21 +423,26 @@ def _kkt_maximum(form: PolynomialForm) -> tuple[Fraction, tuple[Fraction, ...]]:
             for j in vs[1:2] or range(q):
                 Q[i][j] += half
                 Q[j][i] += half
-    best = None
-    for support in _candidate_supports(form):
-        solved = _solve_kkt([[Q[i][j] for j in support] for i in support])
-        if solved is None:
-            continue
-        z, mu = solved
-        if min(z) <= 0:
-            continue
-        if best is None or mu > best[0] or (mu == best[0] and support < best[1]):
-            best = (mu, support, z)
-    mu, support, z = best
-    point = [Fraction(0)] * q
-    for i, w in zip(support, z):
+
+    def candidates():
+        for support in _candidate_supports(form):
+            solved = _solve_kkt([[Q[i][j] for j in support] for i in support])
+            if solved is not None and min(solved[0]) > 0:
+                z, mu = solved
+                yield mu, support, z
+
+    return _pick(candidates(), q, Fraction(0))
+
+
+def _pick(candidates, nvars: int, zero):
+    """(value, point) of the best (value, support, weights) candidate, ties
+    going to the least support, with the weights scattered into a point of
+    nvars coordinates that is ``zero`` off the support."""
+    value, support, weights = min(candidates, key=lambda c: (-c[0], c[1]))
+    point = [zero] * nvars
+    for i, w in zip(support, weights):
         point[i] = w
-    return mu, tuple(point)
+    return value, point
 
 
 def _solve_kkt(Q: list[list[Fraction]]):
@@ -476,28 +478,21 @@ def _starts(dim: int, cfg: OptimizerConfig, support_key: int):
 def _ascent_maximum(form: PolynomialForm, cfg: OptimizerConfig):
     """Best point of the ascents over every candidate support of the form,
     and one converged flag per ascent.  Ties go to the least support."""
-    import numpy as np
-
     converged_runs = []
-    best = None  # (value, support, weights)
-    for support in _candidate_supports(form):
-        if len(support) == 1:
-            value = float(evaluate(form.restrict(support), (1,)))
-            weights = (1.0,)
-        else:
+
+    def candidates():
+        for support in _candidate_supports(form):
+            if len(support) == 1:
+                yield float(evaluate(form.restrict(support), (1,))), support, (1.0,)
+                continue
             num = _NumericForm(form.restrict(support))
             key = sum(1 << i for i in support)
-            value = None
-            for x0 in _starts(len(support), cfg, key):
-                x, fx, conv = _ascend(num, x0, cfg)
-                converged_runs.append(conv)
-                if value is None or fx > value:
-                    value, weights = fx, x
-        if best is None or (-value, support) < (-best[0], best[1]):
-            best = (value, support, weights)
-    _, support, weights = best
-    z = np.zeros(form.nvars)
-    z[list(support)] = weights
+            runs = [_ascend(num, x0, cfg) for x0 in _starts(len(support), cfg, key)]
+            converged_runs.extend(conv for _, _, conv in runs)
+            x, fx, _ = max(runs, key=lambda run: run[1])  # the first best run
+            yield fx, support, x
+
+    _, z = _pick(candidates(), form.nvars, 0.0)
     return z, converged_runs
 
 
@@ -512,19 +507,15 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
     is the exact value at the maximizer rounded by ``_rationalize``.
     """
     cfg = config or OptimizerConfig()
+    if isinstance(obj, Pattern) and obj.is_simple():
+        obj = obj.to_hypergraph()
     form = polynomial_form(obj)
     if not form.terms:
         raise InvalidArgumentError("cannot maximize a form with no terms")
 
-    graph = None
+    classes = tuple((i,) for i in range(form.nvars))
     if isinstance(obj, Hypergraph):
-        graph = obj
-    elif isinstance(obj, Pattern) and obj.is_simple():
-        graph = obj.to_hypergraph()
-    if graph is not None:
-        classes = equivalence_classes(graph)
-    else:
-        classes = tuple((i,) for i in range(form.nvars))
+        classes = equivalence_classes(obj)
     qform = form.quotient(classes)
     value_exact = None
     if all(sum(expo) <= 2 for _, expo in qform.terms):
@@ -605,5 +596,4 @@ def certify_at(obj, point) -> Fraction:
         point = SimplexPoint(tuple(point))
     if not point.is_rational:
         raise InvalidArgumentError("certification needs exact rational weights")
-    value = evaluate(obj, point)
-    return Fraction(value)
+    return evaluate(obj, point)

@@ -31,6 +31,7 @@ from itertools import accumulate
 from .errors import InvalidArgumentError, UnsupportedSizeError
 from .hypercore import (
     Hypergraph,
+    _require_int,
     blow_up,
     complete,
     disjoint_type_union,
@@ -96,7 +97,7 @@ class SequenceGenerator:
         if self.kind not in ("blowup", "union", "constant"):
             raise InvalidArgumentError(f"unknown generator kind {self.kind!r}")
         if self.ns is not None:
-            ns = tuple(int(n) for n in self.ns)
+            ns = tuple(_require_int(n, "ns entry") for n in self.ns)
             if not ns or any(n < 1 for n in ns):
                 raise InvalidArgumentError("ns must be a nonempty list of n >= 1")
             object.__setattr__(self, "ns", ns)
@@ -105,6 +106,8 @@ class SequenceGenerator:
         else:
             if self.n_start is None or self.n_step is None:
                 raise InvalidArgumentError("give either ns or a start/step rule")
+            for name in ("n_start", "n_step"):
+                object.__setattr__(self, name, _require_int(getattr(self, name), name))
             if self.n_start < 1 or self.n_step < 1:
                 raise InvalidArgumentError("need n_start >= 1 and n_step >= 1")
         if self.kind == "blowup":

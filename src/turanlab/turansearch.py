@@ -226,24 +226,6 @@ def enumerate_graphs(n: int, types: EdgeTypeSet):
         yield g
 
 
-def _max_lubell_records(scored):
-    best = None
-    extremal = []
-    for g in scored:
-        h = lubell(g)
-        if best is None or h > best:
-            best = h
-            extremal = [g]
-        elif h == best:
-            extremal.append(g)
-    if best is None:
-        raise InvalidArgumentError(
-            "no admissible graph exists on this vertex count"
-        )
-    extremal.sort(key=canonical_form)
-    return best, tuple(extremal)
-
-
 def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
     """Largest Lubell density of a family-free graph on n labeled vertices.
 
@@ -259,19 +241,27 @@ def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
         raise InvalidArgumentError(
             "the family forbids the empty graph; no free graph exists"
         )
-    scored = []
+    best = None
+    extremal = []
     count = 0
     for g, maximal in _grow(n, family.ambient, None if induced else family.admits):
         count += 1
         if progress and count % 1000 == 0:
             progress(count)
-        if family.admits(g) if induced else maximal:
-            scored.append(g)
-    best, extremal = _max_lubell_records(scored)
+        if not (family.admits(g) if induced else maximal):
+            continue
+        h = lubell(g)
+        if best is None or h > best:
+            best, extremal = h, [g]
+        elif h == best:
+            extremal.append(g)
+    if best is None:
+        raise InvalidArgumentError("no admissible graph exists on this vertex count")
+    extremal.sort(key=canonical_form)
     return PiRecord(
         n=n,
         pi_n=best,
-        extremal=extremal,
+        extremal=tuple(extremal),
         graphs_enumerated=count,
         elapsed=time.perf_counter() - t0,
     )

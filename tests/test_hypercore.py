@@ -86,6 +86,13 @@ class TestHypergraph:
         with pytest.raises(UnsupportedSizeError):
             Hypergraph(17, (tuple(range(17)),))
 
+    def test_refuses_non_integer_counts_and_vertices(self):
+        # int() would have made these n = 2 and the edge (0, 1)
+        with pytest.raises(InvalidArgumentError, match="vertex count .* not 2.7"):
+            Hypergraph(2.7, [(0, 1)])
+        with pytest.raises(InvalidArgumentError, match="vertex must .* not 1.9"):
+            Hypergraph(3, [(0, 1.9)])
+
     def test_degree_and_size_queries(self):
         g = complete(2, (1, 2))
         assert g.edge_sizes() == (1, 2)
@@ -229,6 +236,14 @@ class TestBlowUpAndRealize:
         with pytest.raises(InvalidArgumentError):
             blow_up(chain_graph(), (1, 1, 1))
 
+    def test_blow_up_refuses_non_integer_class_sizes(self):
+        with pytest.raises(InvalidArgumentError, match="class size .* not 1.9"):
+            blow_up(chain_graph(), (1.9, 2))
+
+    def test_realize_refuses_non_integer_class_sizes(self):
+        with pytest.raises(InvalidArgumentError, match="class size .* not 3.5"):
+            realize(Pattern(1, ((2,),)), (3.5,))
+
 
 class TestPattern:
     def test_round_trip_simple(self):
@@ -251,6 +266,13 @@ class TestPattern:
             Pattern(2, ((0, 0),))
         with pytest.raises(UnsupportedSizeError):
             Pattern(1, ((17,),))
+
+    def test_refuses_non_integer_counts_and_multiplicities(self):
+        # int() would have made the row (1, 1), a different pattern
+        with pytest.raises(InvalidArgumentError, match="multiplicity .* not 1.5"):
+            Pattern(2, [(1.5, 1)])
+        with pytest.raises(InvalidArgumentError, match="vertex count .* not 2.0"):
+            Pattern(2.0, [(1, 1)])
 
 
 class TestSimplexPoint:
@@ -591,6 +613,10 @@ class TestInducedSubgraph:
         g = induced_subgraph(chain_graph(), (0,))
         assert g.edges == ((0,),)
 
+    def test_refuses_non_integer_vertices(self):
+        with pytest.raises(InvalidArgumentError, match="vertex must .* not 1.5"):
+            induced_subgraph(complete(3, (2,)), (0, 1.5))
+
 
 class TestEdgeTypeSet:
     def test_sorted_and_deduped(self):
@@ -609,6 +635,10 @@ class TestEdgeTypeSet:
         with pytest.raises(UnsupportedSizeError):
             EdgeTypeSet((17,))
 
+    def test_refuses_non_integer_sizes(self):
+        with pytest.raises(InvalidArgumentError, match="edge size .* not 2.5"):
+            EdgeTypeSet((2.5,))
+
 
 class TestNamedGraphs:
     def test_chain_shape(self):
@@ -620,6 +650,10 @@ class TestNamedGraphs:
         assert len(g.edges_of_size(2)) == 3
         with pytest.raises(InvalidArgumentError):
             marked_clique(1)
+
+    def test_complete_refuses_a_non_integer_count(self):
+        with pytest.raises(InvalidArgumentError, match="vertex count .* not 2.5"):
+            complete(2.5, (2,))
 
     def test_complete_layers(self):
         g = complete(3, (1, 2))

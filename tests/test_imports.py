@@ -1,4 +1,4 @@
-"""Every library module uses each name it imports.
+"""Every library module and every script uses each name it imports.
 
 An AST scan: a name bound by an import must appear as a name somewhere else
 in the module, or be listed in its ``__all__``.  ``__init__.py`` only
@@ -15,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "turanlab"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "turanlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((REPO / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -73,7 +75,7 @@ def test_scan_finds_a_load_time_import():
     assert load_time_imports(source) == ["json", "numpy", "scipy"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -550,6 +550,31 @@ class TestJumpCertificateValidation:
                 pi_evidence=PiEvidence("asserted", F(11, 10), "x"),
             )
 
+    def test_constructor_refuses_a_float_alpha(self):
+        # Fraction(1.1) would state alpha 2476979795053773/2251799813685248
+        with pytest.raises(InvalidArgumentError, match="alpha must be an exact"):
+            JumpCertificate(
+                alpha=1.1,
+                kind="jump",
+                family=ForbiddenFamily(AMBIENT, (chain_graph(),)),
+                lambda_witnesses=(self._witness(),),
+                pi_evidence=PiEvidence("asserted", F(1), "x"),
+            )
+
+    @pytest.mark.parametrize(
+        "value,reason", [(True, "not a bool"), (1.0, "convert floats")]
+    )
+    def test_evidence_refuses_a_bool_or_float_value(self, value, reason):
+        with pytest.raises(InvalidArgumentError, match=f"density value .*{reason}"):
+            PiEvidence("asserted", value, "x")
+
+    def test_evidence_stores_a_plain_int_as_a_rational(self):
+        evidence = PiEvidence("asserted", 1, "x")
+        assert type(evidence.value) is Fraction
+        assert ser.dumps_canonical(ser.evidence_to_obj(evidence)) == (
+            '{"detail":"x","grade":"asserted","n":null,"value":"1/1"}'
+        )
+
     def test_gap_is_positive(self):
         cert = JumpCertificate(
             alpha=F(11, 10),

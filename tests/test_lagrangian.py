@@ -13,7 +13,7 @@ import oracles
 import turanlab.lagrangian as lagrangian
 from turanlab import serialize as ser
 from strategies import hypergraphs, patterns
-from turanlab.errors import InvalidArgumentError, OptimizerFailureError
+from turanlab.errors import InvalidArgumentError, OptimizerFailureError, TuranLabError
 from turanlab.hypercore import (
     Hypergraph,
     Pattern,
@@ -43,6 +43,8 @@ K4_MINUS = Hypergraph(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
 RANDOM3_1 = Hypergraph(4, [(0, 1), (1, 2), (0, 2, 3), (1, 2, 3)])
 # sha256 of the outcomes of test_output_is_pinned, one canonical JSON line each
 OUTPUT_DIGEST = "ba41d5e2072d3aec8bd1e621a23561858f58ad2e64fd9ea4297be884ea944f84"
+# sha256 of test_arithmetic_is_pinned's reprs, one line per form and point
+ARITHMETIC_DIGEST = "7755788e1095949dd2645dcc569c5862ca2d52af5ea0c8d9c6d275ac3320d34b"
 
 
 def pinned_inputs():
@@ -65,6 +67,48 @@ def pinned_inputs():
         Pattern(3, ((1, 1, 1), (0, 2, 0))),
         marked_clique(5), blow_up(chain_graph(), (2, 3)),
     ]
+
+
+def arithmetic_corpus():
+    """Seeded (form, point) pairs: graphs with 1- to 4-edges, patterns with
+    multiplicities and twin quotients with non-integer coefficients, each at
+    exact, float and raw-tuple points, with and without zero coordinates."""
+    rng = random.Random(20)
+    objs = []
+    while len(objs) < 30:
+        n = rng.randint(2, 5)
+        edges = [
+            e for r in range(1, 5) for e in itertools.combinations(range(n), r)
+            if rng.random() < 0.3
+        ]
+        if edges:
+            objs.append(Hypergraph(n, edges))
+    while len(objs) < 50:
+        n = rng.randint(1, 4)
+        rows = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(3)}
+        rows = [r for r in rows if 0 < sum(r) <= 6]
+        if rows:
+            objs.append(Pattern(n, rows))
+    for g in (
+        complete(4, (2,)), complete(5, (3,)), complete(6, (2, 4)),
+        marked_clique(5), blow_up(K4_MINUS, (2, 1, 3, 1)),
+        blow_up(chain_graph(), (3, 2)),
+    ):
+        objs.append(polynomial_form(g).quotient(equivalence_classes(g)))
+    out = []
+    for obj in objs:
+        q = polynomial_form(obj).nvars
+        ints = [0] * q
+        while not any(ints):
+            ints = [rng.choice((0, 0, 1, 2, 5)) for _ in range(q)]
+        total = sum(ints)
+        out.append((obj, SimplexPoint.uniform(q)))
+        out.append((obj, SimplexPoint(tuple(F(k, total) for k in ints))))
+        out.append((obj, SimplexPoint(tuple(k / total for k in ints))))
+        out.append((obj, tuple(ints)))
+        out.append((obj, tuple(F(k, 3) if i % 2 else k / 7 for i, k in enumerate(ints))))
+        out.append((obj, tuple(int(i == q - 1) for i in range(q))))
+    return out
 
 
 @st.composite
@@ -121,6 +165,16 @@ class TestPolynomialForm:
     def test_merges_duplicate_terms(self):
         form = PolynomialForm(2, ((F(1), (1, 1)), (F(2), (1, 1))))
         assert form.terms == ((F(3), (1, 1)),)
+
+    def test_refuses_non_integer_exponents(self):
+        # int() would have read the exponent 1
+        with pytest.raises(InvalidArgumentError, match="exponent .* not 1.5"):
+            PolynomialForm(2, ((1, (1.5, 0)),))
+
+    def test_refuses_negative_exponents(self):
+        # x^-1 y is no polynomial: evaluate divided by zero at x = 0
+        with pytest.raises(InvalidArgumentError, match="negative exponent"):
+            PolynomialForm(2, ((1, (-1, 1)),))
 
     def test_restrict_reindexes_to_support(self):
         form = polynomial_form(chain_graph()).restrict((0,))
@@ -183,6 +237,28 @@ class TestGradient:
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
         # same float operations in the same order: equal to the last bit
         assert got.tolist() == grad_by_variable(num, np.array(x)).tolist()
+
+
+class TestArithmeticPin:
+    def test_corpus_has_non_integer_coefficients(self):
+        forms = [polynomial_form(obj) for obj, _ in arithmetic_corpus()]
+        assert any(c.denominator > 1 for f in forms for c, _ in f.terms)
+        assert any(max(e) == 4 for f in forms for _, e in f.terms)
+
+    def test_arithmetic_is_pinned(self):
+        # every bit of every value, -0.0 against 0.0 included, and every
+        # refusal, in both Fraction and float arithmetic
+        digest = hashlib.sha256()
+        fns = (evaluate, gradient, lagrangian.stationarity_residual, certify_at)
+        for obj, point in arithmetic_corpus():
+            line = []
+            for fn in fns:
+                try:
+                    line.append(repr(fn(obj, point)))
+                except TuranLabError as exc:
+                    line.append(f"{type(exc).__name__}: {exc}")
+            digest.update(" | ".join(line).encode() + b"\n")
+        assert digest.hexdigest() == ARITHMETIC_DIGEST
 
 
 class TestMaximize:

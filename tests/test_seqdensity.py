@@ -160,6 +160,15 @@ class TestSequenceGenerator:
             complete(k, (2,)), (F(1, k),) * k, **rule
         )
 
+    @pytest.mark.parametrize(
+        "rule,name",
+        [({"ns": (4, 8.5)}, "ns entry"), ({"n_start": 2.5, "n_step": 1}, "n_start"),
+         ({"n_start": 2, "n_step": 1.5}, "n_step")],
+    )
+    def test_refuses_non_integer_sizes(self, rule, name):
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be an integer"):
+            SequenceGenerator.turan_generator(2, **rule)
+
     def test_explicit_sizes(self):
         gen = SequenceGenerator.turan_generator(2, ns=(4, 8))
         assert gen.count == 2
