@@ -52,13 +52,19 @@ __all__ = [
 ]
 
 
-def _require_int(value, what: str) -> int:
-    """``value`` as an int, through ``operator.index`` so that a float or
-    any other non-integer is refused instead of truncated."""
+def _require_int(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int, through ``operator.index`` so that a float, a
+    bool or any other non-integer is refused instead of truncated; with
+    ``least``, a value below it is refused too."""
     try:
-        return operator.index(value)
+        if isinstance(value, bool):
+            raise TypeError
+        n = operator.index(value)
     except TypeError:
         raise InvalidArgumentError(f"{what} must be an integer, not {value!r}") from None
+    if least is not None and n < least:
+        raise InvalidArgumentError(f"{what} must be >= {least}, not {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -68,11 +74,9 @@ class EdgeTypeSet:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(sorted({_require_int(r, "edge size") for r in self.sizes}))
+        sizes = tuple(sorted({_require_int(r, "edge size", 1) for r in self.sizes}))
         if not sizes:
             raise InvalidArgumentError("edge type set must be non-empty")
-        if sizes[0] < 1:
-            raise InvalidArgumentError("edge sizes must be >= 1")
         if sizes[-1] > MAX_EDGE_SIZE:
             raise UnsupportedSizeError(
                 f"edge size {sizes[-1]} exceeds the cap of {MAX_EDGE_SIZE}"
@@ -267,6 +271,8 @@ class SimplexPoint:
         ws = tuple(self.weights)
         if not ws:
             raise InvalidArgumentError("simplex point needs at least one weight")
+        if any(isinstance(w, bool) for w in ws):
+            raise InvalidArgumentError("simplex weights must be numbers, not bools")
         exact = all(_is_exact(w) for w in ws)
         if exact:
             ws = tuple(Fraction(w) for w in ws)
@@ -300,8 +306,7 @@ class SimplexPoint:
 
     @classmethod
     def uniform(cls, n: int) -> "SimplexPoint":
-        if n < 1:
-            raise InvalidArgumentError("uniform point needs n >= 1")
+        n = _require_int(n, "n", 1)
         return cls(tuple(Fraction(1, n) for _ in range(n)))
 
 
@@ -345,8 +350,7 @@ def chain_graph() -> Hypergraph:
 
 def marked_clique(t: int) -> Hypergraph:
     """Complete pair graph on t >= 2 vertices plus a singleton edge at vertex 0."""
-    if t < 2:
-        raise InvalidArgumentError("marked clique needs t >= 2")
+    t = _require_int(t, "t", 2)
     return complete(t, (2,))._with_edge((0,))
 
 
@@ -429,13 +433,11 @@ def induced_subgraph(graph: Hypergraph, vertices) -> Hypergraph:
 def _vertex_classes(n: int, class_sizes) -> tuple[int, list[range]]:
     """Check n class sizes >= 0; return the vertex count and the consecutive
     vertex range of each class."""
-    sizes = tuple(_require_int(s, "class size") for s in class_sizes)
+    sizes = tuple(_require_int(s, "class size", 0) for s in class_sizes)
     if len(sizes) != n:
         raise InvalidArgumentError(
             f"expected {n} class sizes, got {len(sizes)}"
         )
-    if any(s < 0 for s in sizes):
-        raise InvalidArgumentError("class sizes must be >= 0")
     classes = []
     total = 0
     for s in sizes:

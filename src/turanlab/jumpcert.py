@@ -42,6 +42,7 @@ from .hypercore import (
     Hypergraph,
     SimplexPoint,
     _check_labeling_cap,
+    _require_int,
     canonical_form,
     chain_graph,
     complete,
@@ -332,6 +333,8 @@ class PiEvidence:
         # a plain int value is stored as the rational it stands for
         value = _require_fraction(self.value, "density value")
         object.__setattr__(self, "value", value)
+        if self.n is not None:
+            object.__setattr__(self, "n", _require_int(self.n, "n", 1))
         if self.grade not in ("closed_form", "exhaustive", "asserted"):
             raise InvalidArgumentError(f"unknown evidence grade {self.grade!r}")
 

@@ -30,7 +30,7 @@ from math import factorial
 
 from .errors import InvalidArgumentError, OptimizerFailureError, TuranLabError
 from .hypercore import Hypergraph, Pattern, SimplexPoint, equivalence_classes
-from .hypercore import _require_int
+from .hypercore import _is_exact, _require_int
 
 __all__ = [
     "PolynomialForm",
@@ -140,13 +140,13 @@ def polynomial_form(obj) -> PolynomialForm:
 
 def _point_weights(point, nvars: int):
     """The point's weights and the zero of their arithmetic: Fraction(0) when
-    every weight is a Fraction or an int, else 0.0."""
+    every weight is a Fraction or a non-bool int, else 0.0."""
     ws = point.weights if isinstance(point, SimplexPoint) else tuple(point)
     if len(ws) != nvars:
         raise InvalidArgumentError(
             f"point has {len(ws)} coordinates, expected {nvars}"
         )
-    exact = all(isinstance(w, (Fraction, int)) for w in ws)
+    exact = all(_is_exact(w) for w in ws)
     return ws, Fraction(0) if exact else 0.0
 
 
@@ -197,8 +197,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0 or self.max_iters < 1:
-            raise InvalidArgumentError("restarts must be >= 0 and max_iters >= 1")
+        for name, least in (("restarts", 0), ("max_iters", 1), ("seed", 0)):
+            object.__setattr__(self, name, _require_int(getattr(self, name), name, least))
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,7 @@ def proportional_sizes(weights, total: int) -> tuple[int, ...]:
     Over the common denominator d of the weights, weight w_j is a_j / d, so
     the floor is a_j * total // d and the fractional part a_j * total % d.
     """
+    total = _require_int(total, "total", 0)
     ws = tuple(Fraction(w) for w in weights)
     d = math.lcm(*(w.denominator for w in ws))
     nums = [w.numerator * (d // w.denominator) for w in ws]
@@ -65,8 +66,6 @@ def proportional_sizes(weights, total: int) -> tuple[int, ...]:
         raise InvalidArgumentError("proportions must be nonnegative")
     if sum(nums) != d:
         raise InvalidArgumentError("proportions must sum to 1")
-    if total < 0:
-        raise InvalidArgumentError("total must be nonnegative")
     sizes = [a * total // d for a in nums]
     leftover = total - sum(sizes)
     order = sorted(range(len(nums)), key=lambda j: (-(nums[j] * total % d), j))
@@ -97,9 +96,9 @@ class SequenceGenerator:
         if self.kind not in ("blowup", "union", "constant"):
             raise InvalidArgumentError(f"unknown generator kind {self.kind!r}")
         if self.ns is not None:
-            ns = tuple(_require_int(n, "ns entry") for n in self.ns)
-            if not ns or any(n < 1 for n in ns):
-                raise InvalidArgumentError("ns must be a nonempty list of n >= 1")
+            ns = tuple(_require_int(n, "ns entry", 1) for n in self.ns)
+            if not ns:
+                raise InvalidArgumentError("ns must be a nonempty list")
             object.__setattr__(self, "ns", ns)
             if self.n_start is not None or self.n_step is not None:
                 raise InvalidArgumentError("give either ns or a start/step rule")
@@ -107,9 +106,7 @@ class SequenceGenerator:
             if self.n_start is None or self.n_step is None:
                 raise InvalidArgumentError("give either ns or a start/step rule")
             for name in ("n_start", "n_step"):
-                object.__setattr__(self, name, _require_int(getattr(self, name), name))
-            if self.n_start < 1 or self.n_step < 1:
-                raise InvalidArgumentError("need n_start >= 1 and n_step >= 1")
+                object.__setattr__(self, name, _require_int(getattr(self, name), name, 1))
         if self.kind == "blowup":
             if self.base is None or self.proportions is None:
                 raise InvalidArgumentError(f"{self.kind} needs base and proportions")
@@ -143,8 +140,7 @@ class SequenceGenerator:
     @classmethod
     def turan_generator(cls, parts: int, **sizes):
         """Balanced complete ``parts``-partite pair graphs."""
-        if parts < 2:
-            raise InvalidArgumentError("need at least two parts")
+        parts = _require_int(parts, "parts", 2)
         return cls.blow_up_generator(
             complete(parts, (2,)), (Fraction(1, parts),) * parts, **sizes
         )
@@ -171,8 +167,7 @@ class SequenceGenerator:
         return len(self.ns) if self.ns is not None else None
 
     def size(self, i: int) -> int:
-        if i < 0:
-            raise InvalidArgumentError("member index must be nonnegative")
+        i = _require_int(i, "member index", 0)
         if self.ns is not None:
             if i >= len(self.ns):
                 raise InvalidArgumentError(
@@ -245,8 +240,7 @@ def density_estimate(gen: SequenceGenerator, i_max: int) -> DensityTrend:
 
     No member is built: each value comes from the member's blow-up shape.
     """
-    if i_max < 0:
-        raise InvalidArgumentError("i_max must be nonnegative")
+    i_max = _require_int(i_max, "i_max", 0)
     sizes = tuple(gen.size(i) for i in range(i_max + 1))
     values = [_shape_lubell(*gen._shape(i)) for i in range(i_max + 1)]
     diffs = tuple(values[j + 1] - values[j] for j in range(i_max))
@@ -357,12 +351,11 @@ def sigma_t(
     such subsets a larger count vector gives a smaller subset, so the
     subset comes from the largest best vector.
     """
-    if t < 1:
-        raise InvalidArgumentError("t must be at least 1")
+    t = _require_int(t, "t", 1)
     if t > MAX_SUBSET_SIZE:
         raise UnsupportedSizeError(f"t = {t} exceeds the cap {MAX_SUBSET_SIZE}")
-    lo, hi = i_range
-    if lo < 0 or hi < lo:
+    lo, hi = (_require_int(i, "member range end", 0) for i in i_range)
+    if hi < lo:
         raise InvalidArgumentError(f"bad member range {i_range}")
     if gen.count is not None and hi >= gen.count:
         raise InvalidArgumentError(

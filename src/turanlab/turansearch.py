@@ -30,6 +30,7 @@ from .hypercore import (
     EdgeTypeSet,
     Hypergraph,
     _degree_table,
+    _require_int,
     canonical_form,
     canonical_graph,
     complete,
@@ -219,9 +220,8 @@ def enumerate_graphs(n: int, types: EdgeTypeSet):
     class with k+1 edges arises from some class with k edges, so per-level
     deduplication visits each class exactly once.
     """
+    n = _require_int(n, "n", 1)
     _check_cap(n)
-    if n < 1:
-        raise InvalidArgumentError("enumeration needs n >= 1")
     for g, _ in _grow(n, types):
         yield g
 
@@ -232,8 +232,7 @@ def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
     In subgraph mode only maximal free graphs are scored; in induced mode all
     free classes are scored since maximality does not dominate.
     """
-    if n < 1:
-        raise InvalidArgumentError("pi_n needs n >= 1")
+    n = _require_int(n, "n", 1)
     _check_cap(n)
     t0 = time.perf_counter()
     induced = family.mode == "induced"
@@ -269,11 +268,10 @@ def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
 
 def density_sequence(family: ForbiddenFamily, n_max: int, progress=None) -> DensityBound:
     """pi_n records from the first meaningful n up to n_max; checks monotonicity."""
-    _check_cap(n_max)
     member_sizes = [r for m in family.members for r in m.edge_sizes()]
     n_min = max(member_sizes) if member_sizes else family.ambient.max_size
-    if n_max < n_min:
-        raise InvalidArgumentError(f"n_max must be >= {n_min}")
+    n_max = _require_int(n_max, "n_max", n_min)
+    _check_cap(n_max)
     records = []
     previous = None
     for n in range(n_min, n_max + 1):

@@ -200,6 +200,20 @@ class TestLagrangian:
         assert code == 3 and "error" in err
         assert "(1 of 1 ascents stalled)" in err
 
+    @pytest.mark.parametrize("command", ["lagrangian", "certify"])
+    def test_negative_seed_is_bad_input(self, capsys, tmp_path, command):
+        # the 3-edges send maximize to the seeded float ascent
+        path = tmp_path / "in.json"
+        if command == "lagrangian":
+            path.write_text(json.dumps(K4_MINUS))
+            argv = ["lagrangian", str(path)]
+        else:
+            path.write_text(json.dumps({"ambient": [3], "members": [K4_MINUS]}))
+            argv = ["certify", "1/2", str(path)]
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be >= 0, not -1\n"
+
 
 class TestTuran:
     def test_json_output(self, capsys, family_file):

@@ -175,7 +175,7 @@ class TestUnvalidatedConstruction:
             complete(-1, (2,))
         with pytest.raises(UnsupportedSizeError, match="edge size 17"):
             complete(17, (2, 17))
-        with pytest.raises(InvalidArgumentError, match="t >= 2"):
+        with pytest.raises(InvalidArgumentError, match="t must be >= 2, not 1"):
             marked_clique(1)
 
 

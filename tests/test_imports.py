@@ -6,7 +6,8 @@ re-exports, so it is exempt; instead, each name it takes from a module must
 be in that module's ``__all__`` (a module without one, such as ``errors``,
 exports every name it binds that has no leading underscore).  No module
 imports numpy when it is loaded: only the float ascent uses it, and imports
-it inside its own functions.
+it inside its own functions.  Only ``hypercore._require_int`` uses
+``operator.index``, so every count is read by that one function.
 """
 
 import ast
@@ -73,6 +74,49 @@ def test_scan_finds_a_load_time_import():
         "def f():\n    import numpy as np\n    return np\n"
     )
     assert load_time_imports(source) == ["json", "numpy", "scipy"]
+
+
+def index_readers(source: str) -> list[str]:
+    """The enclosing function of each use of ``operator.index``, or
+    ``<module>`` for a use, or a ``from operator import index``, outside any."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute) and child.attr == "index"
+                and isinstance(child.value, ast.Name) and child.value.id == "operator"
+            ) or (
+                isinstance(child, ast.ImportFrom) and child.module == "operator"
+                and any(alias.name == "index" for alias in child.names)
+            ):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_an_index_reader():
+    source = (
+        "import operator\nfrom operator import index\n"
+        "def f(x):\n    return operator.index(x)\n"
+        "class A:\n    def g(self, x):\n        return operator.index(x)\n"
+    )
+    assert index_readers(source) == ["<module>", "f", "g"]
+
+
+def test_counts_are_read_only_by_require_int():
+    readers = {
+        p.name: index_readers(p.read_text(encoding="utf-8"))
+        for p in sorted(SRC.glob("*.py"))
+    }
+    assert {name: r for name, r in readers.items() if r} == {
+        "hypercore.py": ["_require_int"]
+    }
 
 
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)

@@ -200,6 +200,13 @@ class TestEvaluate:
         with pytest.raises(InvalidArgumentError):
             evaluate(chain_graph(), SimplexPoint((F(1),)))
 
+    def test_bool_weights_are_not_exact(self):
+        # a SimplexPoint refuses bools, and a raw bool tuple is read as floats
+        with pytest.raises(InvalidArgumentError, match="not bools"):
+            SimplexPoint((True, False))
+        v = evaluate(chain_graph(), (True, False))
+        assert isinstance(v, float) and v == 1.0
+
 
 class TestGradient:
     def test_chain_exact(self):

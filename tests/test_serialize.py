@@ -403,7 +403,7 @@ class TestGenspecObjects:
         ({"kind": "blowup", "params": {"parts": 2, "ns": [3]}},
          "generator.params: missing keys ['base', 'proportions']"),
         ({"kind": "turan", "params": {"parts": 1, "ns": [4]}},
-         "generator: need at least two parts"),
+         "generator: parts must be >= 2, not 1"),
         ({"kind": "turan", "params": {"parts": "x", "ns": "bad"}},
          "generator.params.parts: expected an integer"),
         ({"kind": "blowup", "params": {"base": {"n": 2, "edges": [[0]]},
@@ -419,7 +419,7 @@ class TestGenspecObjects:
          "generator.params.n_start: expected an integer"),
         ({"kind": "turan", "params": {"parts": 2, "ns": None,
                                       "n_start": 3, "n_step": 0}},
-         "generator: need n_start >= 1 and n_step >= 1"),
+         "generator: n_step must be >= 1, not 0"),
         ({"kind": "union", "params": {"components": [
             {"kind": "turan", "params": {"parts": 2, "ns": [4]}}], "ns": [4]}},
          "generator.params: unknown keys ['ns']"),
