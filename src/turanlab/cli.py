@@ -28,16 +28,6 @@ from .errors import (
     TuranLabError,
     UnsupportedSizeError,
 )
-from .hypercore import lubell
-from .jumpcert import (
-    PiEvidence,
-    build_certificate,
-    classify12,
-    weak_jump_witness,
-)
-from .lagrangian import OptimizerConfig, maximize
-from .seqdensity import sigma_t
-from .turansearch import ForbiddenFamily, density_sequence
 
 __all__ = ["main"]
 
@@ -90,6 +80,8 @@ def _emit(payload, hints) -> None:
 
 
 def _cmd_lubell(args) -> int:
+    from .hypercore import lubell
+
     obj = _read_json(args.graph, "graph")
     graph = ser.graph_from_obj(obj)
     value = lubell(graph)
@@ -103,6 +95,8 @@ def _cmd_lubell(args) -> int:
 
 
 def _cmd_lagrangian(args) -> int:
+    from .lagrangian import OptimizerConfig, maximize
+
     obj = _read_json(args.graph, "input")
     target = _graph_or_pattern(obj, "input")
     config = OptimizerConfig(
@@ -120,6 +114,8 @@ def _cmd_lagrangian(args) -> int:
 
 
 def _cmd_turan(args) -> int:
+    from .turansearch import ForbiddenFamily, density_sequence
+
     obj = _read_json(args.family, "family")
     family = ser.family_from_obj(obj)
     if args.mode is not None and args.mode != family.mode:
@@ -142,6 +138,8 @@ def _cmd_turan(args) -> int:
 
 
 def _cmd_classify12(args) -> int:
+    from .jumpcert import classify12, weak_jump_witness
+
     alpha = _cli_fraction(args.alpha)
     result = classify12(alpha)
     payload = ser.classify_to_obj(result)
@@ -155,6 +153,9 @@ def _cmd_classify12(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .jumpcert import PiEvidence, build_certificate
+    from .lagrangian import OptimizerConfig
+
     alpha = _cli_fraction(args.alpha)
     family = ser.family_from_obj(_read_json(args.family, "family"))
     evidence = None
@@ -177,6 +178,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
+    from .seqdensity import sigma_t
+
     gen = ser.genspec_from_obj(_read_json(args.generator, "generator"))
     report = sigma_t(gen, args.t, i_range=(args.i_from, args.i_to))
     payload = ser.report_to_obj(report)

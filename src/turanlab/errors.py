@@ -1,5 +1,16 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "TuranLabError",
+    "InvalidHypergraphError",
+    "InvalidArgumentError",
+    "UnsupportedSizeError",
+    "OutOfRangeError",
+    "ParseError",
+    "OptimizerFailureError",
+    "CertificateError",
+]
+
 
 class TuranLabError(Exception):
     """Base class for all library errors."""

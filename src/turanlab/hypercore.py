@@ -67,6 +67,24 @@ def _require_int(value, what: str, least: int | None = None) -> int:
     return n
 
 
+def _require_tuple(value, what: str, length: int | None = None) -> tuple:
+    """The items of ``value`` as a tuple, so that a non-iterable is refused
+    instead of failing later with a TypeError; with ``length``, a sequence
+    of another length is refused too."""
+    items = value
+    if type(items) is not tuple:  # a tuple is returned as it is, uncopied
+        try:
+            items = iter(value)
+        except TypeError:
+            raise InvalidArgumentError(f"{what} must be a sequence, not {value!r}") from None
+        items = tuple(items)
+    if length is not None and len(items) != length:
+        raise InvalidArgumentError(
+            f"{what} must have {length} entries, not {len(items)}"
+        )
+    return items
+
+
 @dataclass(frozen=True)
 class EdgeTypeSet:
     """A finite set of admissible edge sizes, kept sorted and distinct."""
@@ -74,7 +92,10 @@ class EdgeTypeSet:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(sorted({_require_int(r, "edge size", 1) for r in self.sizes}))
+        sizes = tuple(sorted({
+            _require_int(r, "edge size", 1)
+            for r in _require_tuple(self.sizes, "edge sizes")
+        }))
         if not sizes:
             raise InvalidArgumentError("edge type set must be non-empty")
         if sizes[-1] > MAX_EDGE_SIZE:
@@ -98,7 +119,7 @@ class EdgeTypeSet:
 
 
 def _normalize_edge(edge) -> tuple[int, ...]:
-    e = tuple(sorted(_require_int(v, "vertex") for v in edge))
+    e = tuple(sorted(_require_int(v, "vertex") for v in _require_tuple(edge, "edge")))
     if len(e) == 0:
         raise InvalidHypergraphError("empty edge")
     if len(set(e)) != len(e):
@@ -127,7 +148,7 @@ class Hypergraph:
         if n < 0:
             raise InvalidHypergraphError("vertex count must be >= 0")
         seen = {}
-        for edge in self.edges:
+        for edge in _require_tuple(self.edges, "edges"):
             e = _normalize_edge(edge)
             if e[0] < 0 or e[-1] >= n:
                 raise InvalidHypergraphError(
@@ -205,8 +226,9 @@ class Pattern:
             raise InvalidHypergraphError("pattern needs at least one vertex")
         rows = []
         seen = set()
-        for row in self.edges:
-            r = tuple(_require_int(k, "multiplicity") for k in row)
+        for row in _require_tuple(self.edges, "pattern edges"):
+            r = tuple(_require_int(k, "multiplicity")
+                      for k in _require_tuple(row, "multiplicity row"))
             if len(r) != n:
                 raise InvalidHypergraphError(
                     f"multiplicity row {r} has length {len(r)}, expected {n}"
@@ -268,7 +290,7 @@ class SimplexPoint:
     SUM_TOL = 1e-12
 
     def __post_init__(self):
-        ws = tuple(self.weights)
+        ws = _require_tuple(self.weights, "simplex weights")
         if not ws:
             raise InvalidArgumentError("simplex point needs at least one weight")
         if any(isinstance(w, bool) for w in ws):
@@ -326,7 +348,7 @@ def lubell(graph: Hypergraph) -> Fraction:
 def complete(n: int, sizes) -> Hypergraph:
     """All subsets of {0..n-1} whose size lies in ``sizes`` (sizes > n give none)."""
     n = _require_int(n, "vertex count")
-    types = sizes if isinstance(sizes, EdgeTypeSet) else EdgeTypeSet(tuple(sizes))
+    types = sizes if isinstance(sizes, EdgeTypeSet) else EdgeTypeSet(sizes)
     # ascending sizes, each in lexicographic order: already the edge order
     edges = tuple(
         c
@@ -417,7 +439,7 @@ def _twin_classes(graph: Hypergraph, groups) -> list[list[int]]:
 
 def induced_subgraph(graph: Hypergraph, vertices) -> Hypergraph:
     """Restriction to a vertex subset, relabeled to 0..|S|-1 in sorted order."""
-    s = sorted({_require_int(v, "vertex") for v in vertices})
+    s = sorted({_require_int(v, "vertex") for v in _require_tuple(vertices, "vertices")})
     if not s:
         raise InvalidArgumentError("induced subgraph needs a non-empty vertex set")
     if s[0] < 0 or s[-1] >= graph.n:
@@ -433,7 +455,8 @@ def induced_subgraph(graph: Hypergraph, vertices) -> Hypergraph:
 def _vertex_classes(n: int, class_sizes) -> tuple[int, list[range]]:
     """Check n class sizes >= 0; return the vertex count and the consecutive
     vertex range of each class."""
-    sizes = tuple(_require_int(s, "class size", 0) for s in class_sizes)
+    sizes = tuple(_require_int(s, "class size", 0)
+                  for s in _require_tuple(class_sizes, "class sizes"))
     if len(sizes) != n:
         raise InvalidArgumentError(
             f"expected {n} class sizes, got {len(sizes)}"

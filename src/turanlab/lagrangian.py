@@ -18,7 +18,9 @@ both kinds.  An ascent that stalls stops at its first repeated state (see
 ``_ascend``); from there the full loop would only cycle to max_iters, so the
 result is byte-identical to running it out.  A failure reports how many
 ascents stalled.  Only the ascent uses numpy, and each of its functions
-imports it, so the exact path and every other module run without loading it.
+imports it, so the exact path and every other module run without loading it;
+the package and the CLI load this module itself only when a name from it is
+first used.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from math import factorial
 
 from .errors import InvalidArgumentError, OptimizerFailureError, TuranLabError
 from .hypercore import Hypergraph, Pattern, SimplexPoint, equivalence_classes
-from .hypercore import _is_exact, _require_int
+from .hypercore import _is_exact, _require_int, _require_tuple
 
 __all__ = [
     "PolynomialForm",
@@ -141,7 +143,10 @@ def polynomial_form(obj) -> PolynomialForm:
 def _point_weights(point, nvars: int):
     """The point's weights and the zero of their arithmetic: Fraction(0) when
     every weight is a Fraction or a non-bool int, else 0.0."""
-    ws = point.weights if isinstance(point, SimplexPoint) else tuple(point)
+    if isinstance(point, SimplexPoint):
+        ws = point.weights
+    else:
+        ws = _require_tuple(point, "point")
     if len(ws) != nvars:
         raise InvalidArgumentError(
             f"point has {len(ws)} coordinates, expected {nvars}"
@@ -593,7 +598,7 @@ def _rationalize(point: SimplexPoint) -> SimplexPoint:
 def certify_at(obj, point) -> Fraction:
     """Exact rational value of the form at an exact rational simplex point."""
     if not isinstance(point, SimplexPoint):
-        point = SimplexPoint(tuple(point))
+        point = SimplexPoint(point)
     if not point.is_rational:
         raise InvalidArgumentError("certification needs exact rational weights")
     return evaluate(obj, point)

@@ -32,6 +32,7 @@ from .errors import InvalidArgumentError, UnsupportedSizeError
 from .hypercore import (
     Hypergraph,
     _require_int,
+    _require_tuple,
     blow_up,
     complete,
     disjoint_type_union,
@@ -59,7 +60,7 @@ def proportional_sizes(weights, total: int) -> tuple[int, ...]:
     the floor is a_j * total // d and the fractional part a_j * total % d.
     """
     total = _require_int(total, "total", 0)
-    ws = tuple(Fraction(w) for w in weights)
+    ws = tuple(Fraction(w) for w in _require_tuple(weights, "weights"))
     d = math.lcm(*(w.denominator for w in ws))
     nums = [w.numerator * (d // w.denominator) for w in ws]
     if any(a < 0 for a in nums):
@@ -96,7 +97,8 @@ class SequenceGenerator:
         if self.kind not in ("blowup", "union", "constant"):
             raise InvalidArgumentError(f"unknown generator kind {self.kind!r}")
         if self.ns is not None:
-            ns = tuple(_require_int(n, "ns entry", 1) for n in self.ns)
+            ns = tuple(_require_int(n, "ns entry", 1)
+                       for n in _require_tuple(self.ns, "ns"))
             if not ns:
                 raise InvalidArgumentError("ns must be a nonempty list")
             object.__setattr__(self, "ns", ns)
@@ -110,7 +112,8 @@ class SequenceGenerator:
         if self.kind == "blowup":
             if self.base is None or self.proportions is None:
                 raise InvalidArgumentError(f"{self.kind} needs base and proportions")
-            props = tuple(Fraction(w) for w in self.proportions)
+            props = tuple(Fraction(w)
+                          for w in _require_tuple(self.proportions, "proportions"))
             if len(props) != self.base.n:
                 raise InvalidArgumentError("one proportion per base vertex")
             if any(w < 0 for w in props) or sum(props) != 1:
@@ -354,7 +357,8 @@ def sigma_t(
     t = _require_int(t, "t", 1)
     if t > MAX_SUBSET_SIZE:
         raise UnsupportedSizeError(f"t = {t} exceeds the cap {MAX_SUBSET_SIZE}")
-    lo, hi = (_require_int(i, "member range end", 0) for i in i_range)
+    lo, hi = (_require_int(i, "member range end", 0)
+              for i in _require_tuple(i_range, "member range", 2))
     if hi < lo:
         raise InvalidArgumentError(f"bad member range {i_range}")
     if gen.count is not None and hi >= gen.count:

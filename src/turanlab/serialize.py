@@ -8,7 +8,9 @@ compact separators, so identical values serialize identically.
 
 Writing is one encoder, ``_encode``, and one table, ``_KEYS``, of each
 result type's JSON keys; the public ``*_to_obj`` names of those types are
-all bound to it, so a new result type is one more row.  Patterns, generator
+all bound to it, so a new result type is one more row.  ``_KEYS`` is keyed
+by class name, so that this module loads only ``errors`` and ``hypercore``;
+each parser imports the class it builds when it runs.  Patterns, generator
 specs and density bounds keep their own encoders, because their JSON is not
 a copy of their fields.  Reading stays hand-written: each parser checks its
 keys and types strictly and names the place of a fault.
@@ -21,16 +23,9 @@ from fractions import Fraction
 
 from .errors import ParseError, TuranLabError
 from .hypercore import EdgeTypeSet, Hypergraph, Pattern, SimplexPoint
-from .jumpcert import (
-    ClassifyResult,
-    JumpCertificate,
-    LambdaWitness,
-    PiEvidence,
-    WeakJumpWitness,
-)
-from .lagrangian import LagrangianResult
-from .seqdensity import SequenceGenerator, UpperDensityReport
-from .turansearch import DensityBound, ForbiddenFamily, PiRecord
+
+# The result classes of the other modules appear here only in annotations,
+# which are never evaluated, and in the functions that import them.
 
 __all__ = [
     "format_fraction",
@@ -86,27 +81,27 @@ def dumps_canonical(obj) -> str:
 # ---------------------------------------------------------------------------
 # the encoder
 
-# type -> its JSON keys; a (key, attribute) pair renames the attribute.
+# class name -> its JSON keys; a (key, attribute) pair renames the attribute.
 # PiRecord.elapsed is left out, so JSON output stays byte-identical.
 _KEYS = {
-    LagrangianResult: (
+    "LagrangianResult": (
         "value", "maximizer", "support", "certified_lower_bound",
         "certificate_point", "stationarity_residual", "value_exact", "method",
     ),
-    ForbiddenFamily: ("ambient", "members", "mode"),
-    PiRecord: (
+    "ForbiddenFamily": ("ambient", "members", "mode"),
+    "PiRecord": (
         "n", "pi_n", "extremal", ("count", "graphs_enumerated"), "exhaustive",
     ),
-    ClassifyResult: ("alpha", "verdict", "matched_form", "k", "interval", "note"),
-    WeakJumpWitness: (
+    "ClassifyResult": ("alpha", "verdict", "matched_form", "k", "interval", "note"),
+    "WeakJumpWitness": (
         "alpha", "kind", "description", "graph", "point", "family", "pi_value",
     ),
-    LambdaWitness: ("member", "point", "value"),
-    PiEvidence: ("grade", "value", "detail", "n"),
-    JumpCertificate: (
+    "LambdaWitness": ("member", "point", "value"),
+    "PiEvidence": ("grade", "value", "detail", "n"),
+    "JumpCertificate": (
         "alpha", "kind", "family", "lambda_witnesses", "pi_evidence", "gap",
     ),
-    UpperDensityReport: (
+    "UpperDensityReport": (
         "t", "value", "attaining", "h_values", "exhaustive", "i_range",
     ),
 }
@@ -130,7 +125,7 @@ def _encode(value):
         return [_encode(w) for w in value.weights]
     if kind is EdgeTypeSet:
         return list(value.sizes)
-    fields = _FIELDS.get(kind)
+    fields = _FIELDS.get(kind.__name__)
     if fields is None:
         return value
     return {key: _encode(getattr(value, attr)) for key, attr in fields}
@@ -240,6 +235,8 @@ def point_from_obj(obj, where: str = "point") -> SimplexPoint:
 
 
 def family_from_obj(obj, where: str = "family") -> ForbiddenFamily:
+    from .turansearch import ForbiddenFamily
+
     _expect_keys(obj, where, ("ambient", "members"), ("mode",))
     sizes = _expect_list(obj["ambient"], f"{where}.ambient")
     ambient = _wrap(
@@ -277,6 +274,8 @@ def bound_to_tsv(bound: DensityBound) -> str:
 
 
 def evidence_from_obj(obj, where: str = "pi_evidence") -> PiEvidence:
+    from .jumpcert import PiEvidence
+
     _expect_keys(obj, where, ("grade", "value", "detail"), ("n",))
     n = obj.get("n")
     if n is not None:
@@ -298,6 +297,8 @@ def certificate_from_obj(obj, where: str = "certificate") -> JumpCertificate:
     the recognized-family catalog.  A stated value or gap that differs from
     the recomputed one, or a failed check, raises ParseError.
     """
+    from .jumpcert import JumpCertificate, LambdaWitness
+
     _expect_keys(
         obj, where,
         ("alpha", "kind", "family", "lambda_witnesses", "pi_evidence"),
@@ -335,6 +336,8 @@ def certificate_from_obj(obj, where: str = "certificate") -> JumpCertificate:
 
 
 def genspec_to_obj(gen: SequenceGenerator) -> dict:
+    from .seqdensity import SequenceGenerator
+
     if gen.kind == "union":
         # the size sequence is implied by the components
         components = [genspec_to_obj(c) for c in gen.components]
@@ -355,12 +358,12 @@ def genspec_to_obj(gen: SequenceGenerator) -> dict:
 
 _SIZE_KEYS = ("ns", "n_start", "n_step")
 
-# kind -> constructor and its params besides the size rule, in parse order;
-# every params key has its parser in _GENSPEC_PARAMS
+# kind -> SequenceGenerator constructor name and its params besides the
+# size rule, in parse order; every params key has its parser in _GENSPEC_PARAMS
 _GENSPEC_KINDS = {
-    "turan": (SequenceGenerator.turan_generator, ("parts",)),
-    "blowup": (SequenceGenerator.blow_up_generator, ("base", "proportions")),
-    "constant": (SequenceGenerator.constant_generator, ("graph",)),
+    "turan": ("turan_generator", ("parts",)),
+    "blowup": ("blow_up_generator", ("base", "proportions")),
+    "constant": ("constant_generator", ("graph",)),
 }
 _GENSPEC_PARAMS = {
     "parts": _expect_int,
@@ -378,6 +381,8 @@ _GENSPEC_PARAMS = {
 
 
 def genspec_from_obj(obj, where: str = "generator") -> SequenceGenerator:
+    from .seqdensity import SequenceGenerator
+
     _expect_keys(obj, where, ("kind",), ("params",))
     kind = _expect_str(obj["kind"], f"{where}.kind")
     params = obj.get("params", {})
@@ -395,13 +400,13 @@ def genspec_from_obj(obj, where: str = "generator") -> SequenceGenerator:
         raise ParseError(
             f"{where}.kind: expected blowup, turan, union, or constant, got {kind!r}"
         )
-    build, keys = _GENSPEC_KINDS[kind]
+    constructor, keys = _GENSPEC_KINDS[kind]
     _expect_keys(params, pw, keys, _SIZE_KEYS)
     args = [_GENSPEC_PARAMS[key](params[key], f"{pw}.{key}") for key in keys]
     # the size rule, read once: a null or missing key is left unset
     sizes = {key: _GENSPEC_PARAMS[key](value, f"{pw}.{key}")
              for key in _SIZE_KEYS if (value := params.get(key)) is not None}
-    return _wrap(where, build, *args, **sizes)
+    return _wrap(where, getattr(SequenceGenerator, constructor), *args, **sizes)
 
 
 def report_to_obj(report: UpperDensityReport) -> dict:

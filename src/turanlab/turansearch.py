@@ -31,6 +31,7 @@ from .hypercore import (
     Hypergraph,
     _degree_table,
     _require_int,
+    _require_tuple,
     canonical_form,
     canonical_graph,
     complete,
@@ -74,7 +75,7 @@ class ForbiddenFamily:
                 f"mode must be 'subgraph' or 'induced', got {self.mode!r}"
             )
         unique: dict[bytes, Hypergraph] = {}
-        for member in self.members:
+        for member in _require_tuple(self.members, "members"):
             for r in member.edge_sizes():
                 if r not in self.ambient:
                     raise InvalidArgumentError(

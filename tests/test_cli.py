@@ -186,7 +186,7 @@ class TestLagrangian:
         def maximize(*args, **kwargs):
             raise AssertionError("maximize ran before the format was checked")
 
-        monkeypatch.setattr("turanlab.cli.maximize", maximize)
+        monkeypatch.setattr("turanlab.lagrangian.maximize", maximize)
         with pytest.raises(SystemExit) as exc:
             main(["lagrangian", chain_file, "--format", "tsv"])
         assert exc.value.code == 2
@@ -432,62 +432,73 @@ class TestSubprocessEntryPoints:
 
 
 # Runs `main(argv)` (or only `import turanlab` when argv is empty) and
-# reports on stderr's last line whether numpy was loaded.
-NUMPY_PROBE = (
+# reports on stderr's last two lines the turanlab submodules it loaded and
+# whether numpy was loaded.
+PROBE = (
     "import sys\n"
     "import turanlab\n"
     "code = 0\n"
     "if sys.argv[1:]:\n"
     "    from turanlab.cli import main\n"
     "    code = main(sys.argv[1:])\n"
+    "print(*sorted(m.split('.', 1)[1] for m in sys.modules"
+    " if m.startswith('turanlab.')),"
+    " file=sys.stderr)\n"
     "print('numpy' in sys.modules, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
+
+
+def probe(*argv):
+    """(the set of turanlab submodules loaded, whether numpy was loaded)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules, numpy = proc.stderr.splitlines()[-2:]
+    return set(modules.split()), numpy == "True"
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    files = {
+        "chain": CHAIN,
+        "k4_minus": K4_MINUS,
+        "chain_family": CHAIN_FAMILY,
+        "triangle_family": TRIANGLE_FAMILY,
+        "bipartite": BIPARTITE_GEN,
+    }
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    return {name: str(tmp_path / f"{name}.json") for name in files}
+
+
+# one exact call of each subcommand
+EXACT_CALLS = [
+    ("lubell", "{chain}"),
+    ("lagrangian", "{chain}", "--certify"),
+    ("certify", "11/10", "{chain_family}", "--strict"),
+    ("classify12", "9/8", "--witness"),
+    ("turan", "{triangle_family}", "--n-max", "4"),
+    ("sigma", "{bipartite}", "--t", "4"),
+]
 
 
 class TestNumpyStaysUnloaded:
     """Only the ascent for forms with a term of degree >= 3 imports numpy."""
 
     def loads_numpy(self, *argv):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", NUMPY_PROBE, *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc.stderr.splitlines()[-1] == "True"
-
-    @pytest.fixture
-    def inputs(self, tmp_path):
-        files = {
-            "chain": CHAIN,
-            "k4_minus": K4_MINUS,
-            "chain_family": CHAIN_FAMILY,
-            "triangle_family": TRIANGLE_FAMILY,
-            "bipartite": BIPARTITE_GEN,
-        }
-        for name, obj in files.items():
-            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
-        return {name: str(tmp_path / f"{name}.json") for name in files}
+        return probe(*argv)[1]
 
     def test_import(self):
         assert not self.loads_numpy()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("lubell", "{chain}"),
-            ("lagrangian", "{chain}", "--certify"),
-            ("certify", "11/10", "{chain_family}", "--strict"),
-            ("classify12", "9/8", "--witness"),
-            ("turan", "{triangle_family}", "--n-max", "4"),
-            ("sigma", "{bipartite}", "--t", "4"),
-        ],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", EXACT_CALLS, ids=lambda argv: argv[0])
     def test_exact_subcommands(self, inputs, argv):
         assert not self.loads_numpy(*(a.format(**inputs) for a in argv))
 
@@ -496,3 +507,29 @@ class TestNumpyStaysUnloaded:
         assert self.loads_numpy(
             "lagrangian", inputs["k4_minus"], "--restarts", "2", "--seed", "0"
         )
+
+
+# what every subcommand loads: the front end, the JSON mapping, and the
+# hypergraph core that the mapping reads
+FRONT_END = {"cli", "errors", "hypercore", "serialize"}
+SUBCOMMAND_MODULES = {
+    "lubell": set(),
+    "lagrangian": {"lagrangian"},
+    "turan": {"turansearch"},
+    "sigma": {"seqdensity"},
+    "classify12": {"jumpcert", "lagrangian", "turansearch"},
+    "certify": {"jumpcert", "lagrangian", "turansearch"},
+}
+
+
+class TestSubcommandsLoadOnlyTheirModules:
+    """The package loads its submodules on first use, so each subcommand
+    compiles and runs only the modules it calls."""
+
+    def test_import_loads_no_submodule(self):
+        assert probe()[0] == set()
+
+    @pytest.mark.parametrize("argv", EXACT_CALLS, ids=lambda argv: argv[0])
+    def test_subcommand(self, inputs, argv):
+        loaded = probe(*(a.format(**inputs) for a in argv))[0]
+        assert loaded == FRONT_END | SUBCOMMAND_MODULES[argv[0]]

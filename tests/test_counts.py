@@ -1,8 +1,10 @@
-"""Every count at a public entry point is read by one reader.
+"""Every count and every sequence at a public entry point is read by one
+reader of its kind.
 
 A float, a bool and a value one below the count's least allowed value each
 raise InvalidArgumentError naming the count, never a TypeError or
-ValueError from deeper down.
+ValueError from deeper down; so do a non-iterable where a sequence belongs
+and a sequence of the wrong length.
 """
 
 import pytest
@@ -19,7 +21,7 @@ from turanlab.hypercore import (
     realize,
 )
 from turanlab.jumpcert import PiEvidence
-from turanlab.lagrangian import OptimizerConfig
+from turanlab.lagrangian import OptimizerConfig, certify_at, evaluate
 from turanlab.seqdensity import (
     SequenceGenerator,
     density_estimate,
@@ -78,3 +80,39 @@ def test_counts_refuse_non_integers_and_small_values(what, least, call, kind):
     }[kind]
     with pytest.raises(InvalidArgumentError, match=f"^{what} {text}$"):
         call(value)
+
+
+# (name of the sequence, a call that passes a bad one, the error text)
+SEQUENCES = [
+    ("member range", lambda: sigma_t(GEN, 2, 5), "must be a sequence, not 5"),
+    ("member range", lambda: sigma_t(GEN, 2, (0, 1, 2)),
+     "must have 2 entries, not 3"),
+    ("edge sizes", lambda: EdgeTypeSet(5), "must be a sequence, not 5"),
+    ("edge sizes", lambda: complete(3, 5), "must be a sequence, not 5"),
+    ("edges", lambda: Hypergraph(3, 5), "must be a sequence, not 5"),
+    ("edge", lambda: Hypergraph(3, (5,)), "must be a sequence, not 5"),
+    ("pattern edges", lambda: Pattern(1, 5), "must be a sequence, not 5"),
+    ("multiplicity row", lambda: Pattern(1, (5,)), "must be a sequence, not 5"),
+    ("simplex weights", lambda: SimplexPoint(5), "must be a sequence, not 5"),
+    ("class sizes", lambda: blow_up(Hypergraph(1), 5), "must be a sequence, not 5"),
+    ("ns", lambda: SequenceGenerator.turan_generator(2, ns=4),
+     "must be a sequence, not 4"),
+    ("proportions",
+     lambda: SequenceGenerator.blow_up_generator(Hypergraph(1), 5, ns=(2,)),
+     "must be a sequence, not 5"),
+    ("weights", lambda: proportional_sizes(5, 2), "must be a sequence, not 5"),
+    ("members", lambda: ForbiddenFamily(EdgeTypeSet((2,)), 5),
+     "must be a sequence, not 5"),
+    ("point", lambda: evaluate(Hypergraph(1), 5), "must be a sequence, not 5"),
+    ("simplex weights", lambda: certify_at(Hypergraph(1), 5),
+     "must be a sequence, not 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "what,call,text", SEQUENCES,
+    ids=[f"{i}-{what}" for i, (what, _, _) in enumerate(SEQUENCES)],
+)
+def test_sequences_refuse_non_iterables_and_wrong_lengths(what, call, text):
+    with pytest.raises(InvalidArgumentError, match=f"^{what} {text}$"):
+        call()

@@ -1,13 +1,12 @@
 """Every library module and every script uses each name it imports.
 
 An AST scan: a name bound by an import must appear as a name somewhere else
-in the module, or be listed in its ``__all__``.  ``__init__.py`` only
-re-exports, so it is exempt; instead, each name it takes from a module must
-be in that module's ``__all__`` (a module without one, such as ``errors``,
-exports every name it binds that has no leading underscore).  No module
-imports numpy when it is loaded: only the float ascent uses it, and imports
-it inside its own functions.  Only ``hypercore._require_int`` uses
-``operator.index``, so every count is read by that one function.
+in the module, or be listed in its ``__all__``.  No module imports numpy
+when it is loaded: only the float ascent uses it, and imports it inside its
+own functions.  Only ``hypercore._require_int`` uses ``operator.index``, so
+every count is read by that one function.  ``__init__.py`` imports no
+submodule: its table ``_HOME`` maps each public name to its home module,
+whose ``__all__`` must list it.
 """
 
 import ast
@@ -15,6 +14,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+import turanlab
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "turanlab"
@@ -129,18 +130,44 @@ def test_numpy_is_imported_only_where_it_is_used(path):
     assert "numpy" not in load_time_imports(path.read_text(encoding="utf-8"))
 
 
+# the 58 names ``turanlab`` exported when it imported them eagerly
+PACKAGE_NAMES = {
+    "CertificateError", "InvalidArgumentError", "InvalidHypergraphError",
+    "OptimizerFailureError", "OutOfRangeError", "ParseError", "TuranLabError",
+    "UnsupportedSizeError",
+    "EdgeTypeSet", "Hypergraph", "Pattern", "SimplexPoint", "blow_up",
+    "canonical_form", "canonical_graph", "chain_graph", "complete",
+    "contains_induced", "contains_subgraph", "disjoint_type_union",
+    "empty_graph", "equivalence_classes", "find_embedding",
+    "find_induced_embedding", "induced_subgraph", "is_isomorphic", "lubell",
+    "marked_clique", "realize",
+    "ClassifyResult", "JumpCertificate", "LambdaWitness", "PiEvidence",
+    "WeakJumpWitness", "build_certificate", "classify12",
+    "known_turan_density", "weak_jump_witness",
+    "LagrangianResult", "OptimizerConfig", "PolynomialForm", "certify_at",
+    "evaluate", "gradient", "maximize", "polynomial_form",
+    "DensityTrend", "SequenceGenerator", "UpperDensityReport",
+    "density_estimate", "proportional_sizes", "sigma_t",
+    "DensityBound", "ForbiddenFamily", "PiRecord", "density_sequence",
+    "enumerate_graphs", "pi_n",
+}
+
+
 def test_package_reexports_only_listed_names():
-    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert len(PACKAGE_NAMES) == 58
+    assert sorted(turanlab.__all__) == sorted(PACKAGE_NAMES)
+    assert PACKAGE_NAMES <= set(dir(turanlab))
     unlisted = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = importlib.import_module(f"turanlab.{node.module}")
-            listed = getattr(module, "__all__", None) or [
-                name for name in vars(module) if not name.startswith("_")
-            ]
-            unlisted += [
-                f"{node.module}.{alias.name}"
-                for alias in node.names
-                if alias.name not in listed
-            ]
+    for name, home in turanlab._HOME.items():
+        module = importlib.import_module(f"turanlab.{home}")
+        if name not in module.__all__:
+            unlisted.append(f"{home}.{name}")
+        assert getattr(turanlab, name) is getattr(module, name), name
+        # bound on first use, so hot loops over ``turanlab.X`` skip the hook
+        assert vars(turanlab)[name] is getattr(module, name), name
     assert unlisted == []
+
+
+def test_package_refuses_unknown_names():
+    with pytest.raises(AttributeError, match="no attribute 'count_embeddings'"):
+        turanlab.count_embeddings  # noqa: B018
