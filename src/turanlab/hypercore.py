@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, isnan
+from numbers import Real
 
 from .errors import (
     InvalidArgumentError,
@@ -83,6 +84,32 @@ def _require_tuple(value, what: str, length: int | None = None) -> tuple:
             f"{what} must have {length} entries, not {len(items)}"
         )
     return items
+
+
+def _require_number(value, what: str):
+    """``value`` if it is a real number other than a bool (an int, a float, a
+    Fraction or any ``numbers.Real``), so that a string or any other object
+    is refused instead of failing later in a conversion."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidArgumentError(f"{what} must be a number, not {value!r}")
+    return value
+
+
+def _require_rational(value, what: str) -> Fraction:
+    """``value`` as a Fraction: a finite number, read by ``_require_number``."""
+    if type(value) is Fraction:
+        return value
+    try:
+        return Fraction(_require_number(value, what))
+    except (ValueError, OverflowError):  # nan, inf
+        raise InvalidArgumentError(f"{what} must be finite, not {value!r}") from None
+
+
+def _require_type(value, kind: type, what: str):
+    """``value`` if it is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise InvalidArgumentError(f"{what} must be a {kind.__name__}, not {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -295,6 +322,8 @@ class SimplexPoint:
             raise InvalidArgumentError("simplex point needs at least one weight")
         if any(isinstance(w, bool) for w in ws):
             raise InvalidArgumentError("simplex weights must be numbers, not bools")
+        for w in ws:
+            _require_number(w, "simplex weights entry")
         exact = all(_is_exact(w) for w in ws)
         if exact:
             ws = tuple(Fraction(w) for w in ws)

@@ -12,27 +12,30 @@ with a term of degree >= 3 runs projected gradient ascent with Armijo
 backtracking on each support, then verifies first-order optimality and
 certifies a rational lower bound at a rounded rational point.  Both solvers
 hand their (value, support, weights) candidates to one pick, ``_pick``, and
-``evaluate`` and ``gradient`` multiply out every term with one routine,
-``_term``.  Every result carries its certificate, from one result step for
-both kinds.  An ascent that stalls stops at its first repeated state (see
-``_ascend``); from there the full loop would only cycle to max_iters, so the
-result is byte-identical to running it out.  A failure reports how many
-ascents stalled.  Only the ascent uses numpy, and each of its functions
-imports it, so the exact path and every other module run without loading it;
-the package and the CLI load this module itself only when a name from it is
-first used.
+``evaluate``, ``gradient`` and the ascent's float kernel multiply out every
+term with one routine, ``_total``, so the kernel's values and partials are
+the public ones to the last bit.  Every result carries its certificate, from
+one result step for both kinds.  An ascent that stalls stops at its first
+repeated state (see ``_ascend``); from there the full loop would only cycle
+to max_iters, so the result is byte-identical to running it out.  A failure
+reports how many ascents stalled.  The ascent runs on lists of Python
+floats and its restarts draw from ``random``, so no part of the package
+imports numpy; the package and the CLI load this module only when a name
+from it is first used.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
 from .errors import InvalidArgumentError, OptimizerFailureError, TuranLabError
 from .hypercore import Hypergraph, Pattern, SimplexPoint, equivalence_classes
-from .hypercore import _is_exact, _require_int, _require_tuple
+from .hypercore import _is_exact, _require_int, _require_rational, _require_tuple
 
 __all__ = [
     "PolynomialForm",
@@ -68,13 +71,15 @@ class PolynomialForm:
 
     def __post_init__(self):
         merged: dict[tuple[int, ...], Fraction] = {}
-        for coeff, expo in self.terms:
-            expo = tuple(_require_int(k, "exponent") for k in expo)
+        for term in _require_tuple(self.terms, "terms"):
+            coeff, expo = _require_tuple(term, "terms entry", 2)
+            expo = tuple(_require_int(k, "exponent")
+                         for k in _require_tuple(expo, "exponent vector"))
             if len(expo) != self.nvars:
                 raise InvalidArgumentError("exponent vector length mismatch")
             if any(k < 0 for k in expo):
                 raise InvalidArgumentError(f"negative exponent in {expo}")
-            c = Fraction(coeff)
+            c = _require_rational(coeff, "term coefficient")
             if c <= 0:
                 raise InvalidArgumentError("term coefficients must be positive")
             merged[expo] = merged.get(expo, Fraction(0)) + c
@@ -155,24 +160,44 @@ def _point_weights(point, nvars: int):
     return ws, Fraction(0) if exact else 0.0
 
 
-def _term(coeff, expo, ws, zero, scale=1):
-    """scale * coeff * w**k over the nonzero exponents k, multiplied left to
-    right in the arithmetic of ``zero``."""
-    prod = (coeff if isinstance(zero, Fraction) else float(coeff)) * scale
-    for w, k in zip(ws, expo):
-        if k:
-            prod *= w**k
-    return prod
+def _sparse(form: PolynomialForm, exact: bool):
+    """Each term as (coeff, ((i, k), ...)) over its nonzero exponents k in
+    index order, the coefficient a Fraction when ``exact``, else a float."""
+    return [
+        (coeff if exact else float(coeff),
+         tuple((i, k) for i, k in enumerate(expo) if k))
+        for coeff, expo in form.terms
+    ]
+
+
+def _partials(terms, nvars: int):
+    """The sparse terms of each partial derivative, in term order: d/dx_a of
+    c prod x_i^k_i is (c k_a) x_a^(k_a - 1) prod_{i != a} x_i^k_i."""
+    out = [[] for _ in range(nvars)]
+    for coeff, factors in terms:
+        for j, (a, ka) in enumerate(factors):
+            lowered = ((a, ka - 1),) if ka > 1 else ()
+            out[a].append((coeff * ka, factors[:j] + lowered + factors[j + 1:]))
+    return out
+
+
+def _total(terms, ws, zero):
+    """Sum from ``zero``, in term order, of each sparse term's coefficient
+    times w_i**k_i, multiplied left to right: the one term routine of
+    ``evaluate``, ``gradient`` and the float ascent."""
+    total = zero
+    for prod, factors in terms:
+        for i, k in factors:
+            prod *= ws[i] ** k
+        total += prod
+    return total
 
 
 def evaluate(obj, point):
     """Value of the form; exact Fraction for rational input, float otherwise."""
     form = polynomial_form(obj)
     ws, zero = _point_weights(point, form.nvars)
-    total = zero
-    for coeff, expo in form.terms:
-        total += _term(coeff, expo, ws, zero)
-    return total
+    return _total(_sparse(form, isinstance(zero, Fraction)), ws, zero)
 
 
 def gradient(obj, point):
@@ -182,13 +207,8 @@ def gradient(obj, point):
     Fraction 0) to a partial that is never -0.0, so it changes no bit."""
     form = polynomial_form(obj)
     ws, zero = _point_weights(point, form.nvars)
-    grads = [zero] * form.nvars
-    for coeff, expo in form.terms:
-        for a, ka in enumerate(expo):
-            if ka:
-                lowered = expo[:a] + (ka - 1,) + expo[a + 1:]
-                grads[a] += _term(coeff, lowered, ws, zero, ka)
-    return tuple(grads)
+    terms = _sparse(form, isinstance(zero, Fraction))
+    return tuple(_total(p, ws, zero) for p in _partials(terms, form.nvars))
 
 
 # ---------------------------------------------------------------------------
@@ -225,58 +245,34 @@ class LagrangianResult:
     method: str
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the simplex by sort and threshold."""
-    import numpy as np
-
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = np.nonzero(cond)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+def _project_simplex(v: list[float]) -> list[float]:
+    """Euclidean projection onto the simplex by sort and threshold: theta is
+    (the sum of the rho largest entries - 1) / rho for the last rho at which
+    the rho-th largest entry exceeds (its running sum - 1) / rho."""
+    css = 0.0
+    theta = None
+    for rho, u in enumerate(sorted(v, reverse=True), 1):
+        css += u
+        if u - (css - 1.0) / rho > 0:
+            theta = (css - 1.0) / rho
+    return [d if d > 0.0 else 0.0 for d in (w - theta for w in v)]
 
 
 class _NumericForm:
-    """Float view of a PolynomialForm for the inner ascent loop."""
+    """Float view of a PolynomialForm for the inner ascent loop: its value
+    and partials are ``evaluate`` and ``gradient`` at float points, bit for
+    bit, through the same term routine."""
 
     def __init__(self, form: PolynomialForm):
-        import numpy as np
-
         self.nvars = form.nvars
-        self.coeffs = np.array([float(c) for c, _ in form.terms])
-        self.expo = np.array([e for _, e in form.terms], dtype=float)
-        self._scaled = self.coeffs[:, None] * self.expo
-        self._lowered = self.expo - 1.0
-        self._diagonal = np.eye(self.nvars, dtype=bool)
-        self._active = [np.flatnonzero(col > 0) for col in self.expo.T]
+        self.terms = _sparse(form, False)
+        self.partials = _partials(self.terms, form.nvars)
 
-    def value(self, x: np.ndarray) -> float:
-        import numpy as np
+    def value(self, x: list[float]) -> float:
+        return _total(self.terms, x, 0.0)
 
-        return float(self.coeffs @ np.prod(x[None, :] ** self.expo, axis=1))
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        """Partials sum_t c_t k_ta x_a^(k_ta - 1) prod_{b != a} x_b^k_tb.
-
-        Each product over b != a runs in the order of b with a factor 1.0 at
-        b = a, and each partial sums its active terms as one 1-D array, so
-        the rounding is that of a loop over the variables.  Inactive entries
-        (k_ta = 0) may be inf or nan at a zero coordinate; they are dropped.
-        """
-        import numpy as np
-
-        powers = x ** self.expo
-        others = np.repeat(powers[:, None, :], self.nvars, axis=1)
-        others[:, self._diagonal] = 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = self._scaled * x ** self._lowered * others.prod(axis=2)
-        g = np.zeros(self.nvars)
-        for a, active in enumerate(self._active):
-            if active.size:
-                g[a] = float(terms[active, a].sum())
-        return g
+    def grad(self, x: list[float]) -> list[float]:
+        return [_total(p, x, 0.0) for p in self.partials]
 
 
 _ARMIJO_SIGMA = 1e-4
@@ -285,7 +281,7 @@ _STEP_INIT = 0.1
 _BACKTRACK = 0.5
 
 
-def _ascend(num: _NumericForm, x0: np.ndarray, cfg: OptimizerConfig):
+def _ascend(num: _NumericForm, x0: list[float], cfg: OptimizerConfig):
     """Projected gradient ascent with Armijo backtracking.
 
     Returns (x, value, converged).  The loop has three exits:
@@ -299,9 +295,7 @@ def _ascend(num: _NumericForm, x0: np.ndarray, cfg: OptimizerConfig):
       it on to max_iters would return the same (x, f(x), False);
     - max_iters iterations: stalled.
     """
-    import numpy as np
-
-    x = x0.copy()
+    x = x0
     fx = num.value(x)
     step = _STEP_INIT
     converged = False
@@ -314,14 +308,16 @@ def _ascend(num: _NumericForm, x0: np.ndarray, cfg: OptimizerConfig):
         t = step
         y, fy = x, fx
         for _ in range(60):
-            cand = _project_simplex(x + t * g)
+            cand = _project_simplex([xi + t * gi for xi, gi in zip(x, g)])
             fcand = num.value(cand)
-            gain = float(g @ (cand - x))
+            gain = 0.0
+            for gi, ci, xi in zip(g, cand, x):
+                gain += gi * (ci - xi)
             if fcand >= fx + _ARMIJO_SIGMA * gain:
                 y, fy = cand, fcand
                 break
             t *= _BACKTRACK
-        move = float(np.linalg.norm(y - x))
+        move = math.dist(y, x)
         if fy > fx:
             x, fx = y, fy
             tried.clear()
@@ -471,13 +467,16 @@ def _solve_kkt(Q: list[list[Fraction]]):
 
 
 def _starts(dim: int, cfg: OptimizerConfig, support_key: int):
-    import numpy as np
-
-    yield np.full(dim, 1.0 / dim)
+    """The uniform point, then ``cfg.restarts`` Dirichlet(1, ..., 1) draws:
+    normalized exponential variates from a generator seeded by the string
+    "seed:support_key:r", which ``random`` hashes with SHA-512, so the draws
+    do not depend on PYTHONHASHSEED."""
+    yield [1.0 / dim] * dim
     for r in range(cfg.restarts):
-        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(support_key, r))
-        rng = np.random.default_rng(seq)
-        yield rng.dirichlet(np.ones(dim))
+        rng = random.Random(f"{cfg.seed}:{support_key}:{r}")
+        draws = [rng.expovariate(1.0) for _ in range(dim)]
+        total = math.fsum(draws)
+        yield [d / total for d in draws]
 
 
 def _ascent_maximum(form: PolynomialForm, cfg: OptimizerConfig):
@@ -534,10 +533,8 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
         for v in members:
             x[v] = z[c] / len(members)
     if value_exact is None:
-        import numpy as np
-
-        x = _project_simplex(np.array(x))
-        value = _NumericForm(form).value(x)
+        x = _project_simplex(x)
+        value = _total(_sparse(form, False), x, 0.0)
     else:
         value = float(value_exact)
     maximizer = SimplexPoint(tuple(float(w) for w in x))

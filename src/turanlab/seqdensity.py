@@ -32,7 +32,9 @@ from .errors import InvalidArgumentError, UnsupportedSizeError
 from .hypercore import (
     Hypergraph,
     _require_int,
+    _require_rational,
     _require_tuple,
+    _require_type,
     blow_up,
     complete,
     disjoint_type_union,
@@ -60,7 +62,8 @@ def proportional_sizes(weights, total: int) -> tuple[int, ...]:
     the floor is a_j * total // d and the fractional part a_j * total % d.
     """
     total = _require_int(total, "total", 0)
-    ws = tuple(Fraction(w) for w in _require_tuple(weights, "weights"))
+    ws = tuple(_require_rational(w, "weights entry")
+               for w in _require_tuple(weights, "weights"))
     d = math.lcm(*(w.denominator for w in ws))
     nums = [w.numerator * (d // w.denominator) for w in ws]
     if any(a < 0 for a in nums):
@@ -112,7 +115,8 @@ class SequenceGenerator:
         if self.kind == "blowup":
             if self.base is None or self.proportions is None:
                 raise InvalidArgumentError(f"{self.kind} needs base and proportions")
-            props = tuple(Fraction(w)
+            _require_type(self.base, Hypergraph, "base")
+            props = tuple(_require_rational(w, "proportions entry")
                           for w in _require_tuple(self.proportions, "proportions"))
             if len(props) != self.base.n:
                 raise InvalidArgumentError("one proportion per base vertex")
@@ -120,17 +124,21 @@ class SequenceGenerator:
                 raise InvalidArgumentError("proportions must be >= 0 and sum to 1")
             object.__setattr__(self, "proportions", props)
         elif self.kind == "union":
-            if len(self.components) < 2:
+            components = tuple(_require_type(c, SequenceGenerator, "components entry")
+                               for c in _require_tuple(self.components, "components"))
+            if len(components) < 2:
                 raise InvalidArgumentError("union needs at least two components")
             key = (self.ns, self.n_start, self.n_step)
-            for c in self.components:
+            for c in components:
                 if (c.ns, c.n_start, c.n_step) != key:
                     raise InvalidArgumentError(
                         "union components must share the size sequence"
                     )
+            object.__setattr__(self, "components", components)
         elif self.kind == "constant":
             if self.base is None:
                 raise InvalidArgumentError("constant needs a base graph")
+            _require_type(self.base, Hypergraph, "base")
 
     # -- constructors ------------------------------------------------------
 
@@ -152,7 +160,7 @@ class SequenceGenerator:
     def union_generator(cls, *components: "SequenceGenerator"):
         if not components:
             raise InvalidArgumentError("union needs components")
-        first = components[0]
+        first = _require_type(components[0], cls, "components entry")
         return cls("union", ns=first.ns, n_start=first.n_start,
                    n_step=first.n_step, components=tuple(components))
 

@@ -32,6 +32,7 @@ from .hypercore import (
     _degree_table,
     _require_int,
     _require_tuple,
+    _require_type,
     canonical_form,
     canonical_graph,
     complete,
@@ -76,6 +77,7 @@ class ForbiddenFamily:
             )
         unique: dict[bytes, Hypergraph] = {}
         for member in _require_tuple(self.members, "members"):
+            _require_type(member, Hypergraph, "members entry")
             for r in member.edge_sizes():
                 if r not in self.ambient:
                     raise InvalidArgumentError(

@@ -23,6 +23,11 @@ K4_MINUS_ASCENT = (
     '"stationarity_residual":3.1652458432063213e-13,'
     '"support":[0,1,2,3],"value":0.2962962962962963}'
 )
+FANO = {
+    "n": 7,
+    "edges": [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6],
+              [2, 4, 5]],
+}
 CHAIN_FAMILY = {
     "ambient": [1, 2],
     "members": [CHAIN],
@@ -449,15 +454,21 @@ PROBE = (
 )
 
 
-def probe(*argv):
-    """(the set of turanlab submodules loaded, whether numpy was loaded)."""
-    env = dict(os.environ)
+def checkout_env(**extra):
+    """The environment with ``extra`` set and this checkout's ``src`` first
+    on PYTHONPATH."""
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def probe(*argv):
+    """(the set of turanlab submodules loaded, whether numpy was loaded)."""
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=checkout_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     modules, numpy = proc.stderr.splitlines()[-2:]
@@ -490,7 +501,7 @@ EXACT_CALLS = [
 
 
 class TestNumpyStaysUnloaded:
-    """Only the ascent for forms with a term of degree >= 3 imports numpy."""
+    """No subcommand imports numpy, the float ascent included."""
 
     def loads_numpy(self, *argv):
         return probe(*argv)[1]
@@ -502,11 +513,33 @@ class TestNumpyStaysUnloaded:
     def test_exact_subcommands(self, inputs, argv):
         assert not self.loads_numpy(*(a.format(**inputs) for a in argv))
 
-    def test_ascent_loads_it(self, inputs):
-        # the probe is not vacuous: a form with 3-edges ascends in floats
-        assert self.loads_numpy(
+    def test_ascent_runs_without_it(self, inputs):
+        # K4(3)- has 3-edges, so it ascends in floats (test_ascent_output_unchanged)
+        assert not self.loads_numpy(
             "lagrangian", inputs["k4_minus"], "--restarts", "2", "--seed", "0"
         )
+
+
+class TestAscentIsDeterministic:
+    def test_stdout_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # each restart seeds its generator with a string, which ``random``
+        # hashes with SHA-512, not with the per-process str hash
+        path = tmp_path / "fano.json"
+        path.write_text(json.dumps(FANO))
+        outs = []
+        for hash_seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "turanlab", "lagrangian", str(path),
+                 "--restarts", "2", "--seed", "0", "--certify"],
+                capture_output=True, text=True, timeout=120,
+                env=checkout_env(PYTHONHASHSEED=hash_seed),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        payload = json.loads(outs[0])
+        assert payload["method"] == "ascent"
+        assert payload["certified_lower_bound"] == "2/9"
 
 
 # what every subcommand loads: the front end, the JSON mapping, and the

@@ -3,8 +3,8 @@ reader of its kind.
 
 A float, a bool and a value one below the count's least allowed value each
 raise InvalidArgumentError naming the count, never a TypeError or
-ValueError from deeper down; so do a non-iterable where a sequence belongs
-and a sequence of the wrong length.
+ValueError from deeper down; so do a non-iterable where a sequence belongs,
+a sequence of the wrong length, and an entry of the wrong type.
 """
 
 import pytest
@@ -21,7 +21,12 @@ from turanlab.hypercore import (
     realize,
 )
 from turanlab.jumpcert import PiEvidence
-from turanlab.lagrangian import OptimizerConfig, certify_at, evaluate
+from turanlab.lagrangian import (
+    OptimizerConfig,
+    PolynomialForm,
+    certify_at,
+    evaluate,
+)
 from turanlab.seqdensity import (
     SequenceGenerator,
     density_estimate,
@@ -114,5 +119,32 @@ SEQUENCES = [
     ids=[f"{i}-{what}" for i, (what, _, _) in enumerate(SEQUENCES)],
 )
 def test_sequences_refuse_non_iterables_and_wrong_lengths(what, call, text):
+    with pytest.raises(InvalidArgumentError, match=f"^{what} {text}$"):
+        call()
+
+
+# (what names the entry, a call that passes a bad one, the error text)
+ENTRIES = [
+    ("simplex weights entry", lambda: SimplexPoint(("a",)),
+     "must be a number, not 'a'"),
+    ("proportions entry",
+     lambda: SequenceGenerator.blow_up_generator(Hypergraph(1), ("x",), ns=(2,)),
+     "must be a number, not 'x'"),
+    ("weights entry", lambda: proportional_sizes((None,), 3),
+     "must be a number, not None"),
+    ("members entry", lambda: ForbiddenFamily(EdgeTypeSet((2,)), (5,)),
+     "must be a Hypergraph, not 5"),
+    ("components entry", lambda: SequenceGenerator.union_generator(5),
+     "must be a SequenceGenerator, not 5"),
+    ("term coefficient", lambda: PolynomialForm(1, [("x", (1,))]),
+     "must be a number, not 'x'"),
+]
+
+
+@pytest.mark.parametrize(
+    "what,call,text", ENTRIES,
+    ids=[f"{i}-{what}" for i, (what, _, _) in enumerate(ENTRIES)],
+)
+def test_entries_refuse_wrong_types(what, call, text):
     with pytest.raises(InvalidArgumentError, match=f"^{what} {text}$"):
         call()

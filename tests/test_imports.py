@@ -1,9 +1,9 @@
 """Every library module and every script uses each name it imports.
 
 An AST scan: a name bound by an import must appear as a name somewhere else
-in the module, or be listed in its ``__all__``.  No module imports numpy
-when it is loaded: only the float ascent uses it, and imports it inside its
-own functions.  Only ``hypercore._require_int`` uses ``operator.index``, so
+in the module, or be listed in its ``__all__``.  No module under ``src``
+imports numpy, at load time or inside a function: the float ascent runs on
+Python floats.  Only ``hypercore._require_int`` uses ``operator.index``, so
 every count is read by that one function.  ``__init__.py`` imports no
 submodule: its table ``_HOME`` maps each public name to its home module,
 whose ``__all__`` must list it.
@@ -50,20 +50,15 @@ def test_scan_finds_an_unused_name():
     assert unused_imports(source) == ["comb"]
 
 
-def load_time_imports(source: str) -> list[str]:
-    """Top-level packages imported when the module is loaded: outside any
-    function body, class bodies and conditional blocks included."""
+def imported_packages(source: str) -> list[str]:
+    """Top-level packages of every absolute import in the module, at any
+    depth: function and class bodies and conditional blocks included."""
     found = []
-    pending = list(ast.parse(source).body)
-    while pending:
-        node = pending.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found += [alias.name.split(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             found.append(node.module.split(".")[0])
-        pending.extend(ast.iter_child_nodes(node))
     return sorted(found)
 
 
@@ -72,9 +67,17 @@ def test_scan_finds_a_load_time_import():
         "try:\n    import numpy.linalg\nexcept ImportError:\n    pass\n"
         "from scipy import optimize\nfrom . import errors\n"
         "class A:\n    import json\n"
-        "def f():\n    import numpy as np\n    return np\n"
     )
-    assert load_time_imports(source) == ["json", "numpy", "scipy"]
+    assert imported_packages(source) == ["json", "numpy", "scipy"]
+
+
+def test_scan_finds_an_import_inside_a_function():
+    source = (
+        "def f():\n    import numpy as np\n    return np\n"
+        "class A:\n    def g(self):\n        if self:\n"
+        "            from numpy.random import default_rng\n"
+    )
+    assert imported_packages(source) == ["numpy", "numpy"]
 
 
 def index_readers(source: str) -> list[str]:
@@ -125,9 +128,12 @@ def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted((REPO / "src").rglob("*.py")), ids=lambda p: p.name
+)
 def test_numpy_is_imported_only_where_it_is_used(path):
-    assert "numpy" not in load_time_imports(path.read_text(encoding="utf-8"))
+    # it is used nowhere: no module under src imports it at any depth
+    assert "numpy" not in imported_packages(path.read_text(encoding="utf-8"))
 
 
 # the 58 names ``turanlab`` exported when it imported them eagerly

@@ -37,7 +37,7 @@ from turanlab.turansearch import ForbiddenFamily, density_sequence
 F = Fraction
 FAST = OptimizerConfig(restarts=6, seed=0)
 # sha256 of encoding_corpus(), one canonical JSON line per encoded value
-CORPUS_DIGEST = "af4917f9684ddd349dcea3cd2f786535cc60a852028f209913c26e8dff7040f7"
+CORPUS_DIGEST = "269150cef9f936f4080a7b6115bd69ca849c6a97f9f382d4f12e52d72ad81120"
 
 
 def encoding_corpus():
