@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, isnan
-from numbers import Real
+from numbers import Rational, Real
 
 from .errors import (
     InvalidArgumentError,
@@ -96,13 +96,20 @@ def _require_number(value, what: str):
 
 
 def _require_rational(value, what: str) -> Fraction:
-    """``value`` as a Fraction: a finite number, read by ``_require_number``."""
+    """``value`` as a Fraction: an int or any ``numbers.Rational``.  A float,
+    a bool and a string are refused, not converted; text becomes a rational
+    only in ``serialize.parse_fraction``."""
     if type(value) is Fraction:
         return value
-    try:
-        return Fraction(_require_number(value, what))
-    except (ValueError, OverflowError):  # nan, inf
-        raise InvalidArgumentError(f"{what} must be finite, not {value!r}") from None
+    if isinstance(value, bool):
+        raise InvalidArgumentError(f"{what} must be a rational, not a bool")
+    if isinstance(value, float):
+        raise InvalidArgumentError(
+            f"{what} must be an exact rational; convert floats explicitly"
+        )
+    if not isinstance(value, Rational):
+        raise InvalidArgumentError(f"{what} must be a number, not {value!r}")
+    return Fraction(value)
 
 
 def _require_type(value, kind: type, what: str):
@@ -320,27 +327,20 @@ class SimplexPoint:
         ws = _require_tuple(self.weights, "simplex weights")
         if not ws:
             raise InvalidArgumentError("simplex point needs at least one weight")
-        if any(isinstance(w, bool) for w in ws):
-            raise InvalidArgumentError("simplex weights must be numbers, not bools")
         for w in ws:
             _require_number(w, "simplex weights entry")
         exact = all(_is_exact(w) for w in ws)
-        if exact:
-            ws = tuple(Fraction(w) for w in ws)
-            if any(w < 0 for w in ws):
-                raise InvalidArgumentError("negative weight in simplex point")
-            if sum(ws) != 1:
-                raise InvalidArgumentError("rational weights must sum to exactly 1")
-        else:
-            ws = tuple(float(w) for w in ws)
-            if any(isnan(w) for w in ws):
-                raise InvalidArgumentError("NaN weight in simplex point")
-            if any(w < 0 for w in ws):
-                raise InvalidArgumentError("negative weight in simplex point")
-            if abs(sum(ws) - 1.0) > self.SUM_TOL:
-                raise InvalidArgumentError(
-                    f"weights sum to {sum(ws)!r}, outside tolerance {self.SUM_TOL}"
-                )
+        ws = tuple(map(Fraction if exact else float, ws))
+        if not exact and any(isnan(w) for w in ws):
+            raise InvalidArgumentError("NaN weight in simplex point")
+        if any(w < 0 for w in ws):
+            raise InvalidArgumentError("negative weight in simplex point")
+        if exact and sum(ws) != 1:
+            raise InvalidArgumentError("rational weights must sum to exactly 1")
+        if not exact and abs(sum(ws) - 1.0) > self.SUM_TOL:
+            raise InvalidArgumentError(
+                f"weights sum to {sum(ws)!r}, outside tolerance {self.SUM_TOL}"
+            )
         object.__setattr__(self, "weights", ws)
 
     @property

@@ -43,6 +43,7 @@ from .hypercore import (
     SimplexPoint,
     _check_labeling_cap,
     _require_int,
+    _require_rational,
     canonical_form,
     chain_graph,
     complete,
@@ -165,26 +166,11 @@ class ClassifyResult:
     note: str | None = None
 
 
-def _require_fraction(value, what: str = "alpha") -> Fraction:
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, float):
-        raise InvalidArgumentError(
-            f"{what} must be an exact rational; convert floats explicitly"
-        )
-    if isinstance(value, bool):
-        raise InvalidArgumentError(f"{what} must be a rational, not a bool")
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InvalidArgumentError(f"cannot read {value!r} as a rational") from exc
-
-
 def _locate(alpha) -> tuple[Fraction, int, int | None, bool]:
     """(a, i, k, weak) for alpha in [0, 2]: a = alpha as a Fraction, i the
     index in ``_ROWS`` of the first row with a <= L, k = floor(s/(L - a)) - 1
     (None at a = L), and whether a is weak.  Integer arithmetic only."""
-    a = _require_fraction(alpha)
+    a = _require_rational(alpha, "alpha")
     p, q = a.numerator, a.denominator
     if p < 0 or p > 2 * q:
         raise OutOfRangeError(f"alpha = {a} lies outside [0, 2]")
@@ -331,7 +317,7 @@ class PiEvidence:
 
     def __post_init__(self):
         # a plain int value is stored as the rational it stands for
-        value = _require_fraction(self.value, "density value")
+        value = _require_rational(self.value, "density value")
         object.__setattr__(self, "value", value)
         if self.n is not None:
             object.__setattr__(self, "n", _require_int(self.n, "n", 1))
@@ -360,7 +346,7 @@ class JumpCertificate:
     pi_evidence: PiEvidence
 
     def __post_init__(self):
-        a = _require_fraction(self.alpha)
+        a = _require_rational(self.alpha, "alpha")
         object.__setattr__(self, "alpha", a)
         failures = []
         if self.kind not in ("jump", "strong_jump"):
@@ -427,7 +413,7 @@ def build_certificate(
     strict request never silently downgrades: if the evidence only gives
     pi <= alpha the strong certificate fails.
     """
-    a = _require_fraction(alpha)
+    a = _require_rational(alpha, "alpha")
     if not family.members:
         raise CertificateError(
             ["a certificate needs at least one forbidden member"]

@@ -70,15 +70,15 @@ class PolynomialForm:
     terms: tuple[tuple[Fraction, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        nvars = _require_int(self.nvars, "variable count", 1)
+        object.__setattr__(self, "nvars", nvars)
         merged: dict[tuple[int, ...], Fraction] = {}
         for term in _require_tuple(self.terms, "terms"):
             coeff, expo = _require_tuple(term, "terms entry", 2)
-            expo = tuple(_require_int(k, "exponent")
+            expo = tuple(_require_int(k, "exponent", 0)
                          for k in _require_tuple(expo, "exponent vector"))
-            if len(expo) != self.nvars:
+            if len(expo) != nvars:
                 raise InvalidArgumentError("exponent vector length mismatch")
-            if any(k < 0 for k in expo):
-                raise InvalidArgumentError(f"negative exponent in {expo}")
             c = _require_rational(coeff, "term coefficient")
             if c <= 0:
                 raise InvalidArgumentError("term coefficients must be positive")

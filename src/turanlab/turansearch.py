@@ -71,6 +71,7 @@ class ForbiddenFamily:
     mode: str = "subgraph"
 
     def __post_init__(self):
+        _require_type(self.ambient, EdgeTypeSet, "ambient")
         if self.mode not in ("subgraph", "induced"):
             raise InvalidArgumentError(
                 f"mode must be 'subgraph' or 'induced', got {self.mode!r}"

@@ -1,11 +1,15 @@
-"""Every count and every sequence at a public entry point is read by one
-reader of its kind.
+"""Every count, every rational and every sequence at a public entry point
+is read by one reader of its kind.
 
 A float, a bool and a value one below the count's least allowed value each
 raise InvalidArgumentError naming the count, never a TypeError or
 ValueError from deeper down; so do a non-iterable where a sequence belongs,
-a sequence of the wrong length, and an entry of the wrong type.
+a sequence of the wrong length, and an entry of the wrong type.  A rational
+argument takes an int or a Fraction; a float, a bool and a string each raise
+InvalidArgumentError naming it.
 """
+
+from fractions import Fraction as F
 
 import pytest
 
@@ -16,11 +20,19 @@ from turanlab.hypercore import (
     Pattern,
     SimplexPoint,
     blow_up,
+    chain_graph,
     complete,
     marked_clique,
     realize,
 )
-from turanlab.jumpcert import PiEvidence
+from turanlab.jumpcert import (
+    JumpCertificate,
+    LambdaWitness,
+    PiEvidence,
+    build_certificate,
+    classify12,
+    weak_jump_witness,
+)
 from turanlab.lagrangian import (
     OptimizerConfig,
     PolynomialForm,
@@ -69,6 +81,7 @@ ENTRY_POINTS = [
     ("n", 1, lambda v: pi_n(TRIANGLE_FREE, v)),
     ("n_max", 2, lambda v: density_sequence(TRIANGLE_FREE, v)),
     ("n", 1, lambda v: PiEvidence("exhaustive", 1, "x", n=v)),
+    ("variable count", 1, lambda v: PolynomialForm(v, ())),
 ]
 
 
@@ -138,6 +151,12 @@ ENTRIES = [
      "must be a SequenceGenerator, not 5"),
     ("term coefficient", lambda: PolynomialForm(1, [("x", (1,))]),
      "must be a number, not 'x'"),
+    ("ambient", lambda: ForbiddenFamily(5, (complete(3, (2,)),)),
+     "must be a EdgeTypeSet, not 5"),
+    ("ambient", lambda: ForbiddenFamily("x", (complete(3, (2,)),)),
+     "must be a EdgeTypeSet, not 'x'"),
+    ("ambient", lambda: ForbiddenFamily((2,), (complete(3, (2,)),)),
+     r"must be a EdgeTypeSet, not \(2,\)"),
 ]
 
 
@@ -148,3 +167,47 @@ ENTRIES = [
 def test_entries_refuse_wrong_types(what, call, text):
     with pytest.raises(InvalidArgumentError, match=f"^{what} {text}$"):
         call()
+
+
+CHAIN_FAMILY = ForbiddenFamily(EdgeTypeSet((1, 2)), (chain_graph(),))
+CHAIN_WITNESS = LambdaWitness(chain_graph(), SimplexPoint((F(3, 4), F(1, 4))))
+NO_DENSITY = PiEvidence("asserted", 0, "x")  # lies below every alpha in [0, 2]
+
+# (what names the rational, a call that reads it, a Fraction the call
+# accepts); every call accepts the int 1 as well
+RATIONALS = [
+    ("alpha", classify12, F(1, 2)),
+    ("alpha", weak_jump_witness, F(1, 2)),
+    ("alpha",
+     lambda v: build_certificate(v, CHAIN_FAMILY, pi_evidence=NO_DENSITY),
+     F(1, 2)),
+    ("alpha",
+     lambda v: JumpCertificate(v, "jump", CHAIN_FAMILY, (CHAIN_WITNESS,), NO_DENSITY),
+     F(1, 2)),
+    ("density value", lambda v: PiEvidence("asserted", v, "x"), F(1, 2)),
+    ("weights entry", lambda v: proportional_sizes((v,), 4), F(1)),
+    ("proportions entry",
+     lambda v: SequenceGenerator.blow_up_generator(Hypergraph(1), (v,), ns=(2,)),
+     F(1)),
+    ("term coefficient", lambda v: PolynomialForm(1, ((v, (1,)),)), F(1, 2)),
+]
+RATIONAL_IDS = [f"{i}-{what}" for i, (what, _, _) in enumerate(RATIONALS)]
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "string"])
+@pytest.mark.parametrize("what,call,_", RATIONALS, ids=RATIONAL_IDS)
+def test_rationals_refuse_floats_bools_and_strings(what, call, _, kind):
+    value, text = {
+        "float": (1.5, "must be an exact rational; convert floats explicitly"),
+        "bool": (True, "must be a rational, not a bool"),
+        "string": ("3/4", "must be a number, not '3/4'"),
+    }[kind]
+    with pytest.raises(InvalidArgumentError) as info:
+        call(value)
+    assert str(info.value) == f"{what} {text}"
+
+
+@pytest.mark.parametrize("_,call,fraction", RATIONALS, ids=RATIONAL_IDS)
+def test_rationals_take_ints_and_fractions(_, call, fraction):
+    call(1)
+    call(fraction)

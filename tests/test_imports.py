@@ -4,7 +4,9 @@ An AST scan: a name bound by an import must appear as a name somewhere else
 in the module, or be listed in its ``__all__``.  No module under ``src``
 imports numpy, at load time or inside a function: the float ascent runs on
 Python floats.  Only ``hypercore._require_int`` uses ``operator.index``, so
-every count is read by that one function.  ``__init__.py`` imports no
+every count is read by that one function, and only ``hypercore`` defines a
+``_require_*`` reader, so every rational is read by
+``hypercore._require_rational``.  ``__init__.py`` imports no
 submodule: its table ``_HOME`` maps each public name to its home module,
 whose ``__all__`` must list it.
 """
@@ -121,6 +123,33 @@ def test_counts_are_read_only_by_require_int():
     assert {name: r for name, r in readers.items() if r} == {
         "hypercore.py": ["_require_int"]
     }
+
+
+def reader_definitions(source: str) -> list[str]:
+    """Names of the functions named ``_require_*`` the module defines, at
+    any depth."""
+    return sorted(
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_require_")
+    )
+
+
+def test_scan_finds_a_reader_definition():
+    source = (
+        "def _require_fraction(x):\n    return x\n"
+        "class A:\n    def _require_b(self):\n        pass\n"
+        "def require_c():\n    pass\n"
+    )
+    assert reader_definitions(source) == ["_require_b", "_require_fraction"]
+
+
+def test_readers_are_defined_only_in_hypercore():
+    defining = {
+        p.name for p in SRC.glob("*.py")
+        if reader_definitions(p.read_text(encoding="utf-8"))
+    }
+    assert defining == {"hypercore.py"}
 
 
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
