@@ -33,6 +33,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.denominator < 1:
         parser.error("denominator must be positive")
+    if args.certify_strong < 0:
+        parser.error("certify-strong count must not be negative")
 
     weak = []
     strong = []

@@ -115,7 +115,9 @@ def _require_rational(value, what: str) -> Fraction:
 def _require_type(value, kind: type, what: str):
     """``value`` if it is an instance of ``kind``."""
     if not isinstance(value, kind):
-        raise InvalidArgumentError(f"{what} must be a {kind.__name__}, not {value!r}")
+        name = kind.__name__
+        article = "an" if name[0] in "AEIOUaeiou" else "a"
+        raise InvalidArgumentError(f"{what} must be {article} {name}, not {value!r}")
     return value
 
 

@@ -236,6 +236,7 @@ def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
     In subgraph mode only maximal free graphs are scored; in induced mode all
     free classes are scored since maximality does not dominate.
     """
+    _require_type(family, ForbiddenFamily, "family")
     n = _require_int(n, "n", 1)
     _check_cap(n)
     t0 = time.perf_counter()
@@ -272,6 +273,7 @@ def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
 
 def density_sequence(family: ForbiddenFamily, n_max: int, progress=None) -> DensityBound:
     """pi_n records from the first meaningful n up to n_max; checks monotonicity."""
+    _require_type(family, ForbiddenFamily, "family")
     member_sizes = [r for m in family.members for r in m.edge_sizes()]
     n_min = max(member_sizes) if member_sizes else family.ambient.max_size
     n_max = _require_int(n_max, "n_max", n_min)

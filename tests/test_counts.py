@@ -31,6 +31,7 @@ from turanlab.jumpcert import (
     PiEvidence,
     build_certificate,
     classify12,
+    known_turan_density,
     weak_jump_witness,
 )
 from turanlab.lagrangian import (
@@ -45,6 +46,7 @@ from turanlab.seqdensity import (
     proportional_sizes,
     sigma_t,
 )
+from turanlab.serialize import certificate_to_obj, dumps_canonical
 from turanlab.turansearch import (
     ForbiddenFamily,
     density_sequence,
@@ -54,6 +56,9 @@ from turanlab.turansearch import (
 
 GEN = SequenceGenerator.turan_generator(2, ns=(4, 6))
 TRIANGLE_FREE = ForbiddenFamily(EdgeTypeSet((2,)), (complete(3, (2,)),))
+CHAIN_FAMILY = ForbiddenFamily(EdgeTypeSet((1, 2)), (chain_graph(),))
+CHAIN_WITNESS = LambdaWitness(chain_graph(), SimplexPoint((F(3, 4), F(1, 4))))
+NO_DENSITY = PiEvidence("asserted", 0, "x")  # lies below every alpha in [0, 2]
 
 # (name of the count, its least value, a call that reads it)
 ENTRY_POINTS = [
@@ -124,6 +129,9 @@ SEQUENCES = [
     ("point", lambda: evaluate(Hypergraph(1), 5), "must be a sequence, not 5"),
     ("simplex weights", lambda: certify_at(Hypergraph(1), 5),
      "must be a sequence, not 5"),
+    ("lambda_witnesses",
+     lambda: JumpCertificate(1, "jump", CHAIN_FAMILY, 5, NO_DENSITY),
+     "must be a sequence, not 5"),
 ]
 
 
@@ -152,11 +160,29 @@ ENTRIES = [
     ("term coefficient", lambda: PolynomialForm(1, [("x", (1,))]),
      "must be a number, not 'x'"),
     ("ambient", lambda: ForbiddenFamily(5, (complete(3, (2,)),)),
-     "must be a EdgeTypeSet, not 5"),
+     "must be an EdgeTypeSet, not 5"),
     ("ambient", lambda: ForbiddenFamily("x", (complete(3, (2,)),)),
-     "must be a EdgeTypeSet, not 'x'"),
+     "must be an EdgeTypeSet, not 'x'"),
     ("ambient", lambda: ForbiddenFamily((2,), (complete(3, (2,)),)),
-     r"must be a EdgeTypeSet, not \(2,\)"),
+     r"must be an EdgeTypeSet, not \(2,\)"),
+    ("member", lambda: LambdaWitness(5, SimplexPoint.uniform(1)),
+     "must be a Hypergraph, not 5"),
+    ("point", lambda: LambdaWitness(chain_graph(), (F(3, 4), F(1, 4))),
+     r"must be a SimplexPoint, not \(Fraction\(3, 4\), Fraction\(1, 4\)\)"),
+    ("family",
+     lambda: JumpCertificate(1, "jump", 5, (CHAIN_WITNESS,), NO_DENSITY),
+     "must be a ForbiddenFamily, not 5"),
+    ("lambda_witnesses entry",
+     lambda: JumpCertificate(1, "jump", CHAIN_FAMILY, (5,), NO_DENSITY),
+     "must be a LambdaWitness, not 5"),
+    ("pi_evidence",
+     lambda: JumpCertificate(1, "jump", CHAIN_FAMILY, (CHAIN_WITNESS,), 5),
+     "must be a PiEvidence, not 5"),
+    ("family", lambda: build_certificate(F(11, 10), 5),
+     "must be a ForbiddenFamily, not 5"),
+    ("family", lambda: known_turan_density(5), "must be a ForbiddenFamily, not 5"),
+    ("family", lambda: pi_n(5, 3), "must be a ForbiddenFamily, not 5"),
+    ("family", lambda: density_sequence(5, 3), "must be a ForbiddenFamily, not 5"),
 ]
 
 
@@ -169,9 +195,15 @@ def test_entries_refuse_wrong_types(what, call, text):
         call()
 
 
-CHAIN_FAMILY = ForbiddenFamily(EdgeTypeSet((1, 2)), (chain_graph(),))
-CHAIN_WITNESS = LambdaWitness(chain_graph(), SimplexPoint((F(3, 4), F(1, 4))))
-NO_DENSITY = PiEvidence("asserted", 0, "x")  # lies below every alpha in [0, 2]
+def test_certificate_stores_a_list_of_witnesses_as_a_tuple():
+    cert = JumpCertificate(1, "jump", CHAIN_FAMILY, [CHAIN_WITNESS], NO_DENSITY)
+    assert cert.lambda_witnesses == (CHAIN_WITNESS,)
+    assert cert == JumpCertificate(
+        1, "jump", CHAIN_FAMILY, (CHAIN_WITNESS,), NO_DENSITY
+    )
+    hash(cert)
+    assert '"lambda_witnesses":[{' in dumps_canonical(certificate_to_obj(cert))
+
 
 # (what names the rational, a call that reads it, a Fraction the call
 # accepts); every call accepts the int 1 as well

@@ -97,6 +97,29 @@ class TestClassify12:
         assert classify12(interval[1]).verdict == "weak_jump"
         assert interval[0] < alpha < interval[1]
 
+    def test_interval_ends_are_memoised_per_row_and_k(self, monkeypatch):
+        # the 9 950 strong alpha on i/5000 share 324 (row, k) intervals, and
+        # each interval's two ends are built once
+        calls = 0
+        value = jumpcert._Row.value
+
+        def counted(row, k):
+            nonlocal calls
+            calls += 1
+            return value(row, k)
+
+        monkeypatch.setattr(jumpcert._Row, "value", counted)
+        jumpcert._interval.cache_clear()
+        for i in range(10001):
+            classify12(F(i, 5000))
+        assert calls <= 2 * 324
+        # below a row's first weak value the interval starts at the limit of
+        # the row before, whether the memo is cold or warm
+        jumpcert._interval.cache_clear()
+        for _ in ("cold", "warm"):
+            assert classify12(F(17, 16)).interval == (1, F(9, 8))
+            assert classify12(F(11, 8)).interval == (F(5, 4), F(3, 2))
+
     @pytest.mark.parametrize(
         "alpha,form,k",
         [

@@ -72,3 +72,18 @@ def test_script_exits_cleanly(name, argv):
     proc = run_script(name, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (("--denominator", "0"), "denominator must be positive"),
+        (("--denominator", "24", "--certify-strong", "-1"),
+         "certify-strong count must not be negative"),
+    ],
+)
+def test_jump_scan_refuses_bad_counts(argv, text):
+    proc = run_script("jump_scan.py", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.rstrip().endswith(f"error: {text}")
