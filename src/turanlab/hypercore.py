@@ -121,6 +121,21 @@ def _require_type(value, kind: type, what: str):
     return value
 
 
+def _require_edge(value, graph: Hypergraph, what: str) -> tuple[int, ...]:
+    """``value`` as an edge of ``graph``: the sorted tuple of its vertices,
+    which must be ints; a set of vertices that is not an edge is refused."""
+    if not (type(value) is tuple and all(type(v) is int for v in value)
+            and value in graph.edge_set):  # else not an edge as stored
+        value = tuple(sorted(
+            _require_int(v, f"{what} vertex") for v in _require_tuple(value, what)
+        ))
+        if value not in graph.edge_set:
+            raise InvalidArgumentError(
+                f"{what} must be an edge of the graph, not {value!r}"
+            )
+    return value
+
+
 @dataclass(frozen=True)
 class EdgeTypeSet:
     """A finite set of admissible edge sizes, kept sorted and distinct."""
@@ -567,40 +582,89 @@ def _degree_table(graph: Hypergraph, sizes) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=1024)
-def _search_plan(small: Hypergraph):
+def _search_plan(small: Hypergraph, size: int | None = None):
     """The side of ``_embedding_search`` that depends on small alone, made
-    once per forbidden member: its edge sizes, degree table, placement order,
-    and the edges checked at each step."""
+    once per forbidden member and anchor size: small's edge sizes, its degree
+    table, and the starts of the search.
+
+    A start is (k, order, after, check_at).  The search places small's
+    vertices in ``order``, the first k onto the anchor edge and the rest
+    anywhere.  ``check_at[s]`` holds the edges that step s completes, and
+    ``after[s]`` the twin placed before order[s] on its side of the anchor
+    (or small.n, whose image is -1), whose image order[s]'s must exceed.  So
+    only maps with the twins on each side in order are searched, and nothing
+    is lost: swapping two twins is an automorphism of small that fixes the
+    anchor when both lie on one side of it.  Twins come in vertex order, so
+    the least witness in search order has its twins in order and is still
+    found first.
+
+    Without ``size`` there is one start, with k = 0, in order of decreasing
+    degree.  With it, there is one start per edge f of small with |f| =
+    size that meets every twin class in a prefix of it, which is one f per
+    orbit of the twin permutations, as in ``turansearch._grow``.  f comes
+    first, and its steps draw from the anchor edge, so they run through each
+    bijection from f onto it that keeps the twins of f in order; the other
+    vertices follow in the order without ``size``.
+    """
     sizes = small.edge_sizes()
     small_deg = tuple(_degree_table(small, sizes))
-    order = tuple(sorted(range(small.n), key=lambda v: (-sum(small_deg[v]), v)))
-    pos_of = {v: i for i, v in enumerate(order)}
-    # edges of small checked at the step that completes them
-    check_at = [[] for _ in range(small.n)]
-    for e in small.edges:
-        last = max(pos_of[v] for v in e)
-        check_at[last].append(e)
-    return sizes, small_deg, order, tuple(tuple(es) for es in check_at)
+    base = sorted(range(small.n), key=lambda v: (-sum(small_deg[v]), v))
+    classes = equivalence_classes(small)
+    twins = {v: cls for cls in classes for v in cls}
+    pred = {b: a for cls in classes for a, b in zip(cls, cls[1:])}
+
+    def start(anchor):
+        order = list(anchor) + [v for v in base if v not in anchor]
+        pos_of = {v: i for i, v in enumerate(order)}
+        after = []
+        for v in order:
+            side = [u for u in twins[v] if u < v and (u in anchor) == (v in anchor)]
+            after.append(side[-1] if side else small.n)
+        # edges of small checked at the step that completes them; the anchor
+        # itself lands on the anchor edge
+        check_at = [[] for _ in range(small.n)]
+        for e in small.edges:
+            if e != anchor:
+                check_at[max(pos_of[v] for v in e)].append(e)
+        return len(anchor), tuple(order), tuple(after), tuple(map(tuple, check_at))
+
+    if size is None:
+        starts = (start(()),)
+    else:
+        # f meets every class in a prefix: the twin before each v of f, if
+        # any, is in f too
+        starts = tuple(
+            start(f) for f in small.edges
+            if len(f) == size and all(pred.get(v, v) in f for v in f)
+        )
+    return sizes, small_deg, starts
 
 
-def _embedding_search(big: Hypergraph, small: Hypergraph, induced: bool):
+def _embedding_search(big: Hypergraph, small: Hypergraph, induced: bool,
+                      through: tuple[int, ...] | None = None):
     """Backtracking search for an injection mapping small's edges onto big's.
 
     Returns the first witness in search order, or None.  In induced mode the
     map must also pull every edge of big inside the image back to an edge of
-    small.
+    small.  With ``through``, an edge of big, only maps that send some edge
+    of small onto it are searched (see ``_search_plan``); the other vertices
+    may then go anywhere, and no degree table of big is built.
     """
     h, g = small.n, big.n
     if h > g:
         return None
-    sizes, small_deg, order, check_at = _search_plan(small)
-    big_deg = _degree_table(big, sizes)
-    # images of v: the vertices of big with at least v's degree in every size
-    fits_of = {
-        row: [c for c in range(g) if all(b >= s for b, s in zip(big_deg[c], row))]
-        for row in set(small_deg)
-    }
-    fits = [fits_of[row] for row in small_deg]
+    if through is None:
+        sizes, small_deg, starts = _search_plan(small)
+        big_deg = _degree_table(big, sizes)
+        # images of v: the vertices of big with at least v's degree in every size
+        fits_of = {
+            row: [c for c in range(g) if all(b >= s for b, s in zip(big_deg[c], row))]
+            for row in set(small_deg)
+        }
+        fits = [fits_of[row] for row in small_deg]
+    else:
+        _, _, starts = _search_plan(small, len(through))
+        fits = [range(g)] * h
     if induced:
         big_incident = [[] for _ in range(g)]
         for e in big.edges:
@@ -609,21 +673,24 @@ def _embedding_search(big: Hypergraph, small: Hypergraph, induced: bool):
     small_edge_set = small.edge_set
     big_edge_set = big.edge_set
 
-    phi = [-1] * h
+    phi = [-1] * (h + 1)  # phi[h] stays -1: the bound when no twin comes before
+    image_of = phi.__getitem__
     inverse = {}
 
     def place(step: int) -> bool:
+        # reads the order, after, check_at and pools of the current start
         if step == h:
             return True
         v = order[step]
-        for cand in fits[v]:
-            if cand in inverse:
+        lo = phi[after[step]]
+        for cand in pools[step]:
+            if cand <= lo or cand in inverse:
                 continue
             phi[v] = cand
             inverse[cand] = v
             ok = True
             for e in check_at[step]:
-                if tuple(sorted(phi[u] for u in e)) not in big_edge_set:
+                if tuple(sorted(map(image_of, e))) not in big_edge_set:
                     ok = False
                     break
             if ok and induced:
@@ -640,7 +707,11 @@ def _embedding_search(big: Hypergraph, small: Hypergraph, induced: bool):
             phi[v] = -1
         return False
 
-    return tuple(phi) if place(0) else None
+    for k, order, after, check_at in starts:
+        pools = [through] * k + [fits[v] for v in order[k:]]
+        if place(0):
+            return tuple(phi[:h])
+    return None
 
 
 def find_embedding(big: Hypergraph, small: Hypergraph) -> tuple[int, ...] | None:
@@ -648,9 +719,18 @@ def find_embedding(big: Hypergraph, small: Hypergraph) -> tuple[int, ...] | None
     return _embedding_search(big, small, induced=False)
 
 
-def contains_subgraph(big: Hypergraph, small: Hypergraph) -> bool:
-    """Whether big contains a (not necessarily induced) copy of small."""
-    return find_embedding(big, small) is not None
+def contains_subgraph(big: Hypergraph, small: Hypergraph, through=None) -> bool:
+    """Whether big contains a (not necessarily induced) copy of small.
+
+    With ``through``, an edge of big, only the copies that use it count: the
+    injections that map some edge of small onto it.  If big less that edge
+    contains no copy of small, every copy in big uses it, so the two answers
+    agree; ``turansearch.pi_n`` tests each new child g + e of a free g so.
+    A ``through`` that is not an edge of big raises InvalidArgumentError.
+    """
+    if through is not None:
+        through = _require_edge(through, big, "through")
+    return _embedding_search(big, small, False, through) is not None
 
 
 def find_induced_embedding(big: Hypergraph, small: Hypergraph) -> tuple[int, ...] | None:

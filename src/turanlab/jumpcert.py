@@ -341,6 +341,7 @@ class PiEvidence:
         # a plain int value is stored as the rational it stands for
         value = _require_rational(self.value, "density value")
         object.__setattr__(self, "value", value)
+        _require_type(self.detail, str, "detail")
         if self.n is not None:
             object.__setattr__(self, "n", _require_int(self.n, "n", 1))
         if self.grade not in ("closed_form", "exhaustive", "asserted"):

@@ -10,6 +10,13 @@ it.  In subgraph mode freeness is monotone under edge removal, which lets the
 loop grow only inside the free classes and score only the maximal ones; in
 induced mode it grows every class and scores the free ones.
 
+``_grow`` hands its test each child g + e of an accepted g together with the
+new edge e, as ``admits(child, e)``.  In subgraph mode g is free, so a copy
+of a member in g + e must use e, and ``pi_n`` searches only the embeddings
+that map a member's edge onto e (``contains_subgraph(child, member,
+through=e)``).  The answer is the child's freeness itself, so the maximal
+flags, the level order and every output are the same as with a full search.
+
 Two exact twin-pruning rules cut the isomorphic work, and neither changes any
 output.  ``_grow`` extends g only by non-edges that meet each twin class of g
 in a prefix of it: permuting twins is an automorphism of g, and it carries
@@ -96,6 +103,11 @@ class ForbiddenFamily:
     def admits(self, graph: Hypergraph) -> bool:
         return not self.excludes(graph)
 
+    def _admits_through(self, child: Hypergraph, e: tuple[int, ...]) -> bool:
+        """Whether no member embeds in child through its edge e, in subgraph
+        mode: ``admits(child)`` when child less e is free (see ``_grow``)."""
+        return not any(contains_subgraph(child, m, through=e) for m in self.members)
+
 
 @dataclass(frozen=True)
 class PiRecord:
@@ -145,12 +157,17 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
     """Yield (g, maximal) once per isomorphism class, level by level.
 
     Within a level the canonical graphs come in canonical-form order, and the
-    next level holds every class g + e that ``admits`` accepts (all when it
-    is None); ``maximal`` says that no child of g is accepted.
+    next level holds every class g + e that ``admits(g + e, e)`` accepts (all
+    when ``admits`` is None); ``maximal`` says that no child of g is accepted.
 
-    Precondition: ``admits`` sees only isomorphism classes and is closed
-    under edge deletion (if it accepts a graph, it accepts the graph less any
-    edge).  Freeness in subgraph mode is both.
+    Precondition: the empty graph is accepted, and ``admits(g + e, e)`` is
+    called only for an accepted g, where it must answer as a test of g + e
+    alone that sees only isomorphism classes and is closed under edge
+    deletion (if it accepts a graph, it accepts the graph less any edge).
+    Freeness in subgraph mode is such a test, and ``pi_n`` passes it as "no
+    member embeds through e": g is free, so a copy of a member in g + e uses
+    e.  The answers, and with them the levels, their order and the maximal
+    flags, are those of the test of g + e alone.
 
     Only non-edges e that meet every twin class C of g in a prefix of C are
     tried.  Every permutation inside the twin classes is an automorphism of g,
@@ -176,7 +193,7 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
     ``admits`` only to settle ``maximal``, when no other child was admitted.
     """
     if admits is None:
-        def admits(child):
+        def admits(child, e):
             return True
 
     universe = complete(n, types).edges
@@ -205,14 +222,14 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
                     deferred.append(e)
                     continue
                 child = g._with_edge(e)
-                if not admits(child):
+                if not admits(child, e):
                     continue
                 maximal = False
                 key = canonical_form(child)
                 if key not in nxt:
                     nxt[key] = child
             if maximal:
-                maximal = not any(admits(g._with_edge(e)) for e in deferred)
+                maximal = not any(admits(g._with_edge(e), e) for e in deferred)
             yield g, maximal
         frontier = [canonical_graph(nxt[key]) for key in sorted(nxt)]
 
@@ -233,7 +250,8 @@ def enumerate_graphs(n: int, types: EdgeTypeSet):
 def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
     """Largest Lubell density of a family-free graph on n labeled vertices.
 
-    In subgraph mode only maximal free graphs are scored; in induced mode all
+    In subgraph mode only maximal free graphs are scored, and each child is
+    tested only through its new edge (see ``_grow``); in induced mode all
     free classes are scored since maximality does not dominate.
     """
     _require_type(family, ForbiddenFamily, "family")
@@ -248,7 +266,8 @@ def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
     best = None
     extremal = []
     count = 0
-    for g, maximal in _grow(n, family.ambient, None if induced else family.admits):
+    admits = None if induced else family._admits_through
+    for g, maximal in _grow(n, family.ambient, admits):
         count += 1
         if progress and count % 1000 == 0:
             progress(count)

@@ -107,6 +107,18 @@ def brute_contains(big: Hypergraph, small: Hypergraph, induced=False) -> bool:
     return brute_count_injections(big, small) > 0
 
 
+def brute_contains_through(big: Hypergraph, small: Hypergraph, e) -> bool:
+    """Whether some injection sends every small edge onto a big edge and
+    some small edge onto the edge e of big."""
+    big_edges = frozenset(big.edges)
+    target = tuple(sorted(e))
+    for image in itertools.permutations(range(big.n), small.n):
+        mapped = [tuple(sorted(image[v] for v in f)) for f in small.edges]
+        if target in mapped and all(f in big_edges for f in mapped):
+            return True
+    return False
+
+
 def all_labeled_graphs(n: int, sizes):
     """Every labeled graph on n vertices with edges of the given sizes."""
     pool = [

@@ -183,6 +183,7 @@ ENTRIES = [
     ("family", lambda: known_turan_density(5), "must be a ForbiddenFamily, not 5"),
     ("family", lambda: pi_n(5, 3), "must be a ForbiddenFamily, not 5"),
     ("family", lambda: density_sequence(5, 3), "must be a ForbiddenFamily, not 5"),
+    ("detail", lambda: PiEvidence("asserted", 1, 5), "must be a str, not 5"),
 ]
 
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -49,6 +49,17 @@ TWO_K2 = Hypergraph(4, ((0, 1), (2, 3)))
 C5 = Hypergraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
 C6 = Hypergraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)))
 C3_C4 = Hypergraph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)))
+# members whose twin classes cut the anchored search down, and members with
+# isolated vertices
+TWIN_RICH = (
+    complete(4, (2,)),
+    complete(2, (1, 2)),
+    marked_clique(3),
+    complete(4, (3,)),
+    complete(3, (1, 2, 3)),
+    Hypergraph(4, ((0, 1),)),
+    Hypergraph(4, ((0,), (1, 2, 3))),
+)
 BLOW_UP_BASES = (
     chain_graph(), marked_clique(3), PATH3, Hypergraph(3, ((0,), (0, 1, 2)))
 )
@@ -130,8 +141,9 @@ class TestUnvalidatedConstruction:
         # tried non-edge: a child that fails the edge-invariant check is
         # built only when maximal needs it; admitting a random third of the
         # children reaches deep levels while keeping the run small
-        def admits(child):
+        def admits(child, e):
             _assert_validated(child)
+            assert e in child.edge_set
             return rnd.random() < 0.3
 
         for g, _ in _grow(n, EdgeTypeSet(tuple(sizes)), admits):
@@ -333,6 +345,35 @@ class TestEmbeddings:
         assert contains_induced(big, small) == oracles.brute_contains(
             big, small, induced=True
         )
+
+    @given(
+        hypergraphs(max_n=6, min_edges=1).flatmap(
+            lambda g: st.tuples(st.just(g), st.sampled_from(g.edges))
+        ),
+        st.one_of(hypergraphs(max_n=4), st.sampled_from(TWIN_RICH)),
+    )
+    @settings(max_examples=300)
+    def test_containment_through_an_edge_matches_bruteforce(self, drawn, small):
+        big, e = drawn
+        assert contains_subgraph(big, small, through=e) == (
+            oracles.brute_contains_through(big, small, e)
+        )
+
+    def test_through_needs_an_edge_of_big(self):
+        big = Hypergraph(4, ((0,), (0, 1), (1, 2, 3)))
+        # any iterable of the vertices of an edge names it
+        assert contains_subgraph(big, chain_graph(), through=[1, 0])
+        assert not contains_subgraph(big, chain_graph(), through=(1, 2, 3))
+        for through, text in [
+            ((0, 2), r"through must be an edge of the graph, not \(0, 2\)"),
+            ((4,), r"through must be an edge of the graph, not \(4,\)"),
+            ((), r"through must be an edge of the graph, not \(\)"),
+            (5, "through must be a sequence, not 5"),
+            ((0.0, 1.0), "through vertex must be an integer, not 0.0"),
+            ((True,), "through vertex must be an integer, not True"),
+        ]:
+            with pytest.raises(InvalidArgumentError, match=f"^{text}$"):
+                contains_subgraph(big, chain_graph(), through=through)
 
     def test_induced_versus_subgraph(self):
         assert contains_subgraph(complete(3, (2,)), PATH3)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import hypergraphs
-from turanlab import hypercore
+from turanlab import hypercore, turansearch
 from turanlab.errors import InvalidArgumentError, UnsupportedSizeError
 from turanlab.hypercore import (
     EdgeTypeSet,
@@ -39,8 +39,9 @@ def _family(sizes, members, mode="subgraph"):
     return ForbiddenFamily(EdgeTypeSet(sizes), members, mode)
 
 
-# each case: (n, ambient sizes, the family whose admits _grow takes, or None
-# to grow every class as induced mode and enumerate_graphs do)
+# each case: (n, ambient sizes, the family whose anchored test _grow takes,
+# as pi_n passes it, or None to grow every class as induced mode and
+# enumerate_graphs do)
 GROW_CASES = {
     "triangle_free n=6": (6, (2,), _family((2,), (complete(3, (2,)),))),
     "mixed_pair n=5": (5, (1, 2), _family((1, 2), (complete(2, (1, 2)),))),
@@ -163,7 +164,7 @@ class TestGrowOracle:
             expect[canonical_form(g)] = not any(
                 edges | {e} in free_sets for e in pool - edges
             )
-        grown = list(_grow(n, EdgeTypeSet(sizes), family.admits))
+        grown = list(_grow(n, EdgeTypeSet(sizes), family._admits_through))
         got = {canonical_form(g): maximal for g, maximal in grown}
         assert len(got) == len(grown)
         assert got == expect
@@ -174,7 +175,7 @@ class TestGrowDigest:
     @pytest.mark.parametrize("case", sorted(GROW_CASES))
     def test_yields_are_pinned(self, case):
         n, sizes, family = GROW_CASES[case]
-        admits = None if family is None else family.admits
+        admits = None if family is None else family._admits_through
         digest = hashlib.sha256()
         for g, maximal in _grow(n, EdgeTypeSet(sizes), admits):
             digest.update(repr((g.n, g.edges, maximal)).encode("ascii") + b"\n")
@@ -257,21 +258,29 @@ class TestPiN:
         assert len(calls) <= 10_400
 
     def test_mixed_pair_frontier_work(self, monkeypatch):
-        # children whose new edge lacks the largest invariant skip admits
-        # and canonical_form (14 500 admits calls and 8 112 canonical forms
-        # when every tried child was tested and keyed; 2 928 canonical forms
-        # with a canonical-parent test on top)
+        # children whose new edge lacks the largest invariant skip the
+        # containment test and canonical_form (14 500 tests and 8 112
+        # canonical forms when every tried child was tested and keyed; 2 928
+        # canonical forms with a canonical-parent test on top), and each
+        # test searches only through the new edge: the one search of a
+        # whole graph is the empty graph's (4 486 when every child had one)
         family = ForbiddenFamily(EdgeTypeSet((1, 2)), (complete(2, (1, 2)),))
-        calls = []
-        admits = ForbiddenFamily.admits
-        monkeypatch.setattr(
-            ForbiddenFamily, "admits",
-            lambda self, graph: calls.append(None) or admits(self, graph),
-        )
+        anchored, whole = [], []
+        contains = turansearch.contains_subgraph
+
+        def counted(big, small, through=None):
+            if through is None:
+                whole.append(None)
+                return contains(big, small)
+            anchored.append(None)
+            return contains(big, small, through=through)
+
+        monkeypatch.setattr(turansearch, "contains_subgraph", counted)
         canonical_form.cache_clear()
         assert pi_n(family, 6).pi_n == F(13, 10)
         assert canonical_form.cache_info().misses <= 2_200
-        assert len(calls) <= 5_000
+        assert len(anchored) <= 5_000
+        assert len(whole) <= 1
 
     def test_forbidding_single_vertex_edge(self):
         family = ForbiddenFamily(EdgeTypeSet((1,)), (Hypergraph(1, ((0,),)),))
