@@ -235,7 +235,7 @@ class Hypergraph:
         return sum(1 for e in self.edges if v in e and (r is None or len(e) == r))
 
     def with_edges(self, *extra) -> "Hypergraph":
-        return Hypergraph(self.n, self.edges + tuple(tuple(e) for e in extra))
+        return Hypergraph(self.n, self.edges + extra)
 
     @classmethod
     def _from_normalized(cls, n: int, edges: tuple) -> "Hypergraph":
@@ -437,7 +437,7 @@ def equivalence_classes(graph: Hypergraph) -> tuple[tuple[int, ...], ...]:
     a class, and sigma_t skips a class-count vector when swapping the counts
     of two twins gives a larger one.  ``canonical_form`` splits only its
     root's non-singleton cells into twin classes, where it prunes and ends
-    its search, and ``turansearch._grow`` tries one non-edge per twin orbit.
+    its search, and ``_twin_prefix`` keeps one set per twin orbit.
     """
     return tuple(tuple(c) for c in _twin_classes(graph, (range(graph.n),)))
 
@@ -477,6 +477,23 @@ def _twin_classes(graph: Hypergraph, groups) -> list[list[int]]:
                 found.append([v])
         classes.extend(found)
     return classes
+
+
+def _twin_prefix(graph: Hypergraph, sets) -> list[tuple[int, ...]]:
+    """The sets among ``sets``, vertex tuples of graph, that meet every twin
+    class C of graph in a prefix of C, in their given order.
+
+    Every permutation inside the twin classes is an automorphism of graph,
+    and it moves a set within its orbit, which is fixed by how many vertices
+    the set has in each class.  So the orbit of each set holds exactly one
+    that meets every class in a prefix, and a search that needs one set per
+    orbit loses nothing by trying these alone: ``turansearch._grow`` over
+    the non-edges of g, ``_search_plan`` over the anchor edges of a member.
+    """
+    # pred[v]: the vertex before v in its twin class, if any; a set meets
+    # every class in a prefix iff it holds pred[v] for each v it holds
+    pred = {b: a for cls in equivalence_classes(graph) for a, b in zip(cls, cls[1:])}
+    return [s for s in sets if all(pred.get(v, v) in s for v in s)]
 
 
 # ---------------------------------------------------------------------------
@@ -600,18 +617,15 @@ def _search_plan(small: Hypergraph, size: int | None = None):
 
     Without ``size`` there is one start, with k = 0, in order of decreasing
     degree.  With it, there is one start per edge f of small with |f| =
-    size that meets every twin class in a prefix of it, which is one f per
-    orbit of the twin permutations, as in ``turansearch._grow``.  f comes
-    first, and its steps draw from the anchor edge, so they run through each
-    bijection from f onto it that keeps the twins of f in order; the other
-    vertices follow in the order without ``size``.
+    size that ``_twin_prefix`` keeps, one f per orbit of the twin
+    permutations.  f comes first, and its steps draw from the anchor edge,
+    so they run through each bijection from f onto it that keeps the twins
+    of f in order; the other vertices follow in the order without ``size``.
     """
     sizes = small.edge_sizes()
     small_deg = tuple(_degree_table(small, sizes))
     base = sorted(range(small.n), key=lambda v: (-sum(small_deg[v]), v))
-    classes = equivalence_classes(small)
-    twins = {v: cls for cls in classes for v in cls}
-    pred = {b: a for cls in classes for a, b in zip(cls, cls[1:])}
+    twins = {v: cls for cls in equivalence_classes(small) for v in cls}
 
     def start(anchor):
         order = list(anchor) + [v for v in base if v not in anchor]
@@ -631,12 +645,7 @@ def _search_plan(small: Hypergraph, size: int | None = None):
     if size is None:
         starts = (start(()),)
     else:
-        # f meets every class in a prefix: the twin before each v of f, if
-        # any, is in f too
-        starts = tuple(
-            start(f) for f in small.edges
-            if len(f) == size and all(pred.get(v, v) in f for v in f)
-        )
+        starts = tuple(map(start, _twin_prefix(small, small.edges_of_size(size))))
     return sizes, small_deg, starts
 
 

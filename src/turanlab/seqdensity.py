@@ -251,6 +251,7 @@ def density_estimate(gen: SequenceGenerator, i_max: int) -> DensityTrend:
 
     No member is built: each value comes from the member's blow-up shape.
     """
+    _require_type(gen, SequenceGenerator, "gen")
     i_max = _require_int(i_max, "i_max", 0)
     sizes = tuple(gen.size(i) for i in range(i_max + 1))
     values = [_shape_lubell(*gen._shape(i)) for i in range(i_max + 1)]
@@ -362,6 +363,7 @@ def sigma_t(
     such subsets a larger count vector gives a smaller subset, so the
     subset comes from the largest best vector.
     """
+    _require_type(gen, SequenceGenerator, "gen")
     t = _require_int(t, "t", 1)
     if t > MAX_SUBSET_SIZE:
         raise UnsupportedSizeError(f"t = {t} exceeds the cap {MAX_SUBSET_SIZE}")

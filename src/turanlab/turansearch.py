@@ -7,23 +7,22 @@ kept.  Only edges of largest invariant in the child are added, an exact cut
 that drops most children before any containment test or canonical form (see
 ``_grow``).  ``enumerate_graphs`` and both exhaustive modes of ``pi_n`` run on
 it.  In subgraph mode freeness is monotone under edge removal, which lets the
-loop grow only inside the free classes and score only the maximal ones; in
-induced mode it grows every class and scores the free ones.
+loop grow only inside the free classes, and ``pi_n`` scores every class it
+yields; in induced mode it grows every class and scores the free ones.
 
 ``_grow`` hands its test each child g + e of an accepted g together with the
 new edge e, as ``admits(child, e)``.  In subgraph mode g is free, so a copy
 of a member in g + e must use e, and ``pi_n`` searches only the embeddings
 that map a member's edge onto e (``contains_subgraph(child, member,
-through=e)``).  The answer is the child's freeness itself, so the maximal
-flags, the level order and every output are the same as with a full search.
+through=e)``).  The answer is the child's freeness itself, so the level
+order and every output are the same as with a full search.
 
 Two exact twin-pruning rules cut the isomorphic work, and neither changes any
-output.  ``_grow`` extends g only by non-edges that meet each twin class of g
-in a prefix of it: permuting twins is an automorphism of g, and it carries
-every other non-edge onto such a one, so every skipped child is isomorphic to
-a child that is tried.  ``canonical_form`` branches once per twin class of its
-target cell, and labels a node whose non-singleton cells are each one twin
-class without searching below it, for the reasons given at its definition.
+output.  ``_grow`` extends g only by the non-edges that ``_twin_prefix``
+keeps, one per orbit of the permutations inside g's twin classes.
+``canonical_form`` branches once per twin class of its target cell, and
+labels a node whose non-singleton cells are each one twin class without
+searching below it, for the reasons given at its definition.
 """
 
 from __future__ import annotations
@@ -40,13 +39,13 @@ from .hypercore import (
     _require_int,
     _require_tuple,
     _require_type,
+    _twin_prefix,
     canonical_form,
     canonical_graph,
     complete,
     contains_induced,
     contains_subgraph,
     disjoint_type_union,
-    equivalence_classes,
     lubell,
 )
 
@@ -154,11 +153,11 @@ def _adds_largest_inv(rows, slot, tops, e) -> bool:
 
 
 def _grow(n: int, types: EdgeTypeSet, admits=None):
-    """Yield (g, maximal) once per isomorphism class, level by level.
+    """Yield each class g once, level by level.
 
     Within a level the canonical graphs come in canonical-form order, and the
     next level holds every class g + e that ``admits(g + e, e)`` accepts (all
-    when ``admits`` is None); ``maximal`` says that no child of g is accepted.
+    when ``admits`` is None).
 
     Precondition: the empty graph is accepted, and ``admits(g + e, e)`` is
     called only for an accepted g, where it must answer as a test of g + e
@@ -166,13 +165,12 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
     deletion (if it accepts a graph, it accepts the graph less any edge).
     Freeness in subgraph mode is such a test, and ``pi_n`` passes it as "no
     member embeds through e": g is free, so a copy of a member in g + e uses
-    e.  The answers, and with them the levels, their order and the maximal
-    flags, are those of the test of g + e alone.
+    e.  The answers, and with them the levels and their order, are those of
+    the test of g + e alone.
 
-    Only non-edges e that meet every twin class C of g in a prefix of C are
-    tried.  Every permutation inside the twin classes is an automorphism of g,
-    and the orbit of each non-edge under them holds exactly one such e, so
-    each skipped child is isomorphic to a tried one.
+    Only the non-edges e of g that ``_twin_prefix`` keeps are tried, one per
+    orbit of the permutations inside g's twin classes, which are
+    automorphisms of g; so each skipped child is isomorphic to a tried one.
 
     Of the tried children, only those whose new edge has the largest
     invariant join the next level.  In a graph h, inv(f) = (|f|, the sorted
@@ -189,13 +187,8 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
     and ``admits`` accepts it.
     This is the canonical-deletion half of McKay's canonical augmentation
     (J. Algorithms 26, 1998); his parent test is not needed, since children
-    are deduplicated by key.  A child that fails the inv test goes to
-    ``admits`` only to settle ``maximal``, when no other child was admitted.
+    are deduplicated by key.
     """
-    if admits is None:
-        def admits(child, e):
-            return True
-
     universe = complete(n, types).edges
     slot = {r: i for i, r in enumerate(types)}
     frontier = [Hypergraph(n, ())]  # its own canonical graph
@@ -203,56 +196,43 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
         nxt: dict[bytes, Hypergraph] = {}
         for g in frontier:
             present = g.edge_set
-            # pred[v]: the vertex before v in v's twin class, or -1
-            pred = [-1] * n
-            for cls in equivalence_classes(g):
-                for a, b in zip(cls, cls[1:]):
-                    pred[b] = a
             rows = _degree_table(g, types)
             tops = [f for f in g.edges if len(f) == len(g.edges[-1])]
-            maximal = True
-            deferred = []  # tried children that fail the inv test
-            for e in universe:
-                if e in present:
-                    continue
-                # skip e unless it meets every twin class in a prefix
-                if any(pred[v] >= 0 and pred[v] not in e for v in e):
-                    continue
+            for e in _twin_prefix(g, [e for e in universe if e not in present]):
                 if not _adds_largest_inv(rows, slot, tops, e):
-                    deferred.append(e)
                     continue
                 child = g._with_edge(e)
-                if not admits(child, e):
+                if admits is not None and not admits(child, e):
                     continue
-                maximal = False
                 key = canonical_form(child)
                 if key not in nxt:
                     nxt[key] = child
-            if maximal:
-                maximal = not any(admits(g._with_edge(e), e) for e in deferred)
-            yield g, maximal
+            yield g
         frontier = [canonical_graph(nxt[key]) for key in sorted(nxt)]
 
 
-def enumerate_graphs(n: int, types: EdgeTypeSet):
+def enumerate_graphs(n: int, types):
     """Yield one canonical representative per isomorphism class on n vertices.
 
+    ``types`` is an ``EdgeTypeSet`` or any sequence of edge sizes.
     Level-by-level edge augmentation with canonical-form rejection: every
     class with k+1 edges arises from some class with k edges, so per-level
     deduplication visits each class exactly once.
     """
     n = _require_int(n, "n", 1)
     _check_cap(n)
-    for g, _ in _grow(n, types):
-        yield g
+    types = types if isinstance(types, EdgeTypeSet) else EdgeTypeSet(types)
+    yield from _grow(n, types)
 
 
 def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
     """Largest Lubell density of a family-free graph on n labeled vertices.
 
-    In subgraph mode only maximal free graphs are scored, and each child is
-    tested only through its new edge (see ``_grow``); in induced mode all
-    free classes are scored since maximality does not dominate.
+    In subgraph mode ``_grow`` yields only the free classes, each child
+    tested only through its new edge, and every one is scored; in induced
+    mode it yields every class and the free ones are scored.  Counting the
+    yields, ``graphs_enumerated`` is the number of free classes in subgraph
+    mode and of all classes in induced mode.
     """
     _require_type(family, ForbiddenFamily, "family")
     n = _require_int(n, "n", 1)
@@ -267,11 +247,11 @@ def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
     extremal = []
     count = 0
     admits = None if induced else family._admits_through
-    for g, maximal in _grow(n, family.ambient, admits):
+    for g in _grow(n, family.ambient, admits):
         count += 1
         if progress and count % 1000 == 0:
             progress(count)
-        if not (family.admits(g) if induced else maximal):
+        if induced and not family.admits(g):
             continue
         h = lubell(g)
         if best is None or h > best:

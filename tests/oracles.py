@@ -143,6 +143,17 @@ def brute_pi_n(members, ambient_sizes, n: int, induced=False) -> Fraction:
     return best
 
 
+def brute_extremal(members, ambient_sizes, n: int, induced=False) -> list:
+    """Every labeled graph that avoids every member and has the largest
+    Lubell value among those that do."""
+    free = [
+        g for g in all_labeled_graphs(n, ambient_sizes)
+        if not any(brute_contains(g, m, induced) for m in members)
+    ]
+    best = max(brute_lubell(g) for g in free)
+    return [g for g in free if brute_lubell(g) == best]
+
+
 def count_iso_classes(n: int, sizes) -> int:
     """Number of isomorphism classes, by partitioning all labeled graphs."""
     reps = []

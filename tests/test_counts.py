@@ -184,6 +184,8 @@ ENTRIES = [
     ("family", lambda: pi_n(5, 3), "must be a ForbiddenFamily, not 5"),
     ("family", lambda: density_sequence(5, 3), "must be a ForbiddenFamily, not 5"),
     ("detail", lambda: PiEvidence("asserted", 1, 5), "must be a str, not 5"),
+    ("gen", lambda: sigma_t(5, 2), "must be a SequenceGenerator, not 5"),
+    ("gen", lambda: density_estimate(5, 2), "must be a SequenceGenerator, not 5"),
 ]
 
 

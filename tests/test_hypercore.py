@@ -120,6 +120,11 @@ class TestHypergraph:
         g = empty_graph(3).with_edges((0, 1), (2,))
         assert g.edges == ((2,), (0, 1))
 
+    def test_with_edges_refuses_a_non_sequence_edge(self):
+        # read by the constructor's edge reader, not by a bare tuple(e)
+        with pytest.raises(InvalidArgumentError, match="^edge must be a sequence, not 5$"):
+            empty_graph(3).with_edges(5)
+
 
 def _assert_validated(g):
     # a graph built without validation equals the validated one on its edges
@@ -137,16 +142,15 @@ class TestUnvalidatedConstruction:
         st.randoms(use_true_random=False),
     )
     def test_grow_children(self, n, sizes, rnd):
-        # admits sees each child that _grow builds, which is not one per
-        # tried non-edge: a child that fails the edge-invariant check is
-        # built only when maximal needs it; admitting a random third of the
+        # admits sees each child that _grow builds: those whose new edge
+        # passes the edge-invariant check; admitting a random third of the
         # children reaches deep levels while keeping the run small
         def admits(child, e):
             _assert_validated(child)
             assert e in child.edge_set
             return rnd.random() < 0.3
 
-        for g, _ in _grow(n, EdgeTypeSet(tuple(sizes)), admits):
+        for g in _grow(n, EdgeTypeSet(tuple(sizes)), admits):
             _assert_validated(g)
 
     @given(

@@ -53,24 +53,25 @@ GROW_CASES = {
     "enumerate {2,3} n=4": (4, (2, 3), None),
 }
 # frozen: recorded on the frontier loop that ran admits on every tried child
+# and yielded a maximal flag with each class, hashed without the flag
 GROW_DIGESTS = {
     "triangle_free n=6": (
-        "90a981eb18bbfded1bb960284f1b7ac5b347916f83336911300cc5c91510528b"
+        "ff0d6c85bbef510e9192cbca5aa60edbe74ce9f0f0e7be80c5c1749ea9facf9e"
     ),
     "mixed_pair n=5": (
-        "42e80b0bcd43e236b47866d0ef74b85b95c13f138768494389a77d52490d5b9e"
+        "dbc98f80e0d0b5d6ee03296c3a23a8ffcda9ab664a212809db620cb2c5a01552"
     ),
     "marked_pair n=5": (
-        "f8e9f14b0c947db9aebd0400834b8fde7849d538de4f08f4a69d9438bad5a32a"
+        "c62d9cce3feae864e99c4bf27648d82e62969c393f4f2197ea96f72cc4a9a25c"
     ),
     "k4(3)_free n=5": (
-        "559f0930e8bd0a599f1715e6d984cbbd4cd14f2a43017a88b1fbc31aa74aa5a5"
+        "9de5810ebc8f191ab95796ad8c125b74910feb242623286a4a370294cbff7b52"
     ),
     "induced_p3 n=5": (
-        "95e0a896f479d7c70867e709eba8a1a21bdfb1e576c27280db8f794551789de1"
+        "646e9823946957e0b7676df876b6ddd48427a871d0151e4c583b2755e7deab9f"
     ),
     "enumerate {2,3} n=4": (
-        "f399de4ea495948cf11b4081f8585e585baa09f911dc6ecb33bc507216ed5e99"
+        "fe7f0e636168abfd5ff4029bbc2973f6c20ccb69bef296aaf127b6b8815a779e"
     ),
 }
 
@@ -104,6 +105,16 @@ class TestEnumeration:
     def test_counts_match_bruteforce_on_four_vertices(self, n, sizes, count):
         graphs = list(enumerate_graphs(n, EdgeTypeSet(sizes)))
         assert len(graphs) == count == oracles.count_iso_classes(n, sizes)
+
+    @pytest.mark.parametrize(
+        "n,sizes,same", [(3, (2, 2), (2,)), (4, (2, 1), (1, 2)), (3, (3, 1), (1, 3))]
+    )
+    def test_reads_any_size_sequence(self, n, sizes, same):
+        # repeated or unsorted sizes give the yields of the EdgeTypeSet
+        assert list(enumerate_graphs(n, sizes)) == list(enumerate_graphs(n, same))
+        assert list(enumerate_graphs(n, same)) == list(
+            enumerate_graphs(n, EdgeTypeSet(same))
+        )
 
     def test_first_graph_is_empty(self):
         first = next(enumerate_graphs(3, EdgeTypeSet((2,))))
@@ -145,40 +156,28 @@ def _small_families(draw):
 class TestGrowOracle:
     @given(_small_families())
     @settings(max_examples=100, deadline=None)
-    def test_free_classes_and_maximality(self, drawn):
+    def test_free_classes(self, drawn):
         n, sizes, members = drawn
         family = _family(sizes, members)
-        free = [
-            g for g in oracles.all_labeled_graphs(n, sizes)
+        expect = {
+            canonical_form(g) for g in oracles.all_labeled_graphs(n, sizes)
             if not any(oracles.brute_contains(g, m) for m in members)
-        ]
-        free_sets = {frozenset(g.edges) for g in free}
-        pool = {
-            e for r in sizes if r <= n
-            for e in itertools.combinations(range(n), r)
         }
-        expect = {}
-        for g in free:
-            edges = frozenset(g.edges)
-            # maximal: no free labeled graph has exactly one more edge
-            expect[canonical_form(g)] = not any(
-                edges | {e} in free_sets for e in pool - edges
-            )
         grown = list(_grow(n, EdgeTypeSet(sizes), family._admits_through))
-        got = {canonical_form(g): maximal for g, maximal in grown}
+        got = {canonical_form(g) for g in grown}
         assert len(got) == len(grown)
         assert got == expect
 
 
 class TestGrowDigest:
-    # every yield of the frontier loop, in order, with its maximal flag
+    # every yield of the frontier loop, in order
     @pytest.mark.parametrize("case", sorted(GROW_CASES))
     def test_yields_are_pinned(self, case):
         n, sizes, family = GROW_CASES[case]
         admits = None if family is None else family._admits_through
         digest = hashlib.sha256()
-        for g, maximal in _grow(n, EdgeTypeSet(sizes), admits):
-            digest.update(repr((g.n, g.edges, maximal)).encode("ascii") + b"\n")
+        for g in _grow(n, EdgeTypeSet(sizes), admits):
+            digest.update(repr((g.n, g.edges)).encode("ascii") + b"\n")
         assert digest.hexdigest() == GROW_DIGESTS[case]
 
 
@@ -263,7 +262,9 @@ class TestPiN:
         # canonical forms when every tried child was tested and keyed; 2 928
         # canonical forms with a canonical-parent test on top), and each
         # test searches only through the new edge: the one search of a
-        # whole graph is the empty graph's (4 486 when every child had one)
+        # whole graph is the empty graph's (4 486 when every child had one).
+        # No child is tested only to tell whether its parent is maximal
+        # (4 485 anchored searches when the failing children were)
         family = ForbiddenFamily(EdgeTypeSet((1, 2)), (complete(2, (1, 2)),))
         anchored, whole = [], []
         contains = turansearch.contains_subgraph
@@ -279,8 +280,20 @@ class TestPiN:
         canonical_form.cache_clear()
         assert pi_n(family, 6).pi_n == F(13, 10)
         assert canonical_form.cache_info().misses <= 2_200
-        assert len(anchored) <= 5_000
+        assert len(anchored) <= 3_400
         assert len(whole) <= 1
+
+    @given(_small_families(), st.sampled_from(["subgraph", "induced"]))
+    @settings(max_examples=60, deadline=None)
+    def test_extremal_matches_bruteforce(self, drawn, mode):
+        # every densest free class, each once; in subgraph mode every free
+        # class is scored, and the densest are among the maximal ones
+        n, sizes, members = drawn
+        record = pi_n(_family(sizes, members, mode), n)
+        expect = oracles.brute_extremal(members, sizes, n, mode == "induced")
+        assert record.pi_n == oracles.brute_lubell(expect[0])
+        got = [canonical_form(g) for g in record.extremal]
+        assert got == sorted({canonical_form(g) for g in expect})
 
     def test_forbidding_single_vertex_edge(self):
         family = ForbiddenFamily(EdgeTypeSet((1,)), (Hypergraph(1, ((0,),)),))
