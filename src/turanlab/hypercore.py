@@ -10,11 +10,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, isnan
+from math import comb, isnan, lcm
 from numbers import Rational, Real
 
 from .errors import (
@@ -382,13 +381,20 @@ class SimplexPoint:
 # densities and small constructions
 
 
+def _lubell_weights(n: int, sizes) -> tuple[int, dict[int, int]]:
+    """(d, w): d is the lcm of C(n, r) over the sizes r <= n, and an edge of
+    size r weighs w[r] = d // C(n, r), so a Lubell value is a sum of weights
+    over d.  Every Lubell value and score in the library is built from it."""
+    binomials = {r: comb(n, r) for r in sizes if r <= n}
+    d = lcm(*binomials.values())
+    return d, {r: d // c for r, c in binomials.items()}
+
+
 def lubell(graph: Hypergraph) -> Fraction:
     """Exact Lubell density: sum over edges of 1/C(n, |e|)."""
-    n = graph.n
-    total = Fraction(0)
-    for size, count in Counter(len(e) for e in graph.edges).items():
-        total += Fraction(count, comb(n, size))
-    return total
+    _require_type(graph, Hypergraph, "graph")
+    d, w = _lubell_weights(graph.n, graph.edge_sizes())
+    return Fraction(sum(w[len(e)] for e in graph.edges), d)
 
 
 def complete(n: int, sizes) -> Hypergraph:
@@ -515,21 +521,28 @@ def induced_subgraph(graph: Hypergraph, vertices) -> Hypergraph:
     return Hypergraph(len(s), edges)
 
 
-def _vertex_classes(n: int, class_sizes) -> tuple[int, list[range]]:
-    """Check n class sizes >= 0; return the vertex count and the consecutive
-    vertex range of each class."""
+def _realization(n: int, class_sizes, rows) -> Hypergraph:
+    """Replace vertex i by an interval of ``class_sizes[i]`` vertices, and each
+    row of (i, k) pairs by every union of a k-subset of each class i.
+
+    Precondition: rows are distinct and nonempty, with increasing i, k >= 1
+    and sum(k) <= MAX_EDGE_SIZE.  The classes are increasing intervals, so
+    each union is strictly increasing and distinct rows give disjoint sets
+    of unions: sorted, they meet the precondition of ``_from_normalized``."""
     sizes = tuple(_require_int(s, "class size", 0)
                   for s in _require_tuple(class_sizes, "class sizes"))
     if len(sizes) != n:
         raise InvalidArgumentError(
             f"expected {n} class sizes, got {len(sizes)}"
         )
-    classes = []
-    total = 0
-    for s in sizes:
-        classes.append(range(total, total + s))
-        total += s
-    return total, classes
+    starts = tuple(itertools.accumulate(sizes, initial=0))
+    classes = [range(a, b) for a, b in zip(starts, starts[1:])]
+    edges = []
+    for row in rows:
+        pools = [itertools.combinations(classes[i], k) for i, k in row]
+        edges.extend(sum(parts, ()) for parts in itertools.product(*pools))
+    edges.sort(key=_edge_order)
+    return Hypergraph._from_normalized(starts[-1], tuple(edges))
 
 
 def blow_up(graph: Hypergraph, class_sizes) -> Hypergraph:
@@ -538,14 +551,9 @@ def blow_up(graph: Hypergraph, class_sizes) -> Hypergraph:
     Every edge becomes the set of its transversals (one clone per original
     vertex).  A class of size 0 deletes the vertex along with its edges.
     """
-    total, classes = _vertex_classes(graph.n, class_sizes)
-    # the classes are increasing intervals, so each transversal is strictly
-    # increasing, and distinct edges of graph give disjoint sets of them
-    edges = []
-    for e in graph.edges:
-        edges.extend(itertools.product(*(classes[i] for i in e)))
-    edges.sort(key=_edge_order)
-    return Hypergraph._from_normalized(total, tuple(edges))
+    _require_type(graph, Hypergraph, "graph")
+    return _realization(graph.n, class_sizes,
+                        [[(i, 1) for i in e] for e in graph.edges])
 
 
 def disjoint_type_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
@@ -568,17 +576,10 @@ def realize(pattern: Pattern, class_sizes) -> Hypergraph:
 
     Classes with fewer than k_i vertices contribute no edges for that row.
     """
-    total, classes = _vertex_classes(pattern.n, class_sizes)
-    edges = []
-    for row in pattern.edges:
-        pools = [
-            itertools.combinations(classes[i], k)
-            for i, k in enumerate(row)
-            if k > 0
-        ]
-        for parts in itertools.product(*pools):
-            edges.append(tuple(itertools.chain.from_iterable(parts)))
-    return Hypergraph(total, tuple(edges))
+    _require_type(pattern, Pattern, "pattern")
+    return _realization(pattern.n, class_sizes,
+                        [[(i, k) for i, k in enumerate(row) if k]
+                         for row in pattern.edges])
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from math import factorial
 from .errors import InvalidArgumentError, OptimizerFailureError, TuranLabError
 from .hypercore import Hypergraph, Pattern, SimplexPoint, equivalence_classes
 from .hypercore import _is_exact, _require_int, _require_rational, _require_tuple
+from .hypercore import _require_type
 
 __all__ = [
     "PolynomialForm",
@@ -510,7 +511,8 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
     maximizer.  Otherwise each support runs the ascent, and the certificate
     is the exact value at the maximizer rounded by ``_rationalize``.
     """
-    cfg = config or OptimizerConfig()
+    cfg = (OptimizerConfig() if config is None
+           else _require_type(config, OptimizerConfig, "config"))
     if isinstance(obj, Pattern) and obj.is_simple():
         obj = obj.to_hypergraph()
     form = polynomial_form(obj)

@@ -12,11 +12,12 @@ no member is built and members of any size are reachable.
 A t-subset S that takes c[v] vertices of class v has the Lubell value
 sum over base edges e of prod(c[v] for v in e) / C(t, |e|): the base's
 Lagrangian polynomial at the integer point c.  So sigma_t searches the
-class-count vectors of each base.  It scores them with integers: D is the
-least common multiple of the binomials C(t, r) for r = 1..t and an edge
-of size r counts D // C(t, r).  Scores are exact and comparable across
-members.  The search skips only vectors that cannot beat the best one,
-so every reported value is exact.
+class-count vectors of each base.  It scores them with integers from
+``hypercore._lubell_weights(t, 1..t)``: D is the least common multiple of
+the binomials C(t, r) for r = 1..t and an edge of size r counts
+D // C(t, r).  Scores are exact and comparable across members.  The
+search skips only vectors that cannot beat the best one, so every
+reported value is exact.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from itertools import accumulate
 from .errors import InvalidArgumentError, UnsupportedSizeError
 from .hypercore import (
     Hypergraph,
+    _lubell_weights,
     _require_int,
     _require_rational,
     _require_tuple,
@@ -235,15 +237,12 @@ class DensityTrend:
 
 def _shape_lubell(base: Hypergraph, sizes) -> Fraction:
     """Lubell value of blow_up(base, sizes), computed without building it:
-    a base edge e stands for prod(sizes[v] for v in e) member edges."""
+    a base edge e stands for prod(sizes[v] for v in e) member edges.  A base
+    edge longer than the member has a class of size 0, so it stands for none."""
     n = sum(sizes)
-    counts = Counter()
-    for e in base.edges:
-        counts[len(e)] += math.prod(sizes[v] for v in e)
-    return sum(
-        (Fraction(c, math.comb(n, r)) for r, c in counts.items() if c),
-        Fraction(0),
-    )
+    d, w = _lubell_weights(n, base.edge_sizes())
+    return Fraction(sum(w[len(e)] * math.prod(sizes[v] for v in e)
+                        for e in base.edges if len(e) <= n), d)
 
 
 def density_estimate(gen: SequenceGenerator, i_max: int) -> DensityTrend:
@@ -271,11 +270,6 @@ class UpperDensityReport:
     h_values: tuple[Fraction, ...]  # full-member Lubell values over the range
     exhaustive: bool  # always True: every member is searched in full
     i_range: tuple[int, int]
-
-
-def _edge_weights(t: int) -> tuple[int, dict[int, int]]:
-    d = math.lcm(*(math.comb(t, r) for r in range(1, t + 1)))
-    return d, {r: d // math.comb(t, r) for r in range(1, t + 1)}
 
 
 def _best_counts(base: Hypergraph, caps, t: int, weights: dict[int, int],
@@ -376,7 +370,7 @@ def sigma_t(
             f"member range {i_range} exceeds the {gen.count} listed sizes"
         )
 
-    denom, weights = _edge_weights(t)
+    denom, weights = _lubell_weights(t, range(1, t + 1))
 
     best_score = -1
     attaining = None

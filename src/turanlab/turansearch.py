@@ -36,6 +36,7 @@ from .hypercore import (
     EdgeTypeSet,
     Hypergraph,
     _degree_table,
+    _lubell_weights,
     _require_int,
     _require_tuple,
     _require_type,
@@ -46,7 +47,6 @@ from .hypercore import (
     contains_induced,
     contains_subgraph,
     disjoint_type_union,
-    lubell,
 )
 
 __all__ = [
@@ -243,8 +243,8 @@ def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
         raise InvalidArgumentError(
             "the family forbids the empty graph; no free graph exists"
         )
-    best = None
-    extremal = []
+    d, w = _lubell_weights(n, family.ambient)
+    best, extremal = -1, []  # every score is >= 0
     count = 0
     admits = None if induced else family._admits_through
     for g in _grow(n, family.ambient, admits):
@@ -253,17 +253,17 @@ def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
             progress(count)
         if induced and not family.admits(g):
             continue
-        h = lubell(g)
-        if best is None or h > best:
+        h = sum(w[len(e)] for e in g.edges)
+        if h > best:
             best, extremal = h, [g]
         elif h == best:
             extremal.append(g)
-    if best is None:
+    if not extremal:
         raise InvalidArgumentError("no admissible graph exists on this vertex count")
     extremal.sort(key=canonical_form)
     return PiRecord(
         n=n,
-        pi_n=best,
+        pi_n=Fraction(best, d),
         extremal=tuple(extremal),
         graphs_enumerated=count,
         elapsed=time.perf_counter() - t0,

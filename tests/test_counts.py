@@ -22,6 +22,7 @@ from turanlab.hypercore import (
     blow_up,
     chain_graph,
     complete,
+    lubell,
     marked_clique,
     realize,
 )
@@ -39,6 +40,7 @@ from turanlab.lagrangian import (
     PolynomialForm,
     certify_at,
     evaluate,
+    maximize,
 )
 from turanlab.seqdensity import (
     SequenceGenerator,
@@ -186,6 +188,16 @@ ENTRIES = [
     ("detail", lambda: PiEvidence("asserted", 1, 5), "must be a str, not 5"),
     ("gen", lambda: sigma_t(5, 2), "must be a SequenceGenerator, not 5"),
     ("gen", lambda: density_estimate(5, 2), "must be a SequenceGenerator, not 5"),
+    ("config", lambda: maximize(Hypergraph(4, complete(4, (3,)).edges[:3]), 5),
+     "must be an OptimizerConfig, not 5"),
+    ("config", lambda: maximize(chain_graph(), 5),
+     "must be an OptimizerConfig, not 5"),
+    ("config", lambda: build_certificate(F(11, 10), CHAIN_FAMILY, config=5),
+     "must be an OptimizerConfig, not 5"),
+    ("graph", lambda: lubell(5), "must be a Hypergraph, not 5"),
+    ("graph", lambda: blow_up(5, (1,)), "must be a Hypergraph, not 5"),
+    ("pattern", lambda: realize(chain_graph(), (1, 1)),
+     r"must be a Pattern, not Hypergraph\(n=2, edges=\(\(0,\), \(0, 1\)\)\)"),
 ]
 
 

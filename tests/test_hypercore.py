@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import hypergraphs
+from strategies import hypergraphs, patterns
 from turanlab import hypercore
 from turanlab.errors import (
     InvalidArgumentError,
@@ -166,6 +166,29 @@ class TestUnvalidatedConstruction:
     )
     def test_blow_up(self, drawn):
         _assert_validated(blow_up(*drawn))
+
+    @given(
+        patterns(max_n=4, max_size=3).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.lists(
+                    st.integers(min_value=0, max_value=3),
+                    min_size=p.n, max_size=p.n,
+                ),
+            )
+        )
+    )
+    def test_realize(self, drawn):
+        # multiplicities up to 3 and classes of size 0 up to 3: a row takes
+        # every union of k-subsets, none where a class is too small
+        pattern, sizes = drawn
+        g = realize(pattern, sizes)
+        _assert_validated(g)
+        assert g.n == sum(sizes)
+        assert len(g.edges) == sum(
+            math.prod(math.comb(s, k) for s, k in zip(sizes, row))
+            for row in pattern.edges
+        )
 
     @given(hypergraphs(max_n=7, sizes=(1, 2, 3, 4)))
     def test_canonical_graph(self, g):

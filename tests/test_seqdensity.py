@@ -6,16 +6,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from strategies import hypergraphs
 from turanlab import serialize as ser
 from turanlab.errors import InvalidArgumentError, UnsupportedSizeError
-from turanlab.hypercore import Hypergraph, chain_graph, complete, lubell
+from turanlab.hypercore import Hypergraph, blow_up, chain_graph, complete, lubell
 from turanlab.seqdensity import (
     DensityTrend,
     SequenceGenerator,
+    _shape_lubell,
     density_estimate,
     proportional_sizes,
     sigma_t,
@@ -288,6 +290,23 @@ class TestDensityEstimate:
     def test_matches_direct_lubell(self, i):
         trend = density_estimate(BIPARTITE, i)
         assert trend.values[i] == oracles.brute_lubell(BIPARTITE.member(i))
+
+    @given(
+        hypergraphs(max_n=4, sizes=(1, 2, 3)).flatmap(
+            lambda g: st.tuples(
+                st.just(g),
+                st.lists(
+                    st.integers(min_value=0, max_value=3),
+                    min_size=g.n, max_size=g.n,
+                ),
+            )
+        )
+    )
+    # a member of 2 vertices under a base 3-edge: the edge stands for none
+    @example((Hypergraph(3, ((0,), (0, 1), (0, 1, 2))), [1, 1, 0]))
+    def test_shape_matches_built_blow_up(self, drawn):
+        base, sizes = drawn
+        assert _shape_lubell(base, sizes) == lubell(blow_up(base, sizes))
 
     @pytest.mark.parametrize("kind", range(5))
     def test_matches_direct_lubell_on_every_kind(self, kind):
