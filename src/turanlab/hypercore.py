@@ -12,7 +12,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, isnan, lcm
 from numbers import Rational, Real
 
@@ -213,9 +213,27 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
 
-    @cached_property
+    # edge_set and the hash are built on first use and kept in the instance
+    # __dict__, outside the fields, so equality and repr never see them.
+    # functools.cached_property would take a lock on every first use before
+    # Python 3.12, about as long as building a frontier child.
+
+    @property
     def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
+        try:
+            return self.__dict__["_edge_set"]
+        except KeyError:
+            edge_set = self.__dict__["_edge_set"] = frozenset(self.edges)
+            return edge_set
+
+    def __hash__(self) -> int:
+        # the value dataclass(frozen=True) would generate; it keeps an
+        # explicit __hash__
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = hash((self.n, self.edges))
+            return value
 
     def edge_sizes(self) -> tuple[int, ...]:
         """Distinct edge sizes present, ascending.  Empty for edgeless graphs."""
@@ -441,9 +459,10 @@ def equivalence_classes(graph: Hypergraph) -> tuple[tuple[int, ...], ...]:
     twinhood is transitive: each vertex is compared with the first vertex of
     every earlier class.  The Lagrangian optimizer takes equal weights inside
     a class, and sigma_t skips a class-count vector when swapping the counts
-    of two twins gives a larger one.  ``canonical_form`` splits only its
-    root's non-singleton cells into twin classes, where it prunes and ends
-    its search, and ``_twin_prefix`` keeps one set per twin orbit.
+    of two twins gives a larger one.  ``_canonical_labeling`` splits only
+    its root's non-singleton cells into twin classes, where it prunes and
+    ends its search, and returns them for the canonical graph;
+    ``_twin_prefix`` keeps one set per twin orbit.
     """
     return tuple(tuple(c) for c in _twin_classes(graph, (range(graph.n),)))
 
@@ -485,20 +504,22 @@ def _twin_classes(graph: Hypergraph, groups) -> list[list[int]]:
     return classes
 
 
-def _twin_prefix(graph: Hypergraph, sets) -> list[tuple[int, ...]]:
-    """The sets among ``sets``, vertex tuples of graph, that meet every twin
-    class C of graph in a prefix of C, in their given order.
+def _twin_prefix(classes, sets) -> list[tuple[int, ...]]:
+    """The sets among ``sets``, vertex tuples of a graph, that meet each of
+    ``classes``, the graph's ``equivalence_classes``, in a prefix, in their
+    given order.
 
-    Every permutation inside the twin classes is an automorphism of graph,
-    and it moves a set within its orbit, which is fixed by how many vertices
-    the set has in each class.  So the orbit of each set holds exactly one
-    that meets every class in a prefix, and a search that needs one set per
-    orbit loses nothing by trying these alone: ``turansearch._grow`` over
-    the non-edges of g, ``_search_plan`` over the anchor edges of a member.
+    Every permutation inside the twin classes is an automorphism of the
+    graph, and it moves a set within its orbit, which is fixed by how many
+    vertices the set has in each class.  So the orbit of each set holds
+    exactly one that meets every class in a prefix, and a search that needs
+    one set per orbit loses nothing by trying these alone:
+    ``turansearch._grow`` over the non-edges of g, with the classes that
+    labelling g gave, and ``_search_plan`` over the anchor edges of a member.
     """
     # pred[v]: the vertex before v in its twin class, if any; a set meets
     # every class in a prefix iff it holds pred[v] for each v it holds
-    pred = {b: a for cls in equivalence_classes(graph) for a, b in zip(cls, cls[1:])}
+    pred = {b: a for cls in classes for a, b in zip(cls, cls[1:])}
     return [s for s in sets if all(pred.get(v, v) in s for v in s)]
 
 
@@ -626,7 +647,8 @@ def _search_plan(small: Hypergraph, size: int | None = None):
     sizes = small.edge_sizes()
     small_deg = tuple(_degree_table(small, sizes))
     base = sorted(range(small.n), key=lambda v: (-sum(small_deg[v]), v))
-    twins = {v: cls for cls in equivalence_classes(small) for v in cls}
+    classes = equivalence_classes(small)
+    twins = {v: cls for cls in classes for v in cls}
 
     def start(anchor):
         order = list(anchor) + [v for v in base if v not in anchor]
@@ -646,7 +668,7 @@ def _search_plan(small: Hypergraph, size: int | None = None):
     if size is None:
         starts = (start(()),)
     else:
-        starts = tuple(map(start, _twin_prefix(small, small.edges_of_size(size))))
+        starts = tuple(map(start, _twin_prefix(classes, small.edges_of_size(size))))
     return sizes, small_deg, starts
 
 
@@ -755,11 +777,11 @@ def contains_induced(big: Hypergraph, small: Hypergraph) -> bool:
 # ---------------------------------------------------------------------------
 # canonical labeling
 #
-# Iterative color refinement (per-size degrees, then incident color profiles)
-# followed by individualize-and-refine branching over the first non-singleton
-# cell.  Among all leaf labelings the lexicographically least edge encoding is
-# the canonical form.  Cell keys are built from invariants only, so the result
-# is labeling-independent.
+# Iterative color refinement (per-size degrees, then per-size neighbour
+# colour signatures) followed by individualize-and-refine branching over the
+# first non-singleton cell.  Among all leaf labelings the lexicographically
+# least edge encoding is the canonical form.  Cell keys are built from
+# invariants only, so the result is labeling-independent.
 #
 # The search branches on one vertex per twin class of the target cell (see
 # ``equivalence_classes``).  Two twins u, w in the target cell are both
@@ -778,7 +800,7 @@ def contains_induced(big: Hypergraph, small: Hypergraph) -> bool:
 # Individualizing a vertex v of such a cell splits off {v} and changes no
 # other cell: two vertices left in one cell are twins other than v, so
 # swapping them is an automorphism that fixes v and the path.  Their
-# profiles stay equal, the partition stays stable, and its colours keep
+# signatures stay equal, the partition stays stable, and its colours keep
 # their order.  The search below the node is thus one path, individualizing
 # the least vertex of the first non-singleton cell at each level, and its
 # leaf labels the vertices in cell order, ties broken by vertex index; that
@@ -791,42 +813,61 @@ def contains_induced(big: Hypergraph, small: Hypergraph) -> bool:
 # partition refines the old one, and an equal cell count means an equal
 # partition: it is stable.  The new colours are then the dense ranks of the
 # old ones, a monotone relabeling.  It keeps the order of every sorted
-# profile and signature, so a further pass would return the same ranks; the
-# old loop ran that pass only to see no change.  The 2-edge entries of a
-# profile hold a bare neighbour colour in place of a 1-tuple: entries are
-# compared only within one edge size, where both orders agree, so the
-# colours are those of the tuple profiles.
+# signature, so a further pass would return the same ranks; the old loop
+# ran that pass only to see no change.  A pass that reaches n cells ends it
+# too: n cells is the most a partition can have, so the next pass would
+# leave the count unchanged and, by the same argument, return these ranks.
+#
+# A signature is a vertex's colour, then one block per edge size >= 2: the
+# sorted colours of its neighbours in the 2-edges, bare, and for each wider
+# size the sorted tuples of the sorted colours of its fellow vertices in
+# those edges.  Signatures of different colours are ordered by colour.
+# Within one colour the blocks of a size all have one length, since every
+# colour refines the start colour, which is the row of per-size degrees; so
+# comparing block by block orders them as one sorted profile of (size,
+# entry) pairs would, and the ranks are those of that profile.  1-edges add
+# nothing beyond the degree, and have no block.
+#
+# ``_canonical_labeling`` also returns the twin classes of the canonical
+# graph: the root's twin classes, each vertex singled out when the root is
+# discrete, carried through the winning leaf's label.  ``turansearch._grow``
+# builds its frontier from this key and these classes, so each child is
+# labelled once and its twins are never recomputed.
 
 
 def _refine_colors(n, incident, colors):
     """Refine ``colors`` to the coarsest stable partition below it; returns
-    its dense colour ranks.  ``incident[v]`` holds ``(|e|, others)`` for each
-    edge e at v, where ``others`` is e's other vertex for a 2-edge and the
-    tuple of e's other vertices otherwise."""
+    its dense colour ranks.  ``incident[v]`` is (pairs, wider): the other
+    ends of the 2-edges at v, and per edge size >= 3 in ascending order the
+    list of the tuples of the other vertices of v's edges of that size."""
     cells = len(set(colors))
     while True:
+        get = colors.__getitem__
         sigs = []
-        for v in range(n):
-            profile = sorted(
-                (size, colors[others] if size == 2
-                 else others if size == 1
-                 else tuple(sorted([colors[u] for u in others])))
-                for size, others in incident[v]
-            )
-            sigs.append((colors[v], tuple(profile)))
+        for v, (pairs, wider) in enumerate(incident):
+            sig = (colors[v], tuple(sorted(map(get, pairs))))
+            if wider:
+                sig += tuple(
+                    tuple(sorted([tuple(sorted(map(get, others))) for others in block]))
+                    for block in wider
+                )
+            sigs.append(sig)
         palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         fresh = [palette[sig] for sig in sigs]
-        if len(palette) == cells:
+        if len(palette) == cells or len(palette) == n:
             return fresh
         colors, cells = fresh, len(palette)
 
 
-def _encode_labeled(n, edges, label):
-    mapped = sorted(
-        (tuple(sorted(label[v] for v in e)) for e in edges),
-        key=_edge_order,
-    )
-    return (n, tuple(mapped))
+def _encode_labeled(n, blocks, label):
+    """(n, edges) of the graph relabeled by ``label``, where ``blocks`` are
+    the runs of one edge size of its edges: each block relabeled and sorted
+    is the run of its size in the edge order."""
+    get = label.__getitem__
+    edges = []
+    for block in blocks:
+        edges += sorted([tuple(sorted(map(get, e))) for e in block])
+    return (n, tuple(edges))
 
 
 def _format_encoding(key) -> bytes:
@@ -842,50 +883,51 @@ def _check_labeling_cap(n: int) -> None:
         )
 
 
-@lru_cache(maxsize=100_000)
-def canonical_form(graph: Hypergraph) -> bytes:
-    """Canonical byte encoding: equal byte strings iff isomorphic graphs."""
+def _canonical_labeling(graph: Hypergraph):
+    """(key, classes), uncached: key is the canonical graph's (n, edges),
+    which ``_format_encoding`` turns into ``canonical_form(graph)``, and
+    classes are the canonical graph's twin classes as ``equivalence_classes``
+    gives them."""
     n = graph.n
     _check_labeling_cap(n)
-    edges = graph.edges
-    incident = [[] for _ in range(n)]
-    for e in edges:
-        size = len(e)
-        if size == 1:
-            incident[e[0]].append((1, ()))
-        elif size == 2:
-            a, b = e
-            incident[a].append((2, b))
-            incident[b].append((2, a))
-        else:
-            for v in e:
-                incident[v].append((size, tuple(u for u in e if u != v)))
+    blocks = [tuple(block) for _, block in itertools.groupby(graph.edges, len)]
+    incident = [([], []) for _ in range(n)]
+    for block in blocks:
+        size = len(block[0])
+        if size == 2:
+            for a, b in block:
+                incident[a][0].append(b)
+                incident[b][0].append(a)
+        elif size > 2:
+            for _, wider in incident:
+                wider.append([])
+            for e in block:
+                for v in e:
+                    incident[v][1][-1].append(tuple(u for u in e if u != v))
     start = _degree_table(graph, graph.edge_sizes())
     palette = {key: i for i, key in enumerate(sorted(set(start)))}
     colors = [palette[key] for key in start]
-    class_of = None  # twin class of each vertex in a non-singleton root cell
-
-    best = [None]
+    twins = []  # the root's twin classes inside its non-singleton cells
+    class_of = None  # the index in twins of each vertex they hold
+    best = None  # (key, label) of the least leaf so far
 
     def search(colors):
-        nonlocal class_of
+        nonlocal class_of, best
         colors = _refine_colors(n, incident, colors)
         cells = [[] for _ in range(max(colors, default=-1) + 1)]
         for v, c in enumerate(colors):
             cells[c].append(v)
         split = [cell for cell in cells if len(cell) > 1]
         if split and class_of is None:
-            class_of = {}
-            for i, cls in enumerate(_twin_classes(graph, split)):
-                for v in cls:
-                    class_of[v] = i
+            twins.extend(_twin_classes(graph, split))
+            class_of = {v: i for i, cls in enumerate(twins) for v in cls}
         if all(len({class_of[v] for v in cell}) == 1 for cell in split):
             label = [0] * n
             for i, v in enumerate(itertools.chain.from_iterable(cells)):
                 label[v] = i
-            key = _encode_labeled(n, edges, label)
-            if best[0] is None or key < best[0]:
-                best[0] = key
+            key = _encode_labeled(n, blocks, label)
+            if best is None or key < best[0]:
+                best = key, label
             return
         tried = set()
         for v in split[0]:
@@ -897,7 +939,15 @@ def canonical_form(graph: Hypergraph) -> bytes:
             search(branched)
 
     search(colors)
-    return _format_encoding(best[0])
+    key, label = best
+    classes = [[v] for v in range(n) if class_of is None or v not in class_of] + twins
+    return key, tuple(sorted(tuple(sorted([label[v] for v in cls])) for cls in classes))
+
+
+@lru_cache(maxsize=100_000)
+def canonical_form(graph: Hypergraph) -> bytes:
+    """Canonical byte encoding: equal byte strings iff isomorphic graphs."""
+    return _format_encoding(_canonical_labeling(graph)[0])
 
 
 def canonical_graph(graph: Hypergraph) -> Hypergraph:

@@ -1,12 +1,15 @@
 """Exhaustive small-n Turan densities over non-uniform hypergraphs.
 
 One loop, ``_grow``, generates isomorphism classes level by level: each
-frontier of canonical graphs with k edges is extended by one edge and
-deduplicated through the canonical form, so no seen-set beyond the frontier is
-kept.  Only edges of largest invariant in the child are added, an exact cut
-that drops most children before any containment test or canonical form (see
-``_grow``).  ``enumerate_graphs`` and both exhaustive modes of ``pi_n`` run on
-it.  In subgraph mode freeness is monotone under edge removal, which lets the
+frontier of canonical graphs with k edges, each held with its twin classes,
+is extended by one edge and deduplicated by the canonical (n, edges) tuple of
+one uncached labelling per child, so no seen-set beyond the frontier is kept.
+That labelling also gives the next frontier's graphs and twin classes, and
+the frontier keeps the order of the canonical bytes.  Only edges of largest
+invariant in the child are added, an exact cut that drops most children
+before any containment test or labelling (see ``_grow``).
+``enumerate_graphs`` and both exhaustive modes of ``pi_n`` run on it.  In
+subgraph mode freeness is monotone under edge removal, which lets the
 loop grow only inside the free classes, and ``pi_n`` scores every class it
 yields; in induced mode it grows every class and scores the free ones.
 
@@ -19,10 +22,11 @@ order and every output are the same as with a full search.
 
 Two exact twin-pruning rules cut the isomorphic work, and neither changes any
 output.  ``_grow`` extends g only by the non-edges that ``_twin_prefix``
-keeps, one per orbit of the permutations inside g's twin classes.
-``canonical_form`` branches once per twin class of its target cell, and
-labels a node whose non-singleton cells are each one twin class without
-searching below it, for the reasons given at its definition.
+keeps, one per orbit of the permutations inside g's twin classes, which the
+labelling of g's class gave.  The labelling branches once per twin class of
+its target cell, and labels a node whose non-singleton cells are each one
+twin class without searching below it, for the reasons given in
+``hypercore``'s canonical-labelling notes.
 """
 
 from __future__ import annotations
@@ -35,18 +39,20 @@ from .errors import InvalidArgumentError, TuranLabError, UnsupportedSizeError
 from .hypercore import (
     EdgeTypeSet,
     Hypergraph,
+    _canonical_labeling,
     _degree_table,
+    _format_encoding,
     _lubell_weights,
     _require_int,
     _require_tuple,
     _require_type,
     _twin_prefix,
     canonical_form,
-    canonical_graph,
     complete,
     contains_induced,
     contains_subgraph,
     disjoint_type_union,
+    equivalence_classes,
 )
 
 __all__ = [
@@ -131,25 +137,29 @@ def _check_cap(n: int) -> None:
         )
 
 
-def _adds_largest_inv(rows, slot, tops, e) -> bool:
+def _adds_largest_inv(rows, slot, tops, top, e) -> bool:
     """Whether inv(e) is the largest inv in g + e (see ``_grow``), for a
     non-edge e of g, where ``rows`` is g's ``_degree_table``, ``slot`` maps
-    an edge size to its column and ``tops`` holds g's edges of largest size."""
+    an edge size to its column, ``tops`` holds g's edges of largest size and
+    ``top`` is their largest inv in g.
+
+    Adding e raises the degree rows of e's vertices and lowers none, so it
+    lowers no inv: inv(e) below ``top`` is below some inv in g + e, and a
+    top edge that misses e keeps its inv in g, at most ``top``.  Only the
+    top edges that meet e are read again, with e's rows raised."""
     if not tops or len(e) > len(tops[0]):
         return True
     if len(e) < len(tops[0]):
         return False
     i = slot[len(e)]
-    rows = rows.copy()
-    for v in e:
-        row = rows[v]
-        rows[v] = row[:i] + (row[i] + 1,) + row[i + 1:]
-
-    def inv(f):  # edges of one size: their sorted rows in g + e
-        return sorted([rows[v] for v in f])
-
-    mine = inv(e)
-    return all(inv(f) <= mine for f in tops)
+    raised = {v: rows[v][:i] + (rows[v][i] + 1,) + rows[v][i + 1:] for v in e}
+    mine = sorted(raised.values())
+    if mine < top:
+        return False
+    return all(
+        sorted([raised.get(v) or rows[v] for v in f]) <= mine
+        for f in tops if not raised.keys().isdisjoint(f)
+    )
 
 
 def _grow(n: int, types: EdgeTypeSet, admits=None):
@@ -157,7 +167,11 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
 
     Within a level the canonical graphs come in canonical-form order, and the
     next level holds every class g + e that ``admits(g + e, e)`` accepts (all
-    when ``admits`` is None).
+    when ``admits`` is None).  The frontier holds each canonical graph with
+    its twin classes, both from one ``_canonical_labeling`` of the first
+    child of its class; the next level is keyed by that labelling's
+    (n, edges) tuple and sorted by its ``_format_encoding``, the bytes of
+    ``canonical_form``.
 
     Precondition: the empty graph is accepted, and ``admits(g + e, e)`` is
     called only for an accepted g, where it must answer as a test of g + e
@@ -178,7 +192,7 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
     edge to one with the same inv.  The child g + e joins, once per key, iff
     inv(e) is the largest inv in g + e, read from g's degree rows plus e, and
     ``admits`` accepts it; most children fail the first test, and skip
-    ``admits`` and ``canonical_form``.  Nothing is lost, by induction on the
+    ``admits`` and the labelling.  Nothing is lost, by induction on the
     level: a class C accepted at level k + 1 has an edge m of largest inv in
     its canonical graph canon.  canon - m is accepted, by the precondition,
     so its class has a frontier graph g, and an isomorphism canon - m -> g
@@ -191,24 +205,28 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
     """
     universe = complete(n, types).edges
     slot = {r: i for i, r in enumerate(types)}
-    frontier = [Hypergraph(n, ())]  # its own canonical graph
+    empty = Hypergraph(n, ())  # its own canonical graph
+    frontier = [(empty, equivalence_classes(empty))]
     while frontier:
-        nxt: dict[bytes, Hypergraph] = {}
-        for g in frontier:
+        nxt = {}  # canonical (n, edges) -> the canonical graph's twin classes
+        for g, classes in frontier:
             present = g.edge_set
             rows = _degree_table(g, types)
             tops = [f for f in g.edges if len(f) == len(g.edges[-1])]
-            for e in _twin_prefix(g, [e for e in universe if e not in present]):
-                if not _adds_largest_inv(rows, slot, tops, e):
+            top = max((sorted([rows[v] for v in f]) for f in tops), default=None)
+            for e in _twin_prefix(classes, [e for e in universe if e not in present]):
+                if not _adds_largest_inv(rows, slot, tops, top, e):
                     continue
                 child = g._with_edge(e)
                 if admits is not None and not admits(child, e):
                     continue
-                key = canonical_form(child)
-                if key not in nxt:
-                    nxt[key] = child
+                key, twins = _canonical_labeling(child)
+                nxt.setdefault(key, twins)
             yield g
-        frontier = [canonical_graph(nxt[key]) for key in sorted(nxt)]
+        frontier = [
+            (Hypergraph._from_normalized(*key), nxt[key])
+            for key in sorted(nxt, key=_format_encoding)
+        ]
 
 
 def enumerate_graphs(n: int, types):

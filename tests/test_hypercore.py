@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -124,6 +126,27 @@ class TestHypergraph:
         # read by the constructor's edge reader, not by a bare tuple(e)
         with pytest.raises(InvalidArgumentError, match="^edge must be a sequence, not 5$"):
             empty_graph(3).with_edges(5)
+
+    def test_stored_edge_set_and_hash_stay_out_of_equality(self):
+        # edge_set and the hash are kept on the instance after first use
+        g = Hypergraph(3, ((2, 1), (0,), (1, 0)))
+        assert g.edge_set is g.edge_set
+        assert hash(g) == hash(g) == hash((3, ((0,), (0, 1), (1, 2))))
+        ways = [
+            Hypergraph._from_normalized(3, ((0,), (0, 1), (1, 2))),
+            Hypergraph(3, ((0,), (1, 2)))._with_edge((0, 1)),
+            empty_graph(3).with_edges((1, 2), (0, 1), (0,)),
+            hypercore._decode_encoding(b"3|0;0,1;1,2"),
+            pickle.loads(pickle.dumps(g)),
+        ]
+        ways[0].edge_set, hash(ways[1])  # stored on some, not on the others
+        for h in ways:
+            assert h == g and g == h
+            assert hash(h) == hash(g)
+            assert repr(h) == repr(g) == "Hypergraph(n=3, edges=((0,), (0, 1), (1, 2)))"
+        assert len({g, *ways}) == 1
+        assert [f.name for f in dataclasses.fields(Hypergraph)] == ["n", "edges"]
+        assert g != Hypergraph(3, ((0,), (0, 1)))
 
 
 def _assert_validated(g):
@@ -609,6 +632,37 @@ ENUMERATION_DIGEST = "96c36bebd3a26fad12b896de13e9f2971d5d17e8ab572715f2f6c574b5
 # frozen: the same over the corpus just above, recorded while every search
 # node below the root still refined and branched
 MIXED_CELL_DIGEST = "f2052d025b9574cf18a628e151bd44f80802f05d67d00bfe039479312016db79"
+
+
+def _labelled_graphs():
+    """Graphs on at most 8 vertices over six edge-size sets, and blow-ups,
+    whose twin classes random graphs rarely have."""
+    sized = st.sampled_from(((1,), (2,), (1, 2), (3,), (2, 3), (1, 2, 3))).flatmap(
+        lambda sizes: hypergraphs(max_n=8, sizes=sizes)
+    )
+    blown = st.sampled_from(BLOW_UP_BASES + (C4, TWO_K2)).flatmap(
+        lambda base: st.lists(
+            st.integers(min_value=0, max_value=3), min_size=base.n, max_size=base.n
+        )
+        .filter(lambda sizes: 1 <= sum(sizes) <= 8)
+        .map(lambda sizes: blow_up(base, sizes))
+    )
+    return st.one_of(sized, blown)
+
+
+class TestCanonicalLabeling:
+    @given(_labelled_graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_key_graph_and_twin_classes(self, g, rnd):
+        # the uncached labeller behind canonical_form, as _grow reads it:
+        # the canonical graph's edges and its twin classes, whatever the labels
+        relabeled = _relabeled(g, rnd)
+        key, classes = hypercore._canonical_labeling(relabeled)
+        assert hypercore._format_encoding(key) == canonical_form(g)
+        canon = canonical_graph(g)
+        assert Hypergraph._from_normalized(*key) == canon
+        assert classes == oracles.brute_twin_classes(canon)
+        assert classes == equivalence_classes(canon)
 
 
 class TestCanonicalDigest:

@@ -18,6 +18,7 @@ from turanlab.hypercore import (
     chain_graph,
     complete,
     empty_graph,
+    equivalence_classes,
     is_isomorphic,
     lubell,
     marked_clique,
@@ -181,6 +182,22 @@ class TestGrowDigest:
         assert digest.hexdigest() == GROW_DIGESTS[case]
 
 
+class TestGrowTwins:
+    @pytest.mark.parametrize("sizes", [(1, 2), (3,)])
+    def test_frontier_carries_twin_classes(self, sizes, monkeypatch):
+        # _grow hands the twin classes that labelling gave each frontier
+        # graph to _twin_prefix, just before it yields the graph
+        seen = []
+        prefix = turansearch._twin_prefix
+        monkeypatch.setattr(
+            turansearch, "_twin_prefix",
+            lambda classes, sets: seen.append(classes) or prefix(classes, sets),
+        )
+        for grown, g in enumerate(_grow(5, EdgeTypeSet(sizes)), 1):
+            assert len(seen) == grown
+            assert seen[-1] == equivalence_classes(g)
+
+
 class TestPiN:
     def test_forbidden_triangle(self):
         record = pi_n(
@@ -258,16 +275,17 @@ class TestPiN:
 
     def test_mixed_pair_frontier_work(self, monkeypatch):
         # children whose new edge lacks the largest invariant skip the
-        # containment test and canonical_form (14 500 tests and 8 112
-        # canonical forms when every tried child was tested and keyed; 2 928
-        # canonical forms with a canonical-parent test on top), and each
+        # containment test and the labelling (14 500 tests and 8 112
+        # labellings when every tried child was tested and keyed; 2 928
+        # labellings with a canonical-parent test on top), and each
         # test searches only through the new edge: the one search of a
         # whole graph is the empty graph's (4 486 when every child had one).
         # No child is tested only to tell whether its parent is maximal
         # (4 485 anchored searches when the failing children were)
         family = ForbiddenFamily(EdgeTypeSet((1, 2)), (complete(2, (1, 2)),))
-        anchored, whole = [], []
+        anchored, whole, labelled = [], [], []
         contains = turansearch.contains_subgraph
+        label = turansearch._canonical_labeling
 
         def counted(big, small, through=None):
             if through is None:
@@ -277,9 +295,14 @@ class TestPiN:
             return contains(big, small, through=through)
 
         monkeypatch.setattr(turansearch, "contains_subgraph", counted)
-        canonical_form.cache_clear()
-        assert pi_n(family, 6).pi_n == F(13, 10)
-        assert canonical_form.cache_info().misses <= 2_200
+        monkeypatch.setattr(
+            turansearch, "_canonical_labeling",
+            lambda child: labelled.append(None) or label(child),
+        )
+        record = pi_n(family, 6)
+        assert record.pi_n == F(13, 10)
+        # every class past the empty graph is labelled, at least once
+        assert record.graphs_enumerated - 1 <= len(labelled) <= 2_200
         assert len(anchored) <= 3_400
         assert len(whole) <= 1
 
