@@ -464,38 +464,34 @@ def equivalence_classes(graph: Hypergraph) -> tuple[tuple[int, ...], ...]:
     ends its search, and returns them for the canonical graph;
     ``_twin_prefix`` keeps one set per twin orbit.
     """
+    _require_type(graph, Hypergraph, "graph")
     return tuple(tuple(c) for c in _twin_classes(graph, (range(graph.n),)))
 
 
 def _twin_classes(graph: Hypergraph, groups) -> list[list[int]]:
     """Split each group of vertices into twin classes; the classes of each
     group in order of their least vertex, the groups in the given order.
-    A vertex is compared only with the vertices of its own group."""
-    incident = [[] for _ in range(graph.n)]
-    for e in graph.edges:
-        for v in e:
-            incident[v].append(e)
-    edges = graph.edge_set
+    A vertex is compared only with the vertices of its own group.
 
-    def twins(i: int, j: int) -> bool:
-        # the swap maps the edges holding i but not j one-to-one to sets
-        # holding j but not i; with equal degrees, all of them edges means
-        # it maps onto the edges holding j but not i
-        if len(incident[i]) != len(incident[j]):
-            return False
-        for e in incident[i]:
-            if j in e:
-                continue
-            if tuple(sorted(j if u == i else u for u in e)) not in edges:
-                return False
-        return True
+    The link of v is the set of bitmasks of e - {v} over the edges e at v.
+    The swap of i and j fixes every set holding both or neither, and maps
+    s + {i} to s + {j} for s avoiding both; so i, j are twins iff each mask
+    avoiding both that lies in one of their links lies in the other."""
+    links = [set() for _ in range(graph.n)]
+    for e in graph.edges:
+        mask = 0
+        for v in e:
+            mask |= 1 << v
+        for v in e:
+            links[v].add(mask ^ (1 << v))
 
     classes: list[list[int]] = []
     for group in groups:
         found: list[list[int]] = []
         for v in group:
             for cls in found:
-                if twins(cls[0], v):
+                both = (1 << cls[0]) | (1 << v)
+                if all(m & both for m in links[cls[0]] ^ links[v]):
                     cls.append(v)
                     break
             else:
@@ -529,6 +525,7 @@ def _twin_prefix(classes, sets) -> list[tuple[int, ...]]:
 
 def induced_subgraph(graph: Hypergraph, vertices) -> Hypergraph:
     """Restriction to a vertex subset, relabeled to 0..|S|-1 in sorted order."""
+    _require_type(graph, Hypergraph, "graph")
     s = sorted({_require_int(v, "vertex") for v in _require_tuple(vertices, "vertices")})
     if not s:
         raise InvalidArgumentError("induced subgraph needs a non-empty vertex set")
@@ -682,6 +679,8 @@ def _embedding_search(big: Hypergraph, small: Hypergraph, induced: bool,
     of small onto it are searched (see ``_search_plan``); the other vertices
     may then go anywhere, and no degree table of big is built.
     """
+    _require_type(big, Hypergraph, "big")
+    _require_type(small, Hypergraph, "small")
     h, g = small.n, big.n
     if h > g:
         return None
@@ -761,6 +760,7 @@ def contains_subgraph(big: Hypergraph, small: Hypergraph, through=None) -> bool:
     A ``through`` that is not an edge of big raises InvalidArgumentError.
     """
     if through is not None:
+        _require_type(big, Hypergraph, "big")
         through = _require_edge(through, big, "through")
     return _embedding_search(big, small, False, through) is not None
 
@@ -794,7 +794,8 @@ def contains_induced(big: Hypergraph, small: Hypergraph) -> bool:
 # refinement from invariant colours respects automorphisms.  So the twin
 # classes are computed once, at the root, by comparing vertices only inside
 # its non-singleton cells; every later cell lies inside a root cell.  A root
-# that refines to a discrete partition computes none.
+# that refines to n cells is the one leaf: its colours are the label, each
+# vertex is its own twin class, and no cells or twin classes are built.
 #
 # A node whose non-singleton cells each lie inside one twin class is a leaf.
 # Individualizing a vertex v of such a cell splits off {v} and changes no
@@ -828,11 +829,41 @@ def contains_induced(big: Hypergraph, small: Hypergraph) -> bool:
 # entry) pairs would, and the ranks are those of that profile.  1-edges add
 # nothing beyond the degree, and have no block.
 #
+# The start colour is read in the pass over the edges that builds the size
+# blocks and the incident lists: v's 1-degree, its 2-degree and one degree
+# per wider size present.  An absent size 1 or 2 is a column of zeros in
+# every row, which moves no rank, so the ranks are those of the per-size
+# degree rows over the present sizes.
+#
+# Two leaves with one key show an automorphism (McKay and Piperno,
+# *Practical graph isomorphism, II*, J. Symbolic Comput. 2014): labels
+# l1 and l2 with l1(G) = l2(G) give a = l1^-1 . l2 with a(G) = G, maps
+# composed right to left.  The search keeps the first label of each key
+# and returns every such a, carried into canonical labels by the winning
+# label w as w . a . w^-1.  A caller that prunes by orbits needs only that
+# each one is an automorphism, which holds by construction.  With the twin
+# swaps they also generate Aut(G).  Let b be an automorphism and v1, ...,
+# vk the path to the first leaf, with label l1.  b fixes the root
+# partition, so b(v1) lies in the first target cell, in a twin class on
+# one of whose vertices the search branches; the swap of b(v1) and that
+# vertex fixes the empty path.  Swapping so at each level, always two
+# vertices of the target cell, which the path so far avoids, gives
+# c = t . b, t a product of twin swaps, that maps the path onto one the
+# search follows.  c maps each node's partition onto its image's, colours
+# in order, and twin classes onto twin classes, so the image of the first
+# leaf is a leaf too, with label l2.  Both labels number the cells in
+# colour order, so l2 . c = l1 . p with p a permutation inside the cells
+# of the first leaf, each within a twin class.  Then l2(G) = l1(G): the
+# keys are equal, and unless l2 is l1, where c = p, the search returns
+# a = l1^-1 . l2 = p . c^-1.  So c = a^-1 . p, hence b = t^-1 . c, lies in
+# the group that the returned automorphisms and the twin swaps generate.
+#
 # ``_canonical_labeling`` also returns the twin classes of the canonical
 # graph: the root's twin classes, each vertex singled out when the root is
 # discrete, carried through the winning leaf's label.  ``turansearch._grow``
-# builds its frontier from this key and these classes, so each child is
-# labelled once and its twins are never recomputed.
+# builds its frontier from this key, these classes and the automorphisms,
+# so each child is labelled once, its twins are never recomputed, and it
+# tries one child per orbit of the automorphisms found.
 
 
 def _refine_colors(n, incident, colors):
@@ -866,7 +897,13 @@ def _encode_labeled(n, blocks, label):
     get = label.__getitem__
     edges = []
     for block in blocks:
-        edges += sorted([tuple(sorted(map(get, e))) for e in block])
+        if len(block[0]) == 2:
+            edges += sorted([
+                (label[a], label[b]) if label[a] < label[b] else (label[b], label[a])
+                for a, b in block
+            ])
+        else:
+            edges += sorted([tuple(sorted(map(get, e))) for e in block])
     return (n, tuple(edges))
 
 
@@ -884,50 +921,60 @@ def _check_labeling_cap(n: int) -> None:
 
 
 def _canonical_labeling(graph: Hypergraph):
-    """(key, classes), uncached: key is the canonical graph's (n, edges),
-    which ``_format_encoding`` turns into ``canonical_form(graph)``, and
-    classes are the canonical graph's twin classes as ``equivalence_classes``
-    gives them."""
+    """(key, classes, generators), uncached: key is the canonical graph's
+    (n, edges), which ``_format_encoding`` turns into
+    ``canonical_form(graph)``, classes are the canonical graph's twin
+    classes as ``equivalence_classes`` gives them, and generators are
+    automorphisms of the canonical graph, each a tuple p mapping vertex v
+    to p[v], that generate Aut with the swaps of twins."""
     n = graph.n
     _check_labeling_cap(n)
-    blocks = [tuple(block) for _, block in itertools.groupby(graph.edges, len)]
+    blocks = []
+    ones = [0] * n
     incident = [([], []) for _ in range(n)]
-    for block in blocks:
-        size = len(block[0])
-        if size == 2:
+    for size, block in itertools.groupby(graph.edges, len):
+        block = tuple(block)
+        blocks.append(block)
+        if size == 1:
+            for (v,) in block:
+                ones[v] = 1
+        elif size == 2:
             for a, b in block:
                 incident[a][0].append(b)
                 incident[b][0].append(a)
-        elif size > 2:
+        else:
             for _, wider in incident:
                 wider.append([])
             for e in block:
                 for v in e:
                     incident[v][1][-1].append(tuple(u for u in e if u != v))
-    start = _degree_table(graph, graph.edge_sizes())
-    palette = {key: i for i, key in enumerate(sorted(set(start)))}
-    colors = [palette[key] for key in start]
+    start = [(ones[v], len(pairs), *map(len, wider))
+             for v, (pairs, wider) in enumerate(incident)]
+    palette = {row: i for i, row in enumerate(sorted(set(start)))}
+    colors = _refine_colors(n, incident, [palette[row] for row in start])
+    if max(colors, default=-1) == n - 1:
+        # a discrete root: its colours are the one leaf's label
+        return _encode_labeled(n, blocks, colors), tuple((v,) for v in range(n)), ()
     twins = []  # the root's twin classes inside its non-singleton cells
-    class_of = None  # the index in twins of each vertex they hold
-    best = None  # (key, label) of the least leaf so far
+    class_of = {}  # the index in twins of each vertex they hold
+    seen = {}  # each leaf key, with the first label that gave it
+    equal = []  # (first label, later label) of two leaves with one key
 
     def search(colors):
-        nonlocal class_of, best
-        colors = _refine_colors(n, incident, colors)
-        cells = [[] for _ in range(max(colors, default=-1) + 1)]
+        cells = [[] for _ in range(max(colors) + 1)]
         for v, c in enumerate(colors):
             cells[c].append(v)
         split = [cell for cell in cells if len(cell) > 1]
-        if split and class_of is None:
+        if not twins:  # at the root, which has a non-singleton cell
             twins.extend(_twin_classes(graph, split))
-            class_of = {v: i for i, cls in enumerate(twins) for v in cls}
+            class_of.update((v, i) for i, cls in enumerate(twins) for v in cls)
         if all(len({class_of[v] for v in cell}) == 1 for cell in split):
             label = [0] * n
             for i, v in enumerate(itertools.chain.from_iterable(cells)):
                 label[v] = i
-            key = _encode_labeled(n, blocks, label)
-            if best is None or key < best[0]:
-                best = key, label
+            first = seen.setdefault(_encode_labeled(n, blocks, label), label)
+            if first is not label:
+                equal.append((first, label))
             return
         tried = set()
         for v in split[0]:
@@ -936,17 +983,31 @@ def _canonical_labeling(graph: Hypergraph):
             tried.add(class_of[v])
             branched = [c * 2 for c in colors]
             branched[v] -= 1
-            search(branched)
+            search(_refine_colors(n, incident, branched))
 
     search(colors)
-    key, label = best
-    classes = [[v] for v in range(n) if class_of is None or v not in class_of] + twins
-    return key, tuple(sorted(tuple(sorted([label[v] for v in cls])) for cls in classes))
+    key = min(seen)
+    best = seen[key]
+    classes = [[v] for v in range(n) if v not in class_of] + twins
+    classes = tuple(sorted(tuple(sorted([best[v] for v in cls])) for cls in classes))
+    generators = []
+    for first, later in equal:
+        # first^-1 . later maps the graph onto itself; best conjugates it
+        # into canonical labels
+        back = [0] * n
+        for v, i in enumerate(first):
+            back[i] = v
+        perm = [0] * n
+        for v in range(n):
+            perm[best[v]] = best[back[later[v]]]
+        generators.append(tuple(perm))
+    return key, classes, tuple(generators)
 
 
 @lru_cache(maxsize=100_000)
 def canonical_form(graph: Hypergraph) -> bytes:
     """Canonical byte encoding: equal byte strings iff isomorphic graphs."""
+    _require_type(graph, Hypergraph, "graph")
     return _format_encoding(_canonical_labeling(graph)[0])
 
 
@@ -969,4 +1030,6 @@ def _decode_encoding(data: bytes) -> Hypergraph:
 
 
 def is_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
+    _require_type(a, Hypergraph, "a")
+    _require_type(b, Hypergraph, "b")
     return a.n == b.n and canonical_form(a) == canonical_form(b)

@@ -1,13 +1,14 @@
 """Exhaustive small-n Turan densities over non-uniform hypergraphs.
 
 One loop, ``_grow``, generates isomorphism classes level by level: each
-frontier of canonical graphs with k edges, each held with its twin classes,
-is extended by one edge and deduplicated by the canonical (n, edges) tuple of
-one uncached labelling per child, so no seen-set beyond the frontier is kept.
-That labelling also gives the next frontier's graphs and twin classes, and
-the frontier keeps the order of the canonical bytes.  Only edges of largest
-invariant in the child are added, an exact cut that drops most children
-before any containment test or labelling (see ``_grow``).
+frontier of canonical graphs with k edges, each held with its twin classes
+and automorphisms, is extended by one edge and deduplicated by the canonical
+(n, edges) tuple of one uncached labelling per child, so no seen-set beyond
+the frontier is kept.  That labelling also gives the next frontier's graphs,
+twin classes and automorphisms, and the frontier keeps the order of the
+canonical bytes.  Only edges of largest invariant in the child are added,
+an exact cut that drops most children before any containment test or
+labelling (see ``_grow``).
 ``enumerate_graphs`` and both exhaustive modes of ``pi_n`` run on it.  In
 subgraph mode freeness is monotone under edge removal, which lets the
 loop grow only inside the free classes, and ``pi_n`` scores every class it
@@ -20,13 +21,15 @@ that map a member's edge onto e (``contains_subgraph(child, member,
 through=e)``).  The answer is the child's freeness itself, so the level
 order and every output are the same as with a full search.
 
-Two exact twin-pruning rules cut the isomorphic work, and neither changes any
-output.  ``_grow`` extends g only by the non-edges that ``_twin_prefix``
-keeps, one per orbit of the permutations inside g's twin classes, which the
-labelling of g's class gave.  The labelling branches once per twin class of
-its target cell, and labels a node whose non-singleton cells are each one
-twin class without searching below it, for the reasons given in
-``hypercore``'s canonical-labelling notes.
+Exact symmetry-pruning rules cut the isomorphic work, and none changes any
+output.  ``_grow`` extends g only by one non-edge per orbit of the group
+that the swaps inside g's twin classes and the automorphisms of g generate,
+both of which the labelling of g's class gave: ``_twin_prefix`` keeps one
+per twin orbit, and ``_orbit_firsts`` one per orbit of the whole group.
+The labelling branches once per twin class of its target cell, and labels
+a node whose non-singleton cells are each one twin class without searching
+below it, for the reasons given in ``hypercore``'s canonical-labelling
+notes.
 """
 
 from __future__ import annotations
@@ -137,11 +140,12 @@ def _check_cap(n: int) -> None:
         )
 
 
-def _adds_largest_inv(rows, slot, tops, top, e) -> bool:
+def _adds_largest_inv(rows, up, tops, top, e) -> bool:
     """Whether inv(e) is the largest inv in g + e (see ``_grow``), for a
-    non-edge e of g, where ``rows`` is g's ``_degree_table``, ``slot`` maps
-    an edge size to its column, ``tops`` holds g's edges of largest size and
-    ``top`` is their largest inv in g.
+    non-edge e of g no smaller than its edges, where ``rows`` is g's
+    ``_degree_table``, ``up`` the same rows each raised by one in the size of
+    g's largest edges, ``tops`` holds g's edges of that size and ``top`` is
+    their largest inv in g.
 
     Adding e raises the degree rows of e's vertices and lowers none, so it
     lowers no inv: inv(e) below ``top`` is below some inv in g + e, and a
@@ -149,10 +153,7 @@ def _adds_largest_inv(rows, slot, tops, top, e) -> bool:
     top edges that meet e are read again, with e's rows raised."""
     if not tops or len(e) > len(tops[0]):
         return True
-    if len(e) < len(tops[0]):
-        return False
-    i = slot[len(e)]
-    raised = {v: rows[v][:i] + (rows[v][i] + 1,) + rows[v][i + 1:] for v in e}
+    raised = {v: up[v] for v in e}
     mine = sorted(raised.values())
     if mine < top:
         return False
@@ -162,16 +163,46 @@ def _adds_largest_inv(rows, slot, tops, top, e) -> bool:
     )
 
 
+def _orbit_firsts(sets, classes, generators):
+    """The first of each orbit among ``sets``, non-edges of g in their given
+    order, under the group that the swaps of twins in g's twin ``classes``
+    and the automorphisms ``generators`` of g generate.  Each orbit is
+    walked from its first set by applying every generator until it closes."""
+    if not generators:
+        return sets
+    perms = list(generators)
+    for cls in classes:
+        for a, b in zip(cls, cls[1:]):
+            swap = list(range(len(generators[0])))
+            swap[a], swap[b] = b, a
+            perms.append(swap)
+    seen = set()
+    firsts = []
+    for s in sets:
+        if s in seen:
+            continue
+        firsts.append(s)
+        seen.add(s)
+        orbit = [s]
+        for t in orbit:  # grows as the walk finds new images
+            for p in perms:
+                image = tuple(sorted([p[v] for v in t]))
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+    return firsts
+
+
 def _grow(n: int, types: EdgeTypeSet, admits=None):
     """Yield each class g once, level by level.
 
     Within a level the canonical graphs come in canonical-form order, and the
     next level holds every class g + e that ``admits(g + e, e)`` accepts (all
     when ``admits`` is None).  The frontier holds each canonical graph with
-    its twin classes, both from one ``_canonical_labeling`` of the first
-    child of its class; the next level is keyed by that labelling's
-    (n, edges) tuple and sorted by its ``_format_encoding``, the bytes of
-    ``canonical_form``.
+    its twin classes and a set of its automorphisms, all three from one
+    ``_canonical_labeling`` of the first child of its class; the next level
+    is keyed by that labelling's (n, edges) tuple and sorted by its
+    ``_format_encoding``, the bytes of ``canonical_form``.
 
     Precondition: the empty graph is accepted, and ``admits(g + e, e)`` is
     called only for an accepted g, where it must answer as a test of g + e
@@ -182,49 +213,66 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
     e.  The answers, and with them the levels and their order, are those of
     the test of g + e alone.
 
-    Only the non-edges e of g that ``_twin_prefix`` keeps are tried, one per
-    orbit of the permutations inside g's twin classes, which are
-    automorphisms of g; so each skipped child is isomorphic to a tried one.
+    Only one non-edge e of g per orbit of a group of automorphisms of g is
+    tried.  ``_twin_prefix`` keeps one per orbit of the permutations inside
+    g's twin classes, and, when the labelling found automorphisms beyond
+    them, ``_orbit_firsts`` keeps the first of those per orbit of the group
+    that both generate.  An automorphism of g carrying e to e' is an
+    isomorphism g + e -> g + e' that carries e to e', so both children pass
+    or fail the tests below alike: each skipped child is isomorphic to a
+    tried one.
 
     Of the tried children, only those whose new edge has the largest
     invariant join the next level.  In a graph h, inv(f) = (|f|, the sorted
     ``_degree_table`` rows in h of f's vertices), so an isomorphism maps each
     edge to one with the same inv.  The child g + e joins, once per key, iff
     inv(e) is the largest inv in g + e, read from g's degree rows plus e, and
-    ``admits`` accepts it; most children fail the first test, and skip
-    ``admits`` and the labelling.  Nothing is lost, by induction on the
+    ``admits`` accepts it; a non-edge smaller than g's largest edges never
+    has it and is not tried, and most other children fail the test, and
+    skip ``admits`` and the labelling.  Nothing is lost, by induction on the
     level: a class C accepted at level k + 1 has an edge m of largest inv in
     its canonical graph canon.  canon - m is accepted, by the precondition,
     so its class has a frontier graph g, and an isomorphism canon - m -> g
-    carries m onto a non-edge of g whose twin orbit holds a tried e.  Then
-    g + e is in C with e in the place of m, so inv(e) is the largest in it,
-    and ``admits`` accepts it.
+    carries m onto a non-edge of g with a tried e in its Aut(g)-orbit.
+    Then g + e is in C with e in the place of m, so inv(e) is the largest in
+    it, and ``admits`` accepts it.
     This is the canonical-deletion half of McKay's canonical augmentation
     (J. Algorithms 26, 1998); his parent test is not needed, since children
     are deduplicated by key.
     """
     universe = complete(n, types).edges
     slot = {r: i for i, r in enumerate(types)}
+    first = {}  # the index in universe of the first edge of each size
+    for i, e in enumerate(universe):
+        first.setdefault(len(e), i)
     empty = Hypergraph(n, ())  # its own canonical graph
-    frontier = [(empty, equivalence_classes(empty))]
+    frontier = [(empty, equivalence_classes(empty), ())]
     while frontier:
-        nxt = {}  # canonical (n, edges) -> the canonical graph's twin classes
-        for g, classes in frontier:
+        nxt = {}  # canonical (n, edges) -> (twin classes, automorphisms)
+        for g, classes, generators in frontier:
             present = g.edge_set
             rows = _degree_table(g, types)
-            tops = [f for f in g.edges if len(f) == len(g.edges[-1])]
-            top = max((sorted([rows[v] for v in f]) for f in tops), default=None)
-            for e in _twin_prefix(classes, [e for e in universe if e not in present]):
-                if not _adds_largest_inv(rows, slot, tops, top, e):
+            tops = top = up = None
+            rest = universe
+            if g.edges:
+                size = len(g.edges[-1])
+                tops = [f for f in g.edges if len(f) == size]
+                top = max(sorted([rows[v] for v in f]) for f in tops)
+                i = slot[size]
+                up = [row[:i] + (row[i] + 1,) + row[i + 1:] for row in rows]
+                rest = universe[first[size]:]
+            tried = _twin_prefix(classes, [e for e in rest if e not in present])
+            for e in _orbit_firsts(tried, classes, generators):
+                if not _adds_largest_inv(rows, up, tops, top, e):
                     continue
                 child = g._with_edge(e)
                 if admits is not None and not admits(child, e):
                     continue
-                key, twins = _canonical_labeling(child)
-                nxt.setdefault(key, twins)
+                key, twins, automorphisms = _canonical_labeling(child)
+                nxt.setdefault(key, (twins, automorphisms))
             yield g
         frontier = [
-            (Hypergraph._from_normalized(*key), nxt[key])
+            (Hypergraph._from_normalized(*key), *nxt[key])
             for key in sorted(nxt, key=_format_encoding)
         ]
 

@@ -47,6 +47,20 @@ def brute_automorphisms(graph: Hypergraph) -> int:
     )
 
 
+def brute_orbits(graph: Hypergraph, sets):
+    """The orbits of Aut(graph) on ``sets``, vertex tuples closed under it:
+    each orbit a sorted tuple of sorted vertex tuples, the orbits sorted."""
+    target = frozenset(graph.edges)
+    autos = [
+        perm for perm in itertools.permutations(range(graph.n))
+        if _apply(perm, graph.edges) == target
+    ]
+    return tuple(sorted({
+        tuple(sorted({tuple(sorted(perm[v] for v in s)) for perm in autos}))
+        for s in sets
+    }))
+
+
 def brute_twin_classes(graph: Hypergraph):
     """Vertex classes under "swapping i and j maps the edge set onto itself",
     each sorted, listed by least vertex."""

@@ -634,20 +634,40 @@ ENUMERATION_DIGEST = "96c36bebd3a26fad12b896de13e9f2971d5d17e8ab572715f2f6c574b5
 MIXED_CELL_DIGEST = "f2052d025b9574cf18a628e151bd44f80802f05d67d00bfe039479312016db79"
 
 
-def _labelled_graphs():
-    """Graphs on at most 8 vertices over six edge-size sets, and blow-ups,
-    whose twin classes random graphs rarely have."""
+def _labelled_graphs(max_n=8):
+    """Graphs on at most max_n vertices over six edge-size sets, and
+    blow-ups, whose twin classes random graphs rarely have."""
     sized = st.sampled_from(((1,), (2,), (1, 2), (3,), (2, 3), (1, 2, 3))).flatmap(
-        lambda sizes: hypergraphs(max_n=8, sizes=sizes)
+        lambda sizes: hypergraphs(max_n=max_n, sizes=sizes)
     )
     blown = st.sampled_from(BLOW_UP_BASES + (C4, TWO_K2)).flatmap(
         lambda base: st.lists(
             st.integers(min_value=0, max_value=3), min_size=base.n, max_size=base.n
         )
-        .filter(lambda sizes: 1 <= sum(sizes) <= 8)
+        .filter(lambda sizes: 1 <= sum(sizes) <= max_n)
         .map(lambda sizes: blow_up(base, sizes))
     )
     return st.one_of(sized, blown)
+
+
+def _orbits(perms, sets):
+    """The orbits on ``sets`` of the group that ``perms`` generate, in the
+    format of ``oracles.brute_orbits``: each orbit closed by applying every
+    generator to each set in it."""
+    orbits, seen = [], set()
+    for s in sets:
+        if s in seen:
+            continue
+        orbit = [s]
+        seen.add(s)
+        for t in orbit:
+            for perm in perms:
+                image = tuple(sorted(perm[v] for v in t))
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(sorted(orbits))
 
 
 class TestCanonicalLabeling:
@@ -655,14 +675,44 @@ class TestCanonicalLabeling:
     @settings(max_examples=150, deadline=None)
     def test_key_graph_and_twin_classes(self, g, rnd):
         # the uncached labeller behind canonical_form, as _grow reads it:
-        # the canonical graph's edges and its twin classes, whatever the labels
+        # the canonical graph's edges, its twin classes and automorphisms of
+        # it, whatever the labels
         relabeled = _relabeled(g, rnd)
-        key, classes = hypercore._canonical_labeling(relabeled)
+        key, classes, generators = hypercore._canonical_labeling(relabeled)
         assert hypercore._format_encoding(key) == canonical_form(g)
         canon = canonical_graph(g)
         assert Hypergraph._from_normalized(*key) == canon
         assert classes == oracles.brute_twin_classes(canon)
         assert classes == equivalence_classes(canon)
+        for perm in generators:
+            assert sorted(perm) == list(range(canon.n))
+            assert {tuple(sorted(perm[v] for v in e)) for e in canon.edges} == (
+                canon.edge_set
+            )
+
+    @given(
+        st.one_of(_labelled_graphs(max_n=7), _blow_ups_beside_regular_parts()),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_generators_and_twins_give_the_orbits(self, g, rnd):
+        # with the swaps of twins, the automorphisms that equal leaves show
+        # generate Aut: their orbits on vertices and non-edges are the brute ones
+        key, classes, generators = hypercore._canonical_labeling(_relabeled(g, rnd))
+        canon = Hypergraph._from_normalized(*key)
+        perms = list(generators)
+        for cls in classes:
+            for a, b in zip(cls, cls[1:]):
+                swap = list(range(canon.n))
+                swap[a], swap[b] = b, a
+                perms.append(swap)
+        vertices = [(v,) for v in range(canon.n)]
+        non_edges = [
+            s for r in (1, 2, 3) for s in itertools.combinations(range(canon.n), r)
+            if s not in canon.edge_set
+        ]
+        for sets in (vertices, non_edges):
+            assert _orbits(perms, sets) == oracles.brute_orbits(canon, sets)
 
 
 class TestCanonicalDigest:
@@ -720,6 +770,29 @@ class TestEquivalenceClasses:
         assert turanlab.lagrangian.equivalence_classes is equivalence_classes
         assert turanlab.seqdensity.equivalence_classes is equivalence_classes
         assert turanlab.equivalence_classes is equivalence_classes
+
+
+class TestGraphArguments:
+    @pytest.mark.parametrize(
+        "call,text",
+        [
+            (lambda: canonical_form(5), "graph must be a Hypergraph, not 5"),
+            (lambda: canonical_graph("x"), "graph must be a Hypergraph, not 'x'"),
+            (lambda: is_isomorphic(K2, 5), "b must be a Hypergraph, not 5"),
+            (lambda: equivalence_classes(5), "graph must be a Hypergraph, not 5"),
+            (lambda: contains_subgraph(K2, 5), "small must be a Hypergraph, not 5"),
+            (lambda: contains_subgraph(5, K2, through=(0, 1)),
+             "big must be a Hypergraph, not 5"),
+            (lambda: find_embedding(5, K2), "big must be a Hypergraph, not 5"),
+            (lambda: find_induced_embedding(K2, None),
+             "small must be a Hypergraph, not None"),
+            (lambda: contains_induced(5, K2), "big must be a Hypergraph, not 5"),
+            (lambda: induced_subgraph(5, [0]), "graph must be a Hypergraph, not 5"),
+        ],
+    )
+    def test_refuses_a_non_graph(self, call, text):
+        with pytest.raises(InvalidArgumentError, match=f"^{text}$"):
+            call()
 
 
 class TestInducedSubgraph:

@@ -52,6 +52,8 @@ GROW_CASES = {
     "k4(3)_free n=5": (5, (3,), _family((3,), (complete(4, (3,)),))),
     "induced_p3 n=5": (5, (2,), None),
     "enumerate {2,3} n=4": (4, (2, 3), None),
+    "enumerate {2} n=7": (7, (2,), None),
+    "enumerate {1,2} n=6": (6, (1, 2), None),
 }
 # frozen: recorded on the frontier loop that ran admits on every tried child
 # and yielded a maximal flag with each class, hashed without the flag
@@ -73,6 +75,14 @@ GROW_DIGESTS = {
     ),
     "enumerate {2,3} n=4": (
         "fe7f0e636168abfd5ff4029bbc2973f6c20ccb69bef296aaf127b6b8815a779e"
+    ),
+    # recorded on the frontier loop that pruned by twin orbits alone, before
+    # it pruned by the automorphisms that labelling finds
+    "enumerate {2} n=7": (
+        "db11c41b05b050d49029813d75b4d8ebe22d298c5a3d13102ee59b0922414954"
+    ),
+    "enumerate {1,2} n=6": (
+        "8b3a1dac4dec061cebd8c158dedee7b1b5fc5746989f019c6e479737e6459787"
     ),
 }
 
@@ -124,6 +134,19 @@ class TestEnumeration:
     def test_every_graph_within_types(self):
         for g in enumerate_graphs(3, EdgeTypeSet((1, 3))):
             assert set(g.edge_sizes()) <= {1, 3}
+
+    def test_pair_graph_frontier_work(self, monkeypatch):
+        # the 1 044 classes of pair graphs on 7 vertices, one child tried
+        # per orbit of each parent's automorphisms (2 004 labellings with
+        # twin orbits alone)
+        labelled = []
+        label = turansearch._canonical_labeling
+        monkeypatch.setattr(
+            turansearch, "_canonical_labeling",
+            lambda child: labelled.append(None) or label(child),
+        )
+        assert sum(1 for _ in enumerate_graphs(7, (2,))) == 1_044
+        assert len(labelled) <= 1_600
 
     @pytest.mark.parametrize(
         "n,sizes", [(4, (2,)), (3, (1, 2)), (3, (1, 3)), (5, (1, 2))]
@@ -281,7 +304,10 @@ class TestPiN:
         # test searches only through the new edge: the one search of a
         # whole graph is the empty graph's (4 486 when every child had one).
         # No child is tested only to tell whether its parent is maximal
-        # (4 485 anchored searches when the failing children were)
+        # (4 485 anchored searches when the failing children were).
+        # One child is tried per orbit of the automorphisms that labelling
+        # the parent found (2 107 labellings and 3 338 anchored searches
+        # with twin orbits alone)
         family = ForbiddenFamily(EdgeTypeSet((1, 2)), (complete(2, (1, 2)),))
         anchored, whole, labelled = [], [], []
         contains = turansearch.contains_subgraph
@@ -302,8 +328,8 @@ class TestPiN:
         record = pi_n(family, 6)
         assert record.pi_n == F(13, 10)
         # every class past the empty graph is labelled, at least once
-        assert record.graphs_enumerated - 1 <= len(labelled) <= 2_200
-        assert len(anchored) <= 3_400
+        assert record.graphs_enumerated - 1 <= len(labelled) <= 1_900
+        assert len(anchored) <= 3_100
         assert len(whole) <= 1
 
     @given(_small_families(), st.sampled_from(["subgraph", "induced"]))
