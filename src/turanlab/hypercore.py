@@ -461,8 +461,7 @@ def equivalence_classes(graph: Hypergraph) -> tuple[tuple[int, ...], ...]:
     a class, and sigma_t skips a class-count vector when swapping the counts
     of two twins gives a larger one.  ``_canonical_labeling`` splits only
     its root's non-singleton cells into twin classes, where it prunes and
-    ends its search, and returns them for the canonical graph;
-    ``_twin_prefix`` keeps one set per twin orbit.
+    ends its search, and returns their ``_twin_swaps`` among its generators.
     """
     _require_type(graph, Hypergraph, "graph")
     return tuple(tuple(c) for c in _twin_classes(graph, (range(graph.n),)))
@@ -500,23 +499,44 @@ def _twin_classes(graph: Hypergraph, groups) -> list[list[int]]:
     return classes
 
 
-def _twin_prefix(classes, sets) -> list[tuple[int, ...]]:
-    """The sets among ``sets``, vertex tuples of a graph, that meet each of
-    ``classes``, the graph's ``equivalence_classes``, in a prefix, in their
-    given order.
+def _twin_swaps(n: int, classes) -> list[tuple[int, ...]]:
+    """The swaps of consecutive vertices in each of ``classes``, as
+    permutations p of range(n) mapping v to p[v]: they generate every
+    permutation inside the classes."""
+    swaps = []
+    for cls in classes:
+        for a, b in zip(cls, cls[1:]):
+            swap = list(range(n))
+            swap[a], swap[b] = b, a
+            swaps.append(tuple(swap))
+    return swaps
 
-    Every permutation inside the twin classes is an automorphism of the
-    graph, and it moves a set within its orbit, which is fixed by how many
-    vertices the set has in each class.  So the orbit of each set holds
-    exactly one that meets every class in a prefix, and a search that needs
-    one set per orbit loses nothing by trying these alone:
-    ``turansearch._grow`` over the non-edges of g, with the classes that
-    labelling g gave, and ``_search_plan`` over the anchor edges of a member.
-    """
-    # pred[v]: the vertex before v in its twin class, if any; a set meets
-    # every class in a prefix iff it holds pred[v] for each v it holds
-    pred = {b: a for cls in classes for a, b in zip(cls, cls[1:])}
-    return [s for s in sets if all(pred.get(v, v) in s for v in s)]
+
+def _orbit_firsts(sets, generators) -> list[tuple[int, ...]]:
+    """The first of each orbit among ``sets``, sorted vertex tuples closed
+    under the group that ``generators`` generate, in their given order.
+    Each orbit is walked from its first set by applying every generator
+    until it closes.
+
+    A search that needs one set per orbit of automorphisms of a graph loses
+    nothing by trying these alone: ``turansearch._grow`` over the non-edges
+    of g, with the generators that labelling g gave, and ``_search_plan``
+    over the anchor edges of a member, with its ``_twin_swaps``."""
+    seen = set()
+    firsts = []
+    for s in sets:
+        if s in seen:
+            continue
+        firsts.append(s)
+        seen.add(s)
+        orbit = [s]
+        for t in orbit:  # grows as the walk finds new images
+            for p in generators:
+                image = tuple(sorted([p[v] for v in t]))
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+    return firsts
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +656,7 @@ def _search_plan(small: Hypergraph, size: int | None = None):
 
     Without ``size`` there is one start, with k = 0, in order of decreasing
     degree.  With it, there is one start per edge f of small with |f| =
-    size that ``_twin_prefix`` keeps, one f per orbit of the twin
+    size that ``_orbit_firsts`` keeps, one f per orbit of the twin
     permutations.  f comes first, and its steps draw from the anchor edge,
     so they run through each bijection from f onto it that keeps the twins
     of f in order; the other vertices follow in the order without ``size``.
@@ -665,7 +685,8 @@ def _search_plan(small: Hypergraph, size: int | None = None):
     if size is None:
         starts = (start(()),)
     else:
-        starts = tuple(map(start, _twin_prefix(classes, small.edges_of_size(size))))
+        anchors = _orbit_firsts(small.edges_of_size(size), _twin_swaps(small.n, classes))
+        starts = tuple(map(start, anchors))
     return sizes, small_deg, starts
 
 
@@ -840,10 +861,9 @@ def contains_induced(big: Hypergraph, small: Hypergraph) -> bool:
 # l1 and l2 with l1(G) = l2(G) give a = l1^-1 . l2 with a(G) = G, maps
 # composed right to left.  The search keeps the first label of each key
 # and returns every such a, carried into canonical labels by the winning
-# label w as w . a . w^-1.  A caller that prunes by orbits needs only that
-# each one is an automorphism, which holds by construction.  With the twin
-# swaps they also generate Aut(G).  Let b be an automorphism and v1, ...,
-# vk the path to the first leaf, with label l1.  b fixes the root
+# label w as w . a . w^-1.  Each one is an automorphism by construction,
+# and with the twin swaps they generate Aut(G).  Let b be an automorphism
+# and v1, ..., vk the path to the first leaf, with label l1.  b fixes the root
 # partition, so b(v1) lies in the first target cell, in a twin class on
 # one of whose vertices the search branches; the swap of b(v1) and that
 # vertex fixes the empty path.  Swapping so at each level, always two
@@ -858,12 +878,11 @@ def contains_induced(big: Hypergraph, small: Hypergraph) -> bool:
 # a = l1^-1 . l2 = p . c^-1.  So c = a^-1 . p, hence b = t^-1 . c, lies in
 # the group that the returned automorphisms and the twin swaps generate.
 #
-# ``_canonical_labeling`` also returns the twin classes of the canonical
-# graph: the root's twin classes, each vertex singled out when the root is
-# discrete, carried through the winning leaf's label.  ``turansearch._grow``
-# builds its frontier from this key, these classes and the automorphisms,
-# so each child is labelled once, its twins are never recomputed, and it
-# tries one child per orbit of the automorphisms found.
+# So ``_canonical_labeling`` returns generators of Aut: the swaps of
+# consecutive twins in each root twin class and the automorphisms from
+# equal leaves, all carried into canonical labels.  ``turansearch._grow``
+# builds its frontier from its key and these generators, so each child is
+# labelled once and it tries one child per orbit of Aut.
 
 
 def _refine_colors(n, incident, colors):
@@ -921,12 +940,10 @@ def _check_labeling_cap(n: int) -> None:
 
 
 def _canonical_labeling(graph: Hypergraph):
-    """(key, classes, generators), uncached: key is the canonical graph's
-    (n, edges), which ``_format_encoding`` turns into
-    ``canonical_form(graph)``, classes are the canonical graph's twin
-    classes as ``equivalence_classes`` gives them, and generators are
-    automorphisms of the canonical graph, each a tuple p mapping vertex v
-    to p[v], that generate Aut with the swaps of twins."""
+    """(key, generators), uncached: key is the canonical graph's (n, edges),
+    which ``_format_encoding`` turns into ``canonical_form(graph)``, and
+    generators generate the canonical graph's automorphism group, each a
+    tuple p mapping vertex v to p[v]."""
     n = graph.n
     _check_labeling_cap(n)
     blocks = []
@@ -954,7 +971,7 @@ def _canonical_labeling(graph: Hypergraph):
     colors = _refine_colors(n, incident, [palette[row] for row in start])
     if max(colors, default=-1) == n - 1:
         # a discrete root: its colours are the one leaf's label
-        return _encode_labeled(n, blocks, colors), tuple((v,) for v in range(n)), ()
+        return _encode_labeled(n, blocks, colors), ()
     twins = []  # the root's twin classes inside its non-singleton cells
     class_of = {}  # the index in twins of each vertex they hold
     seen = {}  # each leaf key, with the first label that gave it
@@ -988,9 +1005,7 @@ def _canonical_labeling(graph: Hypergraph):
     search(colors)
     key = min(seen)
     best = seen[key]
-    classes = [[v] for v in range(n) if v not in class_of] + twins
-    classes = tuple(sorted(tuple(sorted([best[v] for v in cls])) for cls in classes))
-    generators = []
+    generators = _twin_swaps(n, [[best[v] for v in cls] for cls in twins])
     for first, later in equal:
         # first^-1 . later maps the graph onto itself; best conjugates it
         # into canonical labels
@@ -1001,32 +1016,30 @@ def _canonical_labeling(graph: Hypergraph):
         for v in range(n):
             perm[best[v]] = best[back[later[v]]]
         generators.append(tuple(perm))
-    return key, classes, tuple(generators)
+    return key, tuple(generators)
+
+
+def canonical_form(graph: Hypergraph) -> bytes:
+    """Canonical byte encoding: equal byte strings iff isomorphic graphs."""
+    # the type is checked before the cache hashes the argument
+    return _cached_form(_require_type(graph, Hypergraph, "graph"))
 
 
 @lru_cache(maxsize=100_000)
-def canonical_form(graph: Hypergraph) -> bytes:
-    """Canonical byte encoding: equal byte strings iff isomorphic graphs."""
-    _require_type(graph, Hypergraph, "graph")
+def _cached_form(graph: Hypergraph) -> bytes:
     return _format_encoding(_canonical_labeling(graph)[0])
+
+
+canonical_form.cache_clear = _cached_form.cache_clear
+canonical_form.cache_info = _cached_form.cache_info
 
 
 def canonical_graph(graph: Hypergraph) -> Hypergraph:
     """The canonically labeled representative of graph's isomorphism class."""
-    return _decode_encoding(canonical_form(graph))
-
-
-def _decode_encoding(data: bytes) -> Hypergraph:
-    text = data.decode("ascii")
-    head, _, body = text.partition("|")
-    n = int(head)
-    edges = []
-    if body:
-        for part in body.split(";"):
-            edges.append(tuple(int(v) for v in part.split(",")))
+    _require_type(graph, Hypergraph, "graph")
     # _encode_labeled sorted each edge and the edge list, and relabeling by a
     # permutation keeps the edges distinct
-    return Hypergraph._from_normalized(n, tuple(edges))
+    return Hypergraph._from_normalized(*_canonical_labeling(graph)[0])
 
 
 def is_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:

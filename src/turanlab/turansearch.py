@@ -1,11 +1,11 @@
 """Exhaustive small-n Turan densities over non-uniform hypergraphs.
 
 One loop, ``_grow``, generates isomorphism classes level by level: each
-frontier of canonical graphs with k edges, each held with its twin classes
-and automorphisms, is extended by one edge and deduplicated by the canonical
-(n, edges) tuple of one uncached labelling per child, so no seen-set beyond
-the frontier is kept.  That labelling also gives the next frontier's graphs,
-twin classes and automorphisms, and the frontier keeps the order of the
+frontier of canonical graphs with k edges, each held with generators of its
+automorphism group, is extended by one edge and deduplicated by the
+canonical (n, edges) tuple of one uncached labelling per child, so no
+seen-set beyond the frontier is kept.  That labelling also gives the next
+frontier's graphs and generators, and the frontier keeps the order of the
 canonical bytes.  Only edges of largest invariant in the child are added,
 an exact cut that drops most children before any containment test or
 labelling (see ``_grow``).
@@ -22,10 +22,9 @@ through=e)``).  The answer is the child's freeness itself, so the level
 order and every output are the same as with a full search.
 
 Exact symmetry-pruning rules cut the isomorphic work, and none changes any
-output.  ``_grow`` extends g only by one non-edge per orbit of the group
-that the swaps inside g's twin classes and the automorphisms of g generate,
-both of which the labelling of g's class gave: ``_twin_prefix`` keeps one
-per twin orbit, and ``_orbit_firsts`` one per orbit of the whole group.
+output.  ``_grow`` extends g only by one non-edge per orbit of Aut(g):
+``_orbit_firsts`` keeps the first of each orbit of the group that the
+generators from the labelling of g's class generate.
 The labelling branches once per twin class of its target cell, and labels
 a node whose non-singleton cells are each one twin class without searching
 below it, for the reasons given in ``hypercore``'s canonical-labelling
@@ -46,16 +45,16 @@ from .hypercore import (
     _degree_table,
     _format_encoding,
     _lubell_weights,
+    _orbit_firsts,
     _require_int,
     _require_tuple,
     _require_type,
-    _twin_prefix,
+    _twin_swaps,
     canonical_form,
     complete,
     contains_induced,
     contains_subgraph,
     disjoint_type_union,
-    equivalence_classes,
 )
 
 __all__ = [
@@ -163,43 +162,13 @@ def _adds_largest_inv(rows, up, tops, top, e) -> bool:
     )
 
 
-def _orbit_firsts(sets, classes, generators):
-    """The first of each orbit among ``sets``, non-edges of g in their given
-    order, under the group that the swaps of twins in g's twin ``classes``
-    and the automorphisms ``generators`` of g generate.  Each orbit is
-    walked from its first set by applying every generator until it closes."""
-    if not generators:
-        return sets
-    perms = list(generators)
-    for cls in classes:
-        for a, b in zip(cls, cls[1:]):
-            swap = list(range(len(generators[0])))
-            swap[a], swap[b] = b, a
-            perms.append(swap)
-    seen = set()
-    firsts = []
-    for s in sets:
-        if s in seen:
-            continue
-        firsts.append(s)
-        seen.add(s)
-        orbit = [s]
-        for t in orbit:  # grows as the walk finds new images
-            for p in perms:
-                image = tuple(sorted([p[v] for v in t]))
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
-    return firsts
-
-
 def _grow(n: int, types: EdgeTypeSet, admits=None):
     """Yield each class g once, level by level.
 
     Within a level the canonical graphs come in canonical-form order, and the
     next level holds every class g + e that ``admits(g + e, e)`` accepts (all
     when ``admits`` is None).  The frontier holds each canonical graph with
-    its twin classes and a set of its automorphisms, all three from one
+    generators of its automorphism group, both from one
     ``_canonical_labeling`` of the first child of its class; the next level
     is keyed by that labelling's (n, edges) tuple and sorted by its
     ``_format_encoding``, the bytes of ``canonical_form``.
@@ -213,14 +182,11 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
     e.  The answers, and with them the levels and their order, are those of
     the test of g + e alone.
 
-    Only one non-edge e of g per orbit of a group of automorphisms of g is
-    tried.  ``_twin_prefix`` keeps one per orbit of the permutations inside
-    g's twin classes, and, when the labelling found automorphisms beyond
-    them, ``_orbit_firsts`` keeps the first of those per orbit of the group
-    that both generate.  An automorphism of g carrying e to e' is an
-    isomorphism g + e -> g + e' that carries e to e', so both children pass
-    or fail the tests below alike: each skipped child is isomorphic to a
-    tried one.
+    Only one non-edge e of g per orbit of Aut(g) is tried, the first in
+    edge order, which ``_orbit_firsts`` keeps.  An automorphism of g
+    carrying e to e' is an isomorphism g + e -> g + e' that carries e to
+    e', so both children pass or fail the tests below alike: each skipped
+    child is isomorphic to a tried one.
 
     Of the tried children, only those whose new edge has the largest
     invariant join the next level.  In a graph h, inv(f) = (|f|, the sorted
@@ -245,11 +211,11 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
     first = {}  # the index in universe of the first edge of each size
     for i, e in enumerate(universe):
         first.setdefault(len(e), i)
-    empty = Hypergraph(n, ())  # its own canonical graph
-    frontier = [(empty, equivalence_classes(empty), ())]
+    # the empty graph is its own canonical graph, and Aut is every permutation
+    frontier = [(Hypergraph(n, ()), _twin_swaps(n, (tuple(range(n)),)))]
     while frontier:
-        nxt = {}  # canonical (n, edges) -> (twin classes, automorphisms)
-        for g, classes, generators in frontier:
+        nxt = {}  # canonical (n, edges) -> generators of Aut
+        for g, generators in frontier:
             present = g.edge_set
             rows = _degree_table(g, types)
             tops = top = up = None
@@ -261,18 +227,17 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
                 i = slot[size]
                 up = [row[:i] + (row[i] + 1,) + row[i + 1:] for row in rows]
                 rest = universe[first[size]:]
-            tried = _twin_prefix(classes, [e for e in rest if e not in present])
-            for e in _orbit_firsts(tried, classes, generators):
+            for e in _orbit_firsts([e for e in rest if e not in present], generators):
                 if not _adds_largest_inv(rows, up, tops, top, e):
                     continue
                 child = g._with_edge(e)
                 if admits is not None and not admits(child, e):
                     continue
-                key, twins, automorphisms = _canonical_labeling(child)
-                nxt.setdefault(key, (twins, automorphisms))
+                key, automorphisms = _canonical_labeling(child)
+                nxt.setdefault(key, automorphisms)
             yield g
         frontier = [
-            (Hypergraph._from_normalized(*key), *nxt[key])
+            (Hypergraph._from_normalized(*key), nxt[key])
             for key in sorted(nxt, key=_format_encoding)
         ]
 

@@ -61,6 +61,36 @@ def brute_orbits(graph: Hypergraph, sets):
     }))
 
 
+def twin_prefix_sets(classes, sets):
+    """The sets among ``sets`` that meet each of the twin ``classes`` in a
+    prefix, its first k vertices for some k, in their given order: one per
+    orbit of the permutations inside the classes."""
+    return [
+        s for s in sets
+        if all(set(cls[:len(set(cls) & set(s))]) <= set(s) for cls in classes)
+    ]
+
+
+def generated_orbits(perms, sets):
+    """The orbits on ``sets`` of the group that ``perms`` generate, in the
+    format of ``brute_orbits``: each orbit closed by applying every
+    generator to each set in it."""
+    orbits, seen = [], set()
+    for s in sets:
+        if s in seen:
+            continue
+        orbit = [s]
+        seen.add(s)
+        for t in orbit:
+            for perm in perms:
+                image = tuple(sorted(perm[v] for v in t))
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(sorted(orbits))
+
+
 def brute_twin_classes(graph: Hypergraph):
     """Vertex classes under "swapping i and j maps the edge set onto itself",
     each sorted, listed by least vertex."""

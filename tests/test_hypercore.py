@@ -136,7 +136,6 @@ class TestHypergraph:
             Hypergraph._from_normalized(3, ((0,), (0, 1), (1, 2))),
             Hypergraph(3, ((0,), (1, 2)))._with_edge((0, 1)),
             empty_graph(3).with_edges((1, 2), (0, 1), (0,)),
-            hypercore._decode_encoding(b"3|0;0,1;1,2"),
             pickle.loads(pickle.dumps(g)),
         ]
         ways[0].edge_set, hash(ways[1])  # stored on some, not on the others
@@ -650,40 +649,18 @@ def _labelled_graphs(max_n=8):
     return st.one_of(sized, blown)
 
 
-def _orbits(perms, sets):
-    """The orbits on ``sets`` of the group that ``perms`` generate, in the
-    format of ``oracles.brute_orbits``: each orbit closed by applying every
-    generator to each set in it."""
-    orbits, seen = [], set()
-    for s in sets:
-        if s in seen:
-            continue
-        orbit = [s]
-        seen.add(s)
-        for t in orbit:
-            for perm in perms:
-                image = tuple(sorted(perm[v] for v in t))
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(sorted(orbits))
-
-
 class TestCanonicalLabeling:
     @given(_labelled_graphs(), st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
-    def test_key_graph_and_twin_classes(self, g, rnd):
+    def test_key_graph_and_generators(self, g, rnd):
         # the uncached labeller behind canonical_form, as _grow reads it:
-        # the canonical graph's edges, its twin classes and automorphisms of
-        # it, whatever the labels
+        # the canonical graph's edges and automorphisms of it, whatever the
+        # labels
         relabeled = _relabeled(g, rnd)
-        key, classes, generators = hypercore._canonical_labeling(relabeled)
+        key, generators = hypercore._canonical_labeling(relabeled)
         assert hypercore._format_encoding(key) == canonical_form(g)
         canon = canonical_graph(g)
         assert Hypergraph._from_normalized(*key) == canon
-        assert classes == oracles.brute_twin_classes(canon)
-        assert classes == equivalence_classes(canon)
         for perm in generators:
             assert sorted(perm) == list(range(canon.n))
             assert {tuple(sorted(perm[v] for v in e)) for e in canon.edges} == (
@@ -695,24 +672,38 @@ class TestCanonicalLabeling:
         st.randoms(use_true_random=False),
     )
     @settings(max_examples=80, deadline=None)
-    def test_generators_and_twins_give_the_orbits(self, g, rnd):
-        # with the swaps of twins, the automorphisms that equal leaves show
+    def test_generators_give_the_orbits(self, g, rnd):
+        # the twin swaps and the automorphisms that equal leaves show
         # generate Aut: their orbits on vertices and non-edges are the brute ones
-        key, classes, generators = hypercore._canonical_labeling(_relabeled(g, rnd))
+        key, perms = hypercore._canonical_labeling(_relabeled(g, rnd))
         canon = Hypergraph._from_normalized(*key)
-        perms = list(generators)
-        for cls in classes:
-            for a, b in zip(cls, cls[1:]):
-                swap = list(range(canon.n))
-                swap[a], swap[b] = b, a
-                perms.append(swap)
         vertices = [(v,) for v in range(canon.n)]
         non_edges = [
             s for r in (1, 2, 3) for s in itertools.combinations(range(canon.n), r)
             if s not in canon.edge_set
         ]
         for sets in (vertices, non_edges):
-            assert _orbits(perms, sets) == oracles.brute_orbits(canon, sets)
+            assert oracles.generated_orbits(perms, sets) == oracles.brute_orbits(canon, sets)
+
+
+class TestOrbitFirsts:
+    @given(_labelled_graphs(max_n=7), st.sampled_from((1, 2, 3)))
+    @settings(max_examples=150, deadline=None)
+    def test_twin_swaps_keep_the_twin_prefix_sets(self, g, r):
+        # under the twin swaps, the first set of each orbit in edge order is
+        # the one that meets every twin class in a prefix: the anchors of
+        # _search_plan, and the tried non-edges of a graph without other
+        # automorphisms, are those of the twin-prefix rule
+        classes = equivalence_classes(g)
+        swaps = hypercore._twin_swaps(g.n, classes)
+        edges = g.edges_of_size(r)
+        non_edges = [
+            s for s in itertools.combinations(range(g.n), r) if s not in g.edge_set
+        ]
+        for sets in (edges, non_edges):
+            assert hypercore._orbit_firsts(sets, swaps) == (
+                oracles.twin_prefix_sets(classes, sets)
+            )
 
 
 class TestCanonicalDigest:
@@ -778,6 +769,8 @@ class TestGraphArguments:
         [
             (lambda: canonical_form(5), "graph must be a Hypergraph, not 5"),
             (lambda: canonical_graph("x"), "graph must be a Hypergraph, not 'x'"),
+            (lambda: canonical_form([1]), r"graph must be a Hypergraph, not \[1\]"),
+            (lambda: canonical_graph([1]), r"graph must be a Hypergraph, not \[1\]"),
             (lambda: is_isomorphic(K2, 5), "b must be a Hypergraph, not 5"),
             (lambda: equivalence_classes(5), "graph must be a Hypergraph, not 5"),
             (lambda: contains_subgraph(K2, 5), "small must be a Hypergraph, not 5"),

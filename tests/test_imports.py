@@ -6,7 +6,8 @@ imports numpy, at load time or inside a function: the float ascent runs on
 Python floats.  Only ``hypercore._require_int`` uses ``operator.index``, so
 every count is read by that one function, and only ``hypercore`` defines a
 ``_require_*`` reader, so every rational is read by
-``hypercore._require_rational``.  ``__init__.py`` imports no
+``hypercore._require_rational``; likewise only ``hypercore`` defines the
+orbit helpers ``_orbit_firsts`` and ``_twin_swaps``.  ``__init__.py`` imports no
 submodule: its table ``_HOME`` maps each public name to its home module,
 whose ``__all__`` must list it.
 """
@@ -125,14 +126,18 @@ def test_counts_are_read_only_by_require_int():
     }
 
 
+def function_definitions(source: str) -> set[str]:
+    """Names of the functions the module defines, at any depth."""
+    return {
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
 def reader_definitions(source: str) -> list[str]:
     """Names of the functions named ``_require_*`` the module defines, at
     any depth."""
-    return sorted(
-        node.name for node in ast.walk(ast.parse(source))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("_require_")
-    )
+    return sorted(n for n in function_definitions(source) if n.startswith("_require_"))
 
 
 def test_scan_finds_a_reader_definition():
@@ -150,6 +155,23 @@ def test_readers_are_defined_only_in_hypercore():
         if reader_definitions(p.read_text(encoding="utf-8"))
     }
     assert defining == {"hypercore.py"}
+
+
+def test_orbit_helpers_are_defined_only_in_hypercore():
+    # one source of symmetry pruning: _grow and _search_plan share them
+    from turanlab import hypercore, turansearch
+
+    helpers = {"_orbit_firsts", "_twin_swaps"}
+    defining = {
+        p.name for p in SRC.glob("*.py")
+        if helpers & function_definitions(p.read_text(encoding="utf-8"))
+    }
+    assert defining == {"hypercore.py"}
+    assert helpers <= function_definitions(
+        (SRC / "hypercore.py").read_text(encoding="utf-8")
+    )
+    assert turansearch._orbit_firsts is hypercore._orbit_firsts
+    assert turansearch._twin_swaps is hypercore._twin_swaps
 
 
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)

@@ -208,17 +208,25 @@ class TestGrowDigest:
 class TestGrowTwins:
     @pytest.mark.parametrize("sizes", [(1, 2), (3,)])
     def test_frontier_carries_twin_classes(self, sizes, monkeypatch):
-        # _grow hands the twin classes that labelling gave each frontier
-        # graph to _twin_prefix, just before it yields the graph
+        # _grow hands the generators that labelling gave each frontier graph
+        # to _orbit_firsts, just before it yields the graph.  They generate
+        # Aut(g), so their vertex orbits are the brute ones, and the twin
+        # swaps are among them: a transposition is an automorphism iff it
+        # swaps twins, so the orbits of the transpositions are the twin classes
         seen = []
-        prefix = turansearch._twin_prefix
+        firsts = turansearch._orbit_firsts
         monkeypatch.setattr(
-            turansearch, "_twin_prefix",
-            lambda classes, sets: seen.append(classes) or prefix(classes, sets),
+            turansearch, "_orbit_firsts",
+            lambda sets, generators: seen.append(generators) or firsts(sets, generators),
         )
         for grown, g in enumerate(_grow(5, EdgeTypeSet(sizes)), 1):
             assert len(seen) == grown
-            assert seen[-1] == equivalence_classes(g)
+            vertices = [(v,) for v in range(g.n)]
+            orbits = oracles.generated_orbits(seen[-1], vertices)
+            assert orbits == oracles.brute_orbits(g, vertices)
+            swaps = [p for p in seen[-1] if sum(p[v] != v for v in range(g.n)) == 2]
+            classes = oracles.generated_orbits(swaps, vertices)
+            assert tuple(sum(cls, ()) for cls in classes) == equivalence_classes(g)
 
 
 class TestPiN:
