@@ -12,16 +12,17 @@ with a term of degree >= 3 runs projected gradient ascent with Armijo
 backtracking on each support, then verifies first-order optimality and
 certifies a rational lower bound at a rounded rational point.  Both solvers
 hand their (value, support, weights) candidates to one pick, ``_pick``, and
-``evaluate``, ``gradient`` and the ascent's float kernel multiply out every
-term with one routine, ``_total``, so the kernel's values and partials are
-the public ones to the last bit.  Every result carries its certificate, from
-one result step for both kinds.  An ascent that stalls stops at its first
-repeated state (see ``_ascend``); from there the full loop would only cycle
-to max_iters, so the result is byte-identical to running it out.  A failure
-reports how many ascents stalled.  The ascent runs on lists of Python
-floats and its restarts draw from ``random``, so no part of the package
-imports numpy; the package and the CLI load this module only when a name
-from it is first used.
+``evaluate``, ``gradient`` and the ascent multiply out every term with one
+routine, ``_total``: the ascent reads each support's sparse float terms and
+their ``_partials`` through it, so its values and partials are the public
+ones to the last bit.  ``maximize`` builds each result once, certificate
+included; a point short of stationarity raises that result, uncertified, as
+``best_so_far``.  An ascent that stalls stops at its first repeated state
+(see ``_ascend``); from there the full loop would only cycle to max_iters,
+so the result is byte-identical to running it out.  A failure reports how
+many ascents stalled.  The ascent runs on lists of Python floats and its
+restarts draw from ``random``, so no part of the package imports numpy; the
+package and the CLI load this module only when a name from it is first used.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -259,31 +260,15 @@ def _project_simplex(v: list[float]) -> list[float]:
     return [d if d > 0.0 else 0.0 for d in (w - theta for w in v)]
 
 
-class _NumericForm:
-    """Float view of a PolynomialForm for the inner ascent loop: its value
-    and partials are ``evaluate`` and ``gradient`` at float points, bit for
-    bit, through the same term routine."""
-
-    def __init__(self, form: PolynomialForm):
-        self.nvars = form.nvars
-        self.terms = _sparse(form, False)
-        self.partials = _partials(self.terms, form.nvars)
-
-    def value(self, x: list[float]) -> float:
-        return _total(self.terms, x, 0.0)
-
-    def grad(self, x: list[float]) -> list[float]:
-        return [_total(p, x, 0.0) for p in self.partials]
-
-
 _ARMIJO_SIGMA = 1e-4
 _STEP_TOL = 1e-10
 _STEP_INIT = 0.1
 _BACKTRACK = 0.5
 
 
-def _ascend(num: _NumericForm, x0: list[float], cfg: OptimizerConfig):
-    """Projected gradient ascent with Armijo backtracking.
+def _ascend(terms, partials, x0: list[float], cfg: OptimizerConfig):
+    """Projected gradient ascent with Armijo backtracking on a form's sparse
+    float ``terms`` and their ``partials``, both read through ``_total``.
 
     Returns (x, value, converged).  The loop has three exits:
 
@@ -297,7 +282,7 @@ def _ascend(num: _NumericForm, x0: list[float], cfg: OptimizerConfig):
     - max_iters iterations: stalled.
     """
     x = x0
-    fx = num.value(x)
+    fx = _total(terms, x, 0.0)
     step = _STEP_INIT
     converged = False
     tried = set()  # steps run since x last moved
@@ -305,12 +290,12 @@ def _ascend(num: _NumericForm, x0: list[float], cfg: OptimizerConfig):
         if step in tried:
             break
         tried.add(step)
-        g = num.grad(x)
+        g = [_total(p, x, 0.0) for p in partials]
         t = step
         y, fy = x, fx
         for _ in range(60):
             cand = _project_simplex([xi + t * gi for xi, gi in zip(x, g)])
-            fcand = num.value(cand)
+            fcand = _total(terms, cand, 0.0)
             gain = 0.0
             for gi, ci, xi in zip(g, cand, x):
                 gain += gi * (ci - xi)
@@ -490,9 +475,11 @@ def _ascent_maximum(form: PolynomialForm, cfg: OptimizerConfig):
             if len(support) == 1:
                 yield float(evaluate(form.restrict(support), (1,))), support, (1.0,)
                 continue
-            num = _NumericForm(form.restrict(support))
+            terms = _sparse(form.restrict(support), False)
+            partials = _partials(terms, len(support))
             key = sum(1 << i for i in support)
-            runs = [_ascend(num, x0, cfg) for x0 in _starts(len(support), cfg, key)]
+            runs = [_ascend(terms, partials, x0, cfg)
+                    for x0 in _starts(len(support), cfg, key)]
             converged_runs.extend(conv for _, _, conv in runs)
             x, fx, _ = max(runs, key=lambda run: run[1])  # the first best run
             yield fx, support, x
@@ -509,7 +496,9 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
     degree <= 2 is solved exactly (``_kkt_maximum``), ignores the restarts,
     iterations and seed of the config, and is certified at its exact
     maximizer.  Otherwise each support runs the ascent, and the certificate
-    is the exact value at the maximizer rounded by ``_rationalize``.
+    is the exact value at the maximizer rounded by ``_rationalize``; a
+    maximizer short of stationarity raises ``OptimizerFailureError`` with
+    the uncertified result as ``best_so_far``.
     """
     cfg = (OptimizerConfig() if config is None
            else _require_type(config, OptimizerConfig, "config"))
@@ -523,10 +512,11 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
     if isinstance(obj, Hypergraph):
         classes = equivalence_classes(obj)
     qform = form.quotient(classes)
-    value_exact = None
-    if all(sum(expo) <= 2 for _, expo in qform.terms):
+    exact = all(sum(expo) <= 2 for _, expo in qform.terms)
+    if exact:
         value_exact, z = _kkt_maximum(qform)
     else:
+        value_exact = None
         z, converged_runs = _ascent_maximum(qform, cfg)
 
     # expand the quotient point back to the original variables
@@ -534,27 +524,38 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
     for c, members in enumerate(classes):
         for v in members:
             x[v] = z[c] / len(members)
-    if value_exact is None:
+    if not exact:
         x = _project_simplex(x)
-        value = _total(_sparse(form, False), x, 0.0)
-    else:
-        value = float(value_exact)
+    value = float(value_exact) if exact else evaluate(form, x)
     maximizer = SimplexPoint(tuple(float(w) for w in x))
+    residual = stationarity_residual(form, maximizer)
+
+    # a stalled ascent can still end on a stationary point, once no float
+    # step raises f near the maximum; only the residual decides
+    cert_point = certified = None
+    if exact or residual < STATIONARITY_TOL:
+        cert_point = SimplexPoint(tuple(x)) if exact else _rationalize(maximizer)
+        certified = evaluate(form, cert_point)
+        if exact and certified != value_exact:
+            raise TuranLabError(
+                f"the form is {certified} at its KKT point, not the value {value_exact}"
+            )
+        if float(certified) > value + CERTIFICATE_SLACK:
+            raise OptimizerFailureError(
+                "certificate exceeded the numeric value beyond slack",
+                best_so_far=None,
+            )
     result = LagrangianResult(
         value=value,
         maximizer=maximizer,
         support=maximizer.support,
-        certified_lower_bound=None,
-        certificate_point=None,
-        stationarity_residual=stationarity_residual(form, maximizer),
+        certified_lower_bound=certified,
+        certificate_point=cert_point,
+        stationarity_residual=residual,
         value_exact=value_exact,
-        method="ascent" if value_exact is None else "exact_kkt",
+        method="exact_kkt" if exact else "ascent",
     )
-
-    # a stalled ascent can still end on a stationary point, once no float
-    # step raises f near the maximum; only the residual decides
-    residual = result.stationarity_residual
-    if value_exact is None and residual >= STATIONARITY_TOL:
+    if certified is None:
         raise OptimizerFailureError(
             f"no run reached stationarity {STATIONARITY_TOL} "
             f"(residual {residual:.3e}) "
@@ -562,24 +563,7 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
             f"ascents stalled)",
             best_so_far=result,
         )
-
-    if value_exact is None:
-        cert_point = _rationalize(maximizer)
-    else:
-        cert_point = SimplexPoint(tuple(x))
-    certified = evaluate(form, cert_point)
-    if value_exact is not None and certified != value_exact:
-        raise TuranLabError(
-            f"the form is {certified} at its KKT point, not the value {value_exact}"
-        )
-    if float(certified) > value + CERTIFICATE_SLACK:
-        raise OptimizerFailureError(
-            "certificate exceeded the numeric value beyond slack",
-            best_so_far=None,
-        )
-    return replace(
-        result, certified_lower_bound=certified, certificate_point=cert_point
-    )
+    return result
 
 
 def _rationalize(point: SimplexPoint) -> SimplexPoint:

@@ -269,6 +269,21 @@ class TestTuran:
         code, _, err = run_cli(capsys, "turan", family_file, "--n-max", "9")
         assert code == 2
 
+    def test_progress_goes_to_stderr_only(self, capsys, tmp_path):
+        # the mixed pair has 1 543 free classes on 6 vertices
+        path = tmp_path / "mixed_pair.json"
+        path.write_text(
+            '{"ambient":[1,2],"members":[{"n":2,"edges":[[0],[1],[0,1]]}]}'
+        )
+        code, plain, _ = run_cli(capsys, "turan", str(path), "--n-max", "6")
+        assert code == 0
+        code, out, err = run_cli(
+            capsys, "turan", str(path), "--n-max", "6", "--progress"
+        )
+        assert code == 0
+        assert out == plain
+        assert "searched 1000 graphs" in err
+
 
 class TestClassify12:
     def test_weak(self, capsys):

@@ -94,6 +94,8 @@ class TestHypergraph:
             Hypergraph(2, ((0, 2),))
         with pytest.raises(InvalidHypergraphError):
             Hypergraph(2, ((-1,),))
+        with pytest.raises(InvalidHypergraphError, match="^vertex count must be >= 0$"):
+            Hypergraph(-1, ())
 
     def test_rejects_oversized_edges(self):
         with pytest.raises(UnsupportedSizeError):
@@ -327,6 +329,18 @@ class TestPattern:
             Pattern(2, ((0, 0),))
         with pytest.raises(UnsupportedSizeError):
             Pattern(1, ((17,),))
+        with pytest.raises(InvalidHypergraphError,
+                           match="^pattern needs at least one vertex$"):
+            Pattern(0, ())
+        with pytest.raises(InvalidHypergraphError,
+                           match=r"^multiplicity row \(1,\) has length 1, expected 2$"):
+            Pattern(2, ((1,),))
+        with pytest.raises(InvalidHypergraphError,
+                           match=r"^negative multiplicity in row \(-1, 2\)$"):
+            Pattern(2, ((-1, 2),))
+        with pytest.raises(InvalidArgumentError,
+                           match="^cannot build a pattern on 0 vertices$"):
+            Pattern.from_hypergraph(Hypergraph(0, ()))
 
     def test_refuses_non_integer_counts_and_multiplicities(self):
         # int() would have made the row (1, 1), a different pattern
@@ -353,6 +367,15 @@ class TestSimplexPoint:
             SimplexPoint((math.nan, 1.0))
         with pytest.raises(InvalidArgumentError):
             SimplexPoint((math.inf, 0.0))
+
+    def test_empty_and_negative_weights_refused(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="^simplex point needs at least one weight$"):
+            SimplexPoint(())
+        # the weights sum to exactly 1, so only the sign refuses them
+        with pytest.raises(InvalidArgumentError,
+                           match="^negative weight in simplex point$"):
+            SimplexPoint((F(-1, 2), F(3, 2)))
 
     def test_uniform_and_support(self):
         p = SimplexPoint.uniform(4)
@@ -804,6 +827,14 @@ class TestInducedSubgraph:
     def test_refuses_non_integer_vertices(self):
         with pytest.raises(InvalidArgumentError, match="vertex must .* not 1.5"):
             induced_subgraph(complete(3, (2,)), (0, 1.5))
+
+    def test_refuses_empty_and_outside_vertex_sets(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="^induced subgraph needs a non-empty vertex set$"):
+            induced_subgraph(chain_graph(), ())
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^vertex set \[0, 2\] not inside 0..1$"):
+            induced_subgraph(chain_graph(), (0, 2))
 
 
 class TestEdgeTypeSet:

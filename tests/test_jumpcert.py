@@ -544,6 +544,15 @@ class TestBuildCertificate:
         with pytest.raises(CertificateError):
             build_certificate(F(1, 2), ForbiddenFamily(AMBIENT, ()), config=FAST)
 
+    def test_edgeless_member_certifies_nothing(self):
+        # an edgeless member's witness is the uniform point, of value 0
+        family = ForbiddenFamily(EdgeTypeSet((2,)), (Hypergraph(2, ()),))
+        with pytest.raises(CertificateError) as info:
+            build_certificate(F(1, 2), family, config=FAST)
+        assert info.value.failures[0].startswith(
+            "condition on lambda fails: certified bound 0 <= 1/2"
+        )
+
     def test_rejects_float_alpha(self):
         with pytest.raises(InvalidArgumentError):
             build_certificate(
@@ -574,6 +583,40 @@ class TestJumpCertificateValidation:
                 lambda_witnesses=(self._witness(),),
                 pi_evidence=PiEvidence("asserted", F(11, 10), "x"),
             )
+        with pytest.raises(CertificateError) as info:
+            JumpCertificate(
+                alpha=F(11, 10),
+                kind="jump",
+                family=ForbiddenFamily(AMBIENT, (chain_graph(),)),
+                lambda_witnesses=(self._witness(),),
+                pi_evidence=PiEvidence("asserted", F(6, 5), "x"),
+            )
+        assert info.value.failures == (
+            "condition fails: density evidence 6/5 exceeds alpha 11/10",
+        )
+
+    @pytest.mark.parametrize(
+        "kind,witnesses,failure",
+        [("weak", True, "unknown certificate kind 'weak'"),
+         ("jump", False, "no lambda witnesses")],
+    )
+    def test_constructor_rejects_unknown_kind_and_no_witnesses(
+        self, kind, witnesses, failure
+    ):
+        with pytest.raises(CertificateError) as info:
+            JumpCertificate(
+                alpha=F(11, 10),
+                kind=kind,
+                family=ForbiddenFamily(AMBIENT, (chain_graph(),)),
+                lambda_witnesses=(self._witness(),) if witnesses else (),
+                pi_evidence=PiEvidence("asserted", F(1), "x"),
+            )
+        assert info.value.failures == (failure,)
+
+    def test_evidence_refuses_an_unknown_grade(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="^unknown evidence grade 'guess'$"):
+            PiEvidence("guess", F(1), "x")
 
     def test_constructor_refuses_a_float_alpha(self):
         # Fraction(1.1) would state alpha 2476979795053773/2251799813685248

@@ -160,6 +160,26 @@ class TestPolynomialForm:
                            match="^exponent must be >= 0, not -1$"):
             PolynomialForm(2, ((1, (-1, 1)),))
 
+    def test_refuses_mismatched_exponents_and_zero_coefficients(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="^exponent vector length mismatch$"):
+            PolynomialForm(2, ((1, (1,)),))
+        with pytest.raises(InvalidArgumentError,
+                           match="^term coefficients must be positive$"):
+            PolynomialForm(2, ((0, (1, 1)),))
+
+    def test_quotient_refuses_classes_that_do_not_partition(self):
+        form = polynomial_form(chain_graph())
+        for classes in (((0,),), ((0,), (0,))):
+            with pytest.raises(InvalidArgumentError,
+                               match="^classes must partition the variables$"):
+                form.quotient(classes)
+
+    def test_refuses_what_is_no_form(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="^cannot build a polynomial form from <class 'int'>$"):
+            polynomial_form(3)
+
     def test_restrict_reindexes_to_support(self):
         form = polynomial_form(chain_graph()).restrict((0,))
         assert form.nvars == 1
@@ -183,6 +203,10 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             evaluate(chain_graph(), SimplexPoint((F(1),)))
+
+    def test_residual_refuses_a_point_with_empty_support(self):
+        with pytest.raises(InvalidArgumentError, match="^point has empty support$"):
+            lagrangian.stationarity_residual(chain_graph(), (0.0, 0.0))
 
     def test_bool_weights_are_not_exact(self):
         # a SimplexPoint refuses bools, and a raw bool tuple is read as floats
@@ -223,9 +247,11 @@ class TestGradient:
     def test_ascent_kernel_is_evaluate_and_gradient(self, form_point):
         # the ascent's value and partials are the public ones, to the last bit
         form, x = form_point
-        num = lagrangian._NumericForm(form)
-        assert num.value(list(x)) == evaluate(form, x)
-        assert tuple(num.grad(list(x))) == gradient(form, x)
+        terms = lagrangian._sparse(form, False)
+        partials = lagrangian._partials(terms, form.nvars)
+        total = lagrangian._total
+        assert total(terms, list(x), 0.0) == evaluate(form, x)
+        assert tuple(total(p, list(x), 0.0) for p in partials) == gradient(form, x)
 
 
 class TestArithmeticPin:
@@ -277,6 +303,17 @@ class TestMaximize:
     def test_empty_form_is_rejected(self):
         with pytest.raises(InvalidArgumentError):
             maximize(empty_graph(3), FAST)
+
+    @pytest.mark.parametrize(
+        "graph", [chain_graph(), marked_clique(4), K4_MINUS],
+        ids=["chain", "marked_clique4", "k4_minus"],
+    )
+    def test_simple_pattern_is_its_hypergraph(self, graph):
+        # a simple pattern is maximized as its hypergraph, twin classes and
+        # all: K4(3)- ascends on its 2 classes, not on 4 free variables
+        got = ser.result_to_obj(maximize(Pattern.from_hypergraph(graph), FAST))
+        want = ser.result_to_obj(maximize(graph, FAST))
+        assert ser.dumps_canonical(got) == ser.dumps_canonical(want)
 
     @given(hypergraphs(max_n=4, sizes=(1, 2), min_edges=1))
     @settings(max_examples=15)
@@ -341,15 +378,19 @@ class TestMaximize:
         # a stalled ascent stops at its first repeated step; running its
         # stall on to max_iters would take about 10 000 gradients
         calls = []
-        grad = lagrangian._NumericForm.grad
+        partials = lagrangian._partials
 
-        def counted(self, x):
-            calls.append(None)
-            return grad(self, x)
+        class Counted(list):
+            # one pass over the partials is one gradient evaluation
+            def __iter__(self):
+                calls.append(None)
+                return super().__iter__()
 
-        monkeypatch.setattr(lagrangian._NumericForm, "grad", counted)
+        monkeypatch.setattr(
+            lagrangian, "_partials", lambda *args: Counted(partials(*args))
+        )
         result = maximize(RANDOM3_1, OptimizerConfig(restarts=2, seed=0))
-        assert len(calls) < 2000
+        assert 0 < len(calls) < 2000
         assert result.certified_lower_bound == F(128, 243)
 
     def test_output_is_pinned(self):

@@ -236,6 +236,23 @@ class TestSequenceGenerator:
             )
         with pytest.raises(InvalidArgumentError):
             SequenceGenerator("unknown", ns=(4,))
+        chain = chain_graph()
+        for build, text in [
+            (lambda: SequenceGenerator("constant", ns=(), base=chain),
+             "ns must be a nonempty list"),
+            (lambda: SequenceGenerator("constant", base=chain),
+             "give either ns or a start/step rule"),
+            (lambda: SequenceGenerator("blowup", ns=(4,)),
+             "blowup needs base and proportions"),
+            (lambda: SequenceGenerator.blow_up_generator(
+                chain, (F(1, 2), F(1, 4)), ns=(4,)),
+             "proportions must be >= 0 and sum to 1"),
+            (lambda: SequenceGenerator("constant", ns=(4,)),
+             "constant needs a base graph"),
+            (SequenceGenerator.union_generator, "union needs components"),
+        ]:
+            with pytest.raises(InvalidArgumentError, match=f"^{text}$"):
+                build()
 
 
 class TestGeneratorDigest:

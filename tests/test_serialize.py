@@ -183,6 +183,8 @@ class TestGraphObjects:
             ser.graph_from_obj({"n": 2, "edges": [[0.5]]})
         with pytest.raises(ParseError):
             ser.graph_from_obj({"n": 2, "edges": "01"})
+        with pytest.raises(ParseError, match="^family.mode: expected a string$"):
+            ser.family_from_obj({"ambient": [2], "members": [], "mode": 3})
 
     def test_domain_errors_become_parse_errors(self):
         with pytest.raises(ParseError):
@@ -220,6 +222,10 @@ class TestPatternAndPointObjects:
     def test_rejects_mixed_points(self):
         with pytest.raises(ParseError, match="mix"):
             ser.point_from_obj(["1/2", 0.5])
+
+    def test_empty_point_refused(self):
+        with pytest.raises(ParseError, match="^point: empty weight list$"):
+            ser.point_from_obj([])
 
 
 class TestFamilyAndConfig:
@@ -288,6 +294,15 @@ class TestCertificateObjects:
         obj = ser.certificate_to_obj(self._cert())
         cert = ser.certificate_from_obj(obj)
         assert cert.gap == F(1, 40)
+
+    def test_exhaustive_evidence_round_trip(self):
+        # the only certificate kind whose evidence carries its n
+        path3 = Hypergraph(3, [(0, 1), (1, 2)])
+        fam = ForbiddenFamily(EdgeTypeSet((2,)), (path3,))
+        cert = build_certificate(F(1, 4), fam, exhaustive_n=5)
+        assert cert.pi_evidence.value == F(1, 5) and cert.pi_evidence.n == 5
+        assert cert.gap == F(1, 4)
+        assert ser.certificate_from_obj(ser.certificate_to_obj(cert)) == cert
 
     def test_tampered_witness_value_rejected(self):
         obj = json.loads(ser.dumps_canonical(ser.certificate_to_obj(self._cert())))

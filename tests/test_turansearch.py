@@ -369,6 +369,14 @@ class TestPiN:
         family = ForbiddenFamily(EdgeTypeSet((2,)), (empty_graph(1),))
         with pytest.raises(InvalidArgumentError):
             pi_n(family, 3)
+        # induced: each vertex either holds its 1-edge or not, and both
+        # 1-vertex graphs are forbidden
+        family = ForbiddenFamily(
+            EdgeTypeSet((1, 2)), (Hypergraph(1, ((0,),)), empty_graph(1)), "induced"
+        )
+        with pytest.raises(InvalidArgumentError,
+                           match="^no admissible graph exists on this vertex count$"):
+            pi_n(family, 2)
 
     def test_size_cap(self):
         family = ForbiddenFamily(EdgeTypeSet((2,)), (complete(3, (2,)),))
