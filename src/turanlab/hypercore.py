@@ -319,8 +319,6 @@ class Pattern:
 
     @classmethod
     def from_hypergraph(cls, graph: Hypergraph) -> "Pattern":
-        if graph.n < 1:
-            raise InvalidArgumentError("cannot build a pattern on 0 vertices")
         rows = []
         for e in graph.edges:
             row = [0] * graph.n

@@ -6,8 +6,10 @@ over the standard simplex is the quantity of interest.  The optimizer pipeline
 is: collapse twin classes and enumerate candidate supports (pruned by pair
 coverage, with the full support always retained as a fallback).  A form of
 degree <= 2, such as that of a {1, 2}-hypergraph, is then solved exactly: on
-each support the KKT system of the homogenized quadratic form is solved in
-rationals, and the maximum, its point and its certificate are exact.  A form
+each support the KKT system of the homogenized quadratic form, scaled to
+integers by one common denominator, is solved by fraction-free (Bareiss)
+elimination, whose divisions are exact by Sylvester's identity, and the
+maximum, its point and its certificate are exact.  A form
 with a term of degree >= 3 runs projected gradient ascent with Armijo
 backtracking on each support, then verifies first-order optimality and
 certifies a rational lower bound at a rounded rational point.  Both solvers
@@ -84,7 +86,7 @@ class PolynomialForm:
             c = _require_rational(coeff, "term coefficient")
             if c <= 0:
                 raise InvalidArgumentError("term coefficients must be positive")
-            merged[expo] = merged.get(expo, Fraction(0)) + c
+            merged[expo] = merged[expo] + c if expo in merged else c
         terms = tuple(sorted(((c, e) for e, c in merged.items()), key=lambda t: t[1]))
         object.__setattr__(self, "terms", terms)
 
@@ -127,13 +129,13 @@ class PolynomialForm:
         terms = []
         for coeff, expo in self.terms:
             new = [0] * len(classes)
-            scale = Fraction(1)
+            scale = 1
             for i, k in enumerate(expo):
                 if k:
                     c = owner[i]
                     new[c] += k
-                    scale *= Fraction(1, len(classes[c])) ** k
-            terms.append((coeff * scale, tuple(new)))
+                    scale *= len(classes[c]) ** k
+            terms.append((coeff / scale, tuple(new)))
         return PolynomialForm(len(classes), tuple(terms))
 
 
@@ -338,8 +340,10 @@ def _candidate_supports(form: PolynomialForm) -> list[tuple[int, ...]]:
 
     A support J qualifies when every pair inside J lies in some term fully
     supported inside J.  Singletons need a term supported inside them (a
-    constant term counts).  The full variable set is always kept as a
-    fallback.
+    constant term counts).  A term covering a pair holds both variables, so a
+    pair-covered J is a clique of the co-occurrence graph, which joins two
+    variables that share a term; only its cliques, met once each by
+    backtracking, are tested.  The full variable set is always kept.
     """
     q = form.nvars
     masks = []
@@ -350,25 +354,28 @@ def _candidate_supports(form: PolynomialForm) -> list[tuple[int, ...]]:
                 m |= 1 << i
         masks.append(m)
     cover: dict[tuple[int, int], list[int]] = {}
+    near = [0] * q  # near[a]: the variables that share a term with a
     for m in masks:
         bits = [i for i in range(q) if m >> i & 1]
         for a, b in itertools.combinations(bits, 2):
             cover.setdefault((a, b), []).append(m)
-    full = tuple(range(q))
+            near[a] |= 1 << b
+            near[b] |= 1 << a
     out = []
-    for sub in range(1, 1 << q):
-        bits = [i for i in range(q) if sub >> i & 1]
-        if len(bits) == 1:
-            if any(m & ~sub == 0 for m in masks):
-                out.append(tuple(bits))
-            continue
-        ok = True
-        for a, b in itertools.combinations(bits, 2):
-            if not any(m & ~sub == 0 for m in cover.get((a, b), ())):
-                ok = False
-                break
-        if ok:
+
+    def extend(sub, bits, common):  # common: the variables joined to all of bits
+        # each group of terms must have one inside sub
+        groups = ([masks] if len(bits) == 1
+                  else (cover[pair] for pair in itertools.combinations(bits, 2)))
+        if all(any(m & ~sub == 0 for m in group) for group in groups):
             out.append(tuple(bits))
+        for v in range(bits[-1] + 1, q):
+            if common >> v & 1:
+                extend(sub | 1 << v, bits + [v], common & near[v])
+
+    for v in range(q):
+        extend(1 << v, [v], near[v])
+    full = tuple(range(q))
     if full not in out:
         out.append(full)
     out.sort(key=lambda s: (len(s), s))
@@ -399,13 +406,21 @@ def _kkt_maximum(form: PolynomialForm) -> tuple[Fraction, list[Fraction]]:
     form with positive coefficients.  So the largest mu over the positive
     solutions of the non-singular candidate systems is the maximum.  Ties go
     to the lexicographically least support.
+
+    The systems are solved in integers: den = 2 lcm of the coefficient
+    denominators makes den Q an integer matrix, with z unchanged and mu
+    scaled by den.  Bareiss elimination divides each step by the previous
+    pivot, and by Sylvester's identity every entry it makes is a minor, so
+    each division is exact.  Only positive solutions become Fractions:
+    z = nums / det and mu = num_mu / (det den).
     """
     q = form.nvars
-    Q = [[Fraction(0)] * q for _ in range(q)]
+    den = 2 * math.lcm(*(coeff.denominator for coeff, _ in form.terms))
+    Q = [[0] * q for _ in range(q)]
     for coeff, expo in form.terms:
         # a factor the term lacks is 1^T z, which sums over every index
         vs = [i for i, k in enumerate(expo) for _ in range(k)]
-        half = coeff / 2
+        half = coeff.numerator * (den // 2 // coeff.denominator)  # den coeff / 2
         for i in vs[:1] or range(q):
             for j in vs[1:2] or range(q):
                 Q[i][j] += half
@@ -415,8 +430,8 @@ def _kkt_maximum(form: PolynomialForm) -> tuple[Fraction, list[Fraction]]:
         for support in _candidate_supports(form):
             solved = _solve_kkt([[Q[i][j] for j in support] for i in support])
             if solved is not None and min(solved[0]) > 0:
-                z, mu = solved
-                yield mu, support, z
+                nums, num_mu, det = solved
+                yield Fraction(num_mu, det * den), support, [Fraction(n, det) for n in nums]
 
     return _pick(candidates(), q, Fraction(0))
 
@@ -432,24 +447,30 @@ def _pick(candidates, nvars: int, zero):
     return value, point
 
 
-def _solve_kkt(Q: list[list[Fraction]]):
-    """Solve [Q -1; 1^T 0] [z; mu] = [0; 1] exactly; None if it is singular."""
+def _solve_kkt(Q: list[list[int]]):
+    """Solve [Q -1; 1^T 0] [z; mu] = [0; 1] for an integer Q by fraction-free
+    Gauss-Jordan elimination (Bareiss 1968): the numerators of z and of mu,
+    and their denominator det > 0, the determinant up to sign; None if the
+    system is singular."""
     k = len(Q)
     size = k + 1
-    rows = [row + [Fraction(-1), Fraction(0)] for row in Q]
-    rows.append([Fraction(1)] * k + [Fraction(0), Fraction(1)])
+    rows = [row + [-1, 0] for row in Q]
+    rows.append([1] * k + [0, 1])
+    prev = 1
     for col in range(size):
         pivot = next((r for r in range(col, size) if rows[r][col]), None)
         if pivot is None:
             return None
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        head = rows[col][col]
-        rows[col] = [v / head for v in rows[col]]
+        head = rows[col]
+        p = head[col]
         for r in range(size):
-            factor = rows[r][col]
-            if r != col and factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [rows[r][size] for r in range(k)], rows[k][size]
+            if r != col:
+                factor = rows[r][col]
+                rows[r] = [(p * a - factor * b) // prev for a, b in zip(rows[r], head)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [sign * row[size] for row in rows[:k]], sign * rows[k][size], sign * prev
 
 
 def _starts(dim: int, cfg: OptimizerConfig, support_key: int):

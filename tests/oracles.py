@@ -319,6 +319,32 @@ def kkt_lagrangian_12(graph: Hypergraph) -> Fraction:
     return best
 
 
+def brute_candidate_supports(form):
+    """Every nonempty subset J of the form's variables in which each pair lies
+    in some term supported inside J, a singleton qualifying when some term
+    (a constant one too) is supported inside it; plus the full set, sorted
+    by size, then lexicographically.  The 2^q filter that
+    ``lagrangian._candidate_supports`` prunes to the cliques of the
+    co-occurrence graph."""
+    q = form.nvars
+    masks = [sum(1 << i for i, k in enumerate(expo) if k) for _, expo in form.terms]
+    out = []
+    for sub in range(1, 1 << q):
+        bits = [i for i in range(q) if sub >> i & 1]
+        if len(bits) == 1:
+            ok = any(m & ~sub == 0 for m in masks)
+        else:
+            ok = all(
+                any(m & ~sub == 0 and m >> a & 1 and m >> b & 1 for m in masks)
+                for a, b in itertools.combinations(bits, 2)
+            )
+        if ok:
+            out.append(tuple(bits))
+    if tuple(range(q)) not in out:
+        out.append(tuple(range(q)))
+    return sorted(out, key=lambda s: (len(s), s))
+
+
 def _solve_linear(rows):
     """Gauss-Jordan on a square system with its right-hand side as the last
     column; None when the system is singular."""

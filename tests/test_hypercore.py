@@ -338,8 +338,9 @@ class TestPattern:
         with pytest.raises(InvalidHypergraphError,
                            match=r"^negative multiplicity in row \(-1, 2\)$"):
             Pattern(2, ((-1, 2),))
-        with pytest.raises(InvalidArgumentError,
-                           match="^cannot build a pattern on 0 vertices$"):
+        # from_hypergraph meets the constructor's one refusal
+        with pytest.raises(InvalidHypergraphError,
+                           match="^pattern needs at least one vertex$"):
             Pattern.from_hypergraph(Hypergraph(0, ()))
 
     def test_refuses_non_integer_counts_and_multiplicities(self):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -468,6 +468,72 @@ class TestMaximize:
         monkeypatch.setattr(lagrangian, "_rationalize", refuse)
         result = maximize(obj, OptimizerConfig(restarts=0, max_iters=1))
         assert result.method == "exact_kkt"
+
+
+@st.composite
+def small_forms(draw):
+    """A form on 1-8 variables with 1-10 terms of degree 0-3, each a
+    multiset of at most three variables, so constant terms, squares and
+    cubes occur, with small positive rational coefficients."""
+    q = draw(st.integers(min_value=1, max_value=8))
+    expo = st.lists(st.integers(min_value=0, max_value=q - 1), max_size=3).map(
+        lambda vs: tuple(vs.count(i) for i in range(q))
+    )
+    expos = draw(st.lists(expo, min_size=1, max_size=10, unique=True))
+    coeffs = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6)
+    return PolynomialForm(q, tuple((draw(coeffs), e) for e in expos))
+
+
+def twin_free_12_graphs(count, sizes, seed):
+    """Seeded twin-free random {1, 2}-graphs: pair probability 1/2, each
+    vertex marked with probability 1/5."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice(sizes)
+        edges = [(v,) for v in range(n) if rng.random() < 0.2]
+        edges += [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        graph = Hypergraph(n, edges)
+        if len(equivalence_classes(graph)) == n:
+            out.append(graph)
+    return out
+
+
+class TestExactSolver:
+    @given(small_forms())
+    # a constant term makes every singleton a candidate
+    @example(PolynomialForm(3, ((F(1), (0, 0, 0)), (F(2), (1, 1, 0)))))
+    @settings(max_examples=200)
+    def test_candidate_supports_are_the_pair_covered_subsets(self, form):
+        assert lagrangian._candidate_supports(form) == oracles.brute_candidate_supports(form)
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda k: st.lists(st.lists(st.integers(min_value=-2, max_value=2),
+                                    min_size=k, max_size=k),
+                           min_size=k, max_size=k)))
+    # singular: two equal rows of Q give two equal rows of the system
+    @example([[1, 1], [1, 1]])
+    @example([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+    @settings(max_examples=300)
+    def test_integer_solve_matches_fraction_elimination(self, Q):
+        k = len(Q)
+        rows = [[F(v) for v in row] + [F(-1), F(0)] for row in Q]
+        rows.append([F(1)] * k + [F(0), F(1)])
+        want = oracles._solve_linear(rows)
+        got = lagrangian._solve_kkt(Q)
+        if want is None:
+            assert got is None
+        else:
+            nums, num_mu, det = got
+            assert det > 0
+            assert [F(n, det) for n in nums] + [F(num_mu, det)] == want
+
+    @pytest.mark.parametrize("graph", twin_free_12_graphs(4, (9, 10), seed=33))
+    def test_exact_on_twin_free_12_graphs(self, graph):
+        form = polynomial_form(graph)
+        # the clique walk prunes: most of the 2^n subsets are not tested
+        assert len(lagrangian._candidate_supports(form)) < 2 ** graph.n // 4
+        assert maximize(graph).value_exact == oracles.kkt_lagrangian_12(graph)
 
 
 class TestCertifyAt:
