@@ -21,7 +21,12 @@ A strong alpha lies strictly between two consecutive weak values of its row,
 so its interval depends only on the row and k, not on alpha: ``_interval``
 builds its two Fraction ends once per (row, k) and keeps them in a bounded
 memo.  The 9 950 strong alpha of the grid i/5000 share 324 intervals, so the
-grid builds 646 Fractions where it built 18 027.
+grid builds 646 Fractions where it built 18 027.  ``ClassifyResult`` is a
+``NamedTuple``, not a frozen dataclass: a tuple is built in one step, where a
+frozen dataclass sets each of its six fields through ``object.__setattr__``,
+and that was most of a strong call.  Its repr, fields, immutability and hash
+are those of the dataclass; unlike it, the result compares equal to the
+plain tuple of its values.
 
 A certificate that alpha is a (strong) jump consists of a finite family F
 with density evidence pi(F) <= alpha (strictly below for strong) together
@@ -37,6 +42,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     CertificateError,
@@ -166,8 +172,7 @@ _ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class ClassifyResult:
+class ClassifyResult(NamedTuple):
     alpha: Fraction
     verdict: str  # "weak_jump" | "strong_jump"
     matched_form: str | None = None

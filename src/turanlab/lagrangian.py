@@ -25,6 +25,13 @@ so the result is byte-identical to running it out.  A failure reports how
 many ascents stalled.  The ascent runs on lists of Python floats and its
 restarts draw from ``random``, so no part of the package imports numpy; the
 package and the CLI load this module only when a name from it is first used.
+
+``PolynomialForm(nvars, terms)`` checks every term it is given.  The forms
+the library builds itself (``from_pattern``, ``from_hypergraph``,
+``quotient`` and ``restrict``) skip those checks through
+``PolynomialForm._from_terms(nvars, merged)``, whose precondition is that
+``merged`` maps distinct exponent vectors of nvars ints >= 0 to positive
+Fractions; both paths sort the terms in one place, ``_ordered_terms``.
 """
 
 from __future__ import annotations
@@ -36,7 +43,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import InvalidArgumentError, OptimizerFailureError, TuranLabError
+from .errors import (
+    InvalidArgumentError,
+    InvalidHypergraphError,
+    OptimizerFailureError,
+    TuranLabError,
+)
 from .hypercore import Hypergraph, Pattern, SimplexPoint, equivalence_classes
 from .hypercore import _is_exact, _require_int, _require_rational, _require_tuple
 from .hypercore import _require_type
@@ -59,6 +71,13 @@ __all__ = [
 STATIONARITY_TOL = 1e-7
 CERTIFICATE_SLACK = 1e-9
 CERTIFICATE_DENOMINATOR_CAP = 10**6
+
+
+def _ordered_terms(merged: dict) -> tuple:
+    """The (coefficient, exponent vector) terms of ``merged``, a map from
+    distinct exponent vectors to coefficients, sorted by exponent vector: the
+    one term order of every form."""
+    return tuple((merged[expo], expo) for expo in sorted(merged))
 
 
 @dataclass(frozen=True)
@@ -87,46 +106,83 @@ class PolynomialForm:
             if c <= 0:
                 raise InvalidArgumentError("term coefficients must be positive")
             merged[expo] = merged[expo] + c if expo in merged else c
-        terms = tuple(sorted(((c, e) for e, c in merged.items()), key=lambda t: t[1]))
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", _ordered_terms(merged))
+
+    @classmethod
+    def _from_terms(cls, nvars: int, merged: dict) -> "PolynomialForm":
+        """Build without validation, for terms the library built.
+
+        Precondition: nvars is an int >= 1, and ``merged`` maps each distinct
+        exponent vector, a tuple of nvars ints >= 0, to its coefficient, a
+        positive Fraction: exactly what ``__post_init__`` would have merged.
+        Nothing checks it; a breach gives a form that compares, hashes and
+        evaluates wrongly."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "nvars", nvars)
+        object.__setattr__(form, "terms", _ordered_terms(merged))
+        return form
 
     @classmethod
     def from_pattern(cls, pattern: Pattern) -> "PolynomialForm":
-        terms = []
-        for row in pattern.edges:
-            size = sum(row)
-            coeff = factorial(size)
+        merged = {}
+        for row in pattern.edges:  # distinct rows, each of total size >= 1
+            coeff = factorial(sum(row))
             for k in row:
                 coeff //= factorial(k)
-            terms.append((Fraction(coeff), row))
-        return cls(pattern.n, tuple(terms))
+            merged[row] = Fraction(coeff)
+        return cls._from_terms(pattern.n, merged)
 
     @classmethod
     def from_hypergraph(cls, graph: Hypergraph) -> "PolynomialForm":
-        return cls.from_pattern(Pattern.from_hypergraph(graph))
+        """The form sum_e |e|! prod_{i in e} x_i, built from the 0/1 rows of
+        the edges, as ``from_pattern(Pattern.from_hypergraph(graph))`` would."""
+        n = graph.n
+        if n < 1:
+            raise InvalidHypergraphError("pattern needs at least one vertex")
+        merged = {}
+        for e in graph.edges:
+            row = [0] * n
+            for v in e:
+                row[v] = 1
+            merged[tuple(row)] = Fraction(factorial(len(e)))
+        return cls._from_terms(n, merged)
 
     def restrict(self, support: tuple[int, ...]) -> "PolynomialForm":
-        """Sub-form on the given variables (terms supported inside them)."""
+        """Sub-form on the given variables (terms supported inside them).
+
+        ``support`` must be non-empty and strictly increasing inside
+        range(nvars)."""
+        support = tuple(_require_int(v, "support entry")
+                        for v in _require_tuple(support, "support"))
+        if not (support and 0 <= support[0] and support[-1] < self.nvars
+                and all(a < b for a, b in zip(support, support[1:]))):
+            raise InvalidArgumentError(
+                f"support must be strictly increasing variables in 0..{self.nvars - 1}, "
+                f"not {support}"
+            )
         index = {v: i for i, v in enumerate(support)}
-        keep = []
+        merged = {}
         for coeff, expo in self.terms:
             if all(k == 0 or i in index for i, k in enumerate(expo)):
                 new = [0] * len(support)
                 for i, k in enumerate(expo):
                     if k:
                         new[index[i]] = k
-                keep.append((coeff, tuple(new)))
-        return PolynomialForm(len(support), tuple(keep))
+                merged[tuple(new)] = coeff  # 0 off the support: no two meet
+        return PolynomialForm._from_terms(len(support), merged)
 
     def quotient(self, classes: tuple[tuple[int, ...], ...]) -> "PolynomialForm":
-        """Substitute x_i = z_c / |class c| for every vertex i of class c."""
-        owner = {}
-        for c, members in enumerate(classes):
-            for v in members:
-                owner[v] = c
-        if len(owner) != self.nvars:
+        """Substitute x_i = z_c / |class c| for every vertex i of class c.
+
+        The classes must partition range(nvars) into non-empty classes."""
+        classes = tuple(
+            tuple(_require_int(v, "class member") for v in _require_tuple(members, "class"))
+            for members in _require_tuple(classes, "classes")
+        )
+        if not all(classes) or sorted(itertools.chain(*classes)) != list(range(self.nvars)):
             raise InvalidArgumentError("classes must partition the variables")
-        terms = []
+        owner = {v: c for c, members in enumerate(classes) for v in members}
+        merged = {}
         for coeff, expo in self.terms:
             new = [0] * len(classes)
             scale = 1
@@ -135,8 +191,10 @@ class PolynomialForm:
                     c = owner[i]
                     new[c] += k
                     scale *= len(classes[c]) ** k
-            terms.append((coeff / scale, tuple(new)))
-        return PolynomialForm(len(classes), tuple(terms))
+            new = tuple(new)
+            coeff /= scale
+            merged[new] = merged[new] + coeff if new in merged else coeff
+        return PolynomialForm._from_terms(len(classes), merged)
 
 
 def polynomial_form(obj) -> PolynomialForm:

@@ -7,7 +7,10 @@ Python floats.  Only ``hypercore._require_int`` uses ``operator.index``, so
 every count is read by that one function, and only ``hypercore`` defines a
 ``_require_*`` reader, so every rational is read by
 ``hypercore._require_rational``; likewise only ``hypercore`` defines the
-orbit helpers ``_orbit_firsts`` and ``_twin_swaps``.  ``__init__.py`` imports no
+orbit helpers ``_orbit_firsts`` and ``_twin_swaps``.  ``object.__new__``, which
+builds an instance without its checks, appears only in the two unchecked
+constructors ``Hypergraph._from_normalized`` and
+``PolynomialForm._from_terms``.  ``__init__.py`` imports no
 submodule: its table ``_HOME`` maps each public name to its home module,
 whose ``__all__`` must list it.
 """
@@ -172,6 +175,49 @@ def test_orbit_helpers_are_defined_only_in_hypercore():
     )
     assert turansearch._orbit_firsts is hypercore._orbit_firsts
     assert turansearch._twin_swaps is hypercore._twin_swaps
+
+
+def unchecked_builders(source: str) -> list[str]:
+    """The qualified name of the enclosing function of each use of
+    ``object.__new__``, or ``<module>`` for a use outside any."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Attribute) and child.attr == "__new__"
+                and isinstance(child.value, ast.Name) and child.value.id == "object"
+            ):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_scan_finds_an_unchecked_builder():
+    source = (
+        "x = object.__new__(int)\n"
+        "class A:\n    def f(cls):\n        return object.__new__(cls)\n"
+        "def g():\n    new = object.__new__\n    return new(A)\n"
+        "def h():\n    return A.__new__(A)\n"
+    )
+    assert unchecked_builders(source) == ["<module>", "A.f", "g"]
+
+
+def test_unchecked_construction_stays_in_two_builders():
+    # every other instance is built, and checked, by its constructor
+    found = {
+        p.name: unchecked_builders(p.read_text(encoding="utf-8"))
+        for p in sorted(SRC.glob("*.py"))
+    }
+    assert {name: f for name, f in found.items() if f} == {
+        "hypercore.py": ["Hypergraph._from_normalized"],
+        "lagrangian.py": ["PolynomialForm._from_terms"],
+    }
 
 
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)

@@ -140,6 +140,22 @@ class TestClassify12:
         assert classify12(F(1)).note
         assert classify12(F(5, 4)).note
 
+    def test_result_is_an_immutable_record(self):
+        # a limit, a weak value on its row, a strong value
+        keys = ["alpha", "verdict", "matched_form", "k", "interval", "note"]
+        for alpha in (F(5, 4), F(9, 8), F(17, 19)):
+            result = classify12(alpha)
+            with pytest.raises(AttributeError):
+                result.verdict = "strong_jump"
+            again = classify12(F(alpha.numerator * 3, alpha.denominator * 3))
+            assert again == result and hash(again) == hash(result)
+            assert repr(result).startswith("ClassifyResult(alpha=Fraction(")
+            assert all(f"{key}=" in repr(result) for key in keys)
+            obj = ser.classify_to_obj(result)
+            assert sorted(obj) == sorted(keys)
+            assert obj["alpha"] == f"{alpha.numerator}/{alpha.denominator}"
+        assert classify12(F(17, 19)).interval == (F(8, 9), F(9, 10))
+
     def test_rejects_floats_and_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
             classify12(1.1)

@@ -11,7 +11,12 @@ import oracles
 import turanlab.lagrangian as lagrangian
 from turanlab import serialize as ser
 from strategies import hypergraphs, patterns
-from turanlab.errors import InvalidArgumentError, OptimizerFailureError, TuranLabError
+from turanlab.errors import (
+    InvalidArgumentError,
+    InvalidHypergraphError,
+    OptimizerFailureError,
+    TuranLabError,
+)
 from turanlab.hypercore import (
     Hypergraph,
     Pattern,
@@ -170,7 +175,9 @@ class TestPolynomialForm:
 
     def test_quotient_refuses_classes_that_do_not_partition(self):
         form = polynomial_form(chain_graph())
-        for classes in (((0,),), ((0,), (0,))):
+        # too few, overlapping, overlapping and covering, empty, out of range
+        for classes in (((0,),), ((0,), (0,)), ((0,), (0, 1)), ((0, 1), ()),
+                        ((0,), (5,))):
             with pytest.raises(InvalidArgumentError,
                                match="^classes must partition the variables$"):
                 form.quotient(classes)
@@ -184,6 +191,41 @@ class TestPolynomialForm:
         form = polynomial_form(chain_graph()).restrict((0,))
         assert form.nvars == 1
         assert [expo for _, expo in form.terms] == [(1,)]
+
+    def test_restrict_refuses_malformed_supports(self):
+        form = polynomial_form(chain_graph())
+        # out of range, repeated, decreasing, empty
+        for support in ((0, 5), (0, 0), (1, 0), ()):
+            with pytest.raises(InvalidArgumentError,
+                               match="^support must be strictly increasing"):
+                form.restrict(support)
+        with pytest.raises(InvalidArgumentError,
+                           match="^support entry must be an integer, not 0.0$"):
+            form.restrict((0.0,))
+
+    def test_refuses_a_graph_on_no_vertices(self):
+        # the refusal that Pattern.from_hypergraph(graph) gives
+        with pytest.raises(InvalidHypergraphError,
+                           match="^pattern needs at least one vertex$"):
+            PolynomialForm.from_hypergraph(Hypergraph(0, ()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(hypergraphs(max_n=5), patterns(max_n=4, max_size=4)))
+    def test_unchecked_forms_are_what_the_constructor_makes(self, obj):
+        # _from_terms skips the checks; every form built through it must be
+        # the one the checked constructor makes of its terms, types included
+        if isinstance(obj, Hypergraph):
+            form = PolynomialForm.from_hypergraph(obj)
+            built = [form, form.quotient(equivalence_classes(obj))]
+        else:
+            form = PolynomialForm.from_pattern(obj)
+            # maximize's classes for a pattern with multiplicities
+            built = [form, form.quotient(tuple((i,) for i in range(obj.n)))]
+        built += [form.restrict(s) for s in lagrangian._candidate_supports(form)]
+        for f in built:
+            checked = PolynomialForm(f.nvars, f.terms)
+            assert f == checked
+            assert repr(f) == repr(checked)
 
 
 class TestEvaluate:
