@@ -21,12 +21,9 @@ from . import serialize as ser
 from .errors import (
     CertificateError,
     InvalidArgumentError,
-    InvalidHypergraphError,
     OptimizerFailureError,
-    OutOfRangeError,
     ParseError,
     TuranLabError,
-    UnsupportedSizeError,
 )
 
 __all__ = ["main"]
@@ -277,8 +274,7 @@ def main(argv=None) -> int:
         for failure in exc.failures:
             sys.stderr.write(f"  - {failure}\n")
         return _EXIT_FAILED
-    except (ParseError, InvalidArgumentError, InvalidHypergraphError,
-            OutOfRangeError, UnsupportedSizeError) as exc:
+    except InvalidArgumentError as exc:  # ParseError and the other refusals too
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_BAD_INPUT
     except TuranLabError as exc:

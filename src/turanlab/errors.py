@@ -16,23 +16,24 @@ class TuranLabError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidHypergraphError(TuranLabError):
+class InvalidArgumentError(TuranLabError):
+    """An operation received arguments outside its contract; the base class
+    of every refusal of input, which the CLI maps to exit code 2."""
+
+
+class InvalidHypergraphError(InvalidArgumentError):
     """Hypergraph or pattern data violates a structural invariant."""
 
 
-class InvalidArgumentError(TuranLabError):
-    """An operation received arguments outside its contract."""
-
-
-class UnsupportedSizeError(TuranLabError):
+class UnsupportedSizeError(InvalidArgumentError):
     """An input exceeds a documented size cap."""
 
 
-class OutOfRangeError(TuranLabError):
+class OutOfRangeError(InvalidArgumentError):
     """A numeric argument falls outside its admissible range."""
 
 
-class ParseError(TuranLabError):
+class ParseError(InvalidArgumentError):
     """JSON input could not be parsed or validated."""
 
 

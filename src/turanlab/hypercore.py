@@ -52,10 +52,12 @@ __all__ = [
 ]
 
 
-def _require_int(value, what: str, least: int | None = None) -> int:
+def _require_int(value, what: str, least: int | None = None, cap: int | None = None) -> int:
     """``value`` as an int, through ``operator.index`` so that a float, a
     bool or any other non-integer is refused instead of truncated; with
-    ``least``, a value below it is refused too."""
+    ``least``, a value below it is refused too, and with ``cap``, a value
+    above it raises ``UnsupportedSizeError``.  Every size cap of the library
+    is read here, where the count it limits is read."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -64,6 +66,8 @@ def _require_int(value, what: str, least: int | None = None) -> int:
         raise InvalidArgumentError(f"{what} must be an integer, not {value!r}") from None
     if least is not None and n < least:
         raise InvalidArgumentError(f"{what} must be >= {least}, not {n}")
+    if cap is not None and n > cap:
+        raise UnsupportedSizeError(f"{what} must be <= {cap}, not {n}")
     return n
 
 
@@ -143,15 +147,11 @@ class EdgeTypeSet:
 
     def __post_init__(self):
         sizes = tuple(sorted({
-            _require_int(r, "edge size", 1)
+            _require_int(r, "edge size", 1, MAX_EDGE_SIZE)
             for r in _require_tuple(self.sizes, "edge sizes")
         }))
         if not sizes:
             raise InvalidArgumentError("edge type set must be non-empty")
-        if sizes[-1] > MAX_EDGE_SIZE:
-            raise UnsupportedSizeError(
-                f"edge size {sizes[-1]} exceeds the cap of {MAX_EDGE_SIZE}"
-            )
         object.__setattr__(self, "sizes", sizes)
 
     def __contains__(self, r: int) -> bool:
@@ -204,10 +204,7 @@ class Hypergraph:
                 raise InvalidHypergraphError(
                     f"edge {e} is not inside the vertex range 0..{n - 1}"
                 )
-            if len(e) > MAX_EDGE_SIZE:
-                raise UnsupportedSizeError(
-                    f"edge of size {len(e)} exceeds the cap of {MAX_EDGE_SIZE}"
-                )
+            _require_int(len(e), "edge size", cap=MAX_EDGE_SIZE)
             seen[e] = None
         edges = tuple(sorted(seen, key=_edge_order))
         object.__setattr__(self, "n", n)
@@ -246,9 +243,15 @@ class Hypergraph:
         return EdgeTypeSet(sizes)
 
     def edges_of_size(self, r: int) -> tuple[tuple[int, ...], ...]:
+        r = _require_int(r, "edge size", 1)
         return tuple(e for e in self.edges if len(e) == r)
 
     def degree(self, v: int, r: int | None = None) -> int:
+        v = _require_int(v, "vertex", 0)
+        if v >= self.n:
+            raise InvalidArgumentError(f"vertex {v} not inside 0..{self.n - 1}")
+        if r is not None:
+            r = _require_int(r, "edge size", 1)
         return sum(1 for e in self.edges if v in e and (r is None or len(e) == r))
 
     def with_edges(self, *extra) -> "Hypergraph":
@@ -306,10 +309,7 @@ class Pattern:
             size = sum(r)
             if size < 1:
                 raise InvalidHypergraphError("pattern edge with total multiplicity 0")
-            if size > MAX_EDGE_SIZE:
-                raise UnsupportedSizeError(
-                    f"pattern edge of size {size} exceeds the cap of {MAX_EDGE_SIZE}"
-                )
+            _require_int(size, "pattern edge size", cap=MAX_EDGE_SIZE)
             if r in seen:
                 raise InvalidHypergraphError(f"duplicate pattern edge {r}")
             seen.add(r)
@@ -597,6 +597,8 @@ def disjoint_type_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
 
     The Lubell density of the union is exactly the sum of the two densities.
     """
+    _require_type(a, Hypergraph, "a")
+    _require_type(b, Hypergraph, "b")
     if a.n != b.n:
         raise InvalidArgumentError("union requires equal vertex counts")
     shared = set(a.edge_sizes()) & set(b.edge_sizes())
@@ -930,20 +932,13 @@ def _format_encoding(key) -> bytes:
     return f"{n}|{body}".encode("ascii")
 
 
-def _check_labeling_cap(n: int) -> None:
-    if n > MAX_LABELING_VERTICES:
-        raise UnsupportedSizeError(
-            f"canonical form is capped at {MAX_LABELING_VERTICES} vertices"
-        )
-
-
 def _canonical_labeling(graph: Hypergraph):
     """(key, generators), uncached: key is the canonical graph's (n, edges),
     which ``_format_encoding`` turns into ``canonical_form(graph)``, and
     generators generate the canonical graph's automorphism group, each a
-    tuple p mapping vertex v to p[v]."""
-    n = graph.n
-    _check_labeling_cap(n)
+    tuple p mapping vertex v to p[v].  A graph on more than
+    MAX_LABELING_VERTICES vertices raises ``UnsupportedSizeError``."""
+    n = _require_int(graph.n, "canonical form vertex count", cap=MAX_LABELING_VERTICES)
     blocks = []
     ones = [0] * n
     incident = [([], []) for _ in range(n)]

@@ -48,13 +48,12 @@ from .errors import (
     CertificateError,
     InvalidArgumentError,
     OutOfRangeError,
-    UnsupportedSizeError,
 )
 from .hypercore import (
+    MAX_LABELING_VERTICES,
     EdgeTypeSet,
     Hypergraph,
     SimplexPoint,
-    _check_labeling_cap,
     _require_int,
     _require_rational,
     _require_tuple,
@@ -86,10 +85,7 @@ _INTERVAL_MEMO = 1024  # (row, k) intervals kept; the i/5000 grid fills 324
 
 
 def _complete_witness(t: int, sizes) -> tuple[Hypergraph, SimplexPoint]:
-    if t > MAX_WITNESS_VERTICES:  # refused before anything is built
-        raise UnsupportedSizeError(
-            f"a witness on {t} vertices exceeds the cap of {MAX_WITNESS_VERTICES}"
-        )
+    t = _require_int(t, "lambda witness vertex count", cap=MAX_WITNESS_VERTICES)
     return complete(t, sizes), SimplexPoint.uniform(t)
 
 
@@ -246,7 +242,10 @@ class WeakJumpWitness:
 
 def weak_jump_witness(alpha) -> WeakJumpWitness | None:
     """Why alpha cannot be a strong jump: a graph with lambda = alpha or a
-    family with density exactly alpha.  None for strong jumps."""
+    family with density exactly alpha.  None for strong jumps.  A lambda
+    graph on more than MAX_WITNESS_VERTICES vertices, or a family member on
+    more than MAX_LABELING_VERTICES, raises ``UnsupportedSizeError`` before
+    anything is built."""
     a, i, k, weak = _locate(alpha)
     if not weak:
         return None
@@ -262,8 +261,7 @@ def weak_jump_witness(alpha) -> WeakJumpWitness | None:
     if k is None:
         members, text = row.limit_family, row.limit_text
     else:
-        t = k + 2
-        _check_labeling_cap(t)  # before building a member on t vertices
+        t = _require_int(k + 2, "witness family vertex count", cap=MAX_LABELING_VERTICES)
         members, text = row.family(t), row.family_text.format(t=t, v=a)
     return WeakJumpWitness(
         a, "pi_family", text,

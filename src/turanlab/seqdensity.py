@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import InvalidArgumentError, UnsupportedSizeError
+from .errors import InvalidArgumentError
 from .hypercore import (
     Hypergraph,
     _lubell_weights,
@@ -358,9 +358,7 @@ def sigma_t(
     subset comes from the largest best vector.
     """
     _require_type(gen, SequenceGenerator, "gen")
-    t = _require_int(t, "t", 1)
-    if t > MAX_SUBSET_SIZE:
-        raise UnsupportedSizeError(f"t = {t} exceeds the cap {MAX_SUBSET_SIZE}")
+    t = _require_int(t, "t", 1, MAX_SUBSET_SIZE)
     lo, hi = (_require_int(i, "member range end", 0)
               for i in _require_tuple(i_range, "member range", 2))
     if hi < lo:

@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidArgumentError, TuranLabError, UnsupportedSizeError
+from .errors import InvalidArgumentError, TuranLabError
 from .hypercore import (
     EdgeTypeSet,
     Hypergraph,
@@ -130,13 +130,6 @@ class PiRecord:
 class DensityBound:
     family: ForbiddenFamily
     records: tuple[PiRecord, ...]
-
-
-def _check_cap(n: int) -> None:
-    if n > ENUMERATION_CAP:
-        raise UnsupportedSizeError(
-            f"exhaustive enumeration is capped at n <= {ENUMERATION_CAP}"
-        )
 
 
 def _adds_largest_inv(rows, up, tops, top, e) -> bool:
@@ -250,8 +243,7 @@ def enumerate_graphs(n: int, types):
     class with k+1 edges arises from some class with k edges, so per-level
     deduplication visits each class exactly once.
     """
-    n = _require_int(n, "n", 1)
-    _check_cap(n)
+    n = _require_int(n, "n", 1, ENUMERATION_CAP)
     types = types if isinstance(types, EdgeTypeSet) else EdgeTypeSet(types)
     yield from _grow(n, types)
 
@@ -266,8 +258,7 @@ def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
     mode and of all classes in induced mode.
     """
     _require_type(family, ForbiddenFamily, "family")
-    n = _require_int(n, "n", 1)
-    _check_cap(n)
+    n = _require_int(n, "n", 1, ENUMERATION_CAP)
     t0 = time.perf_counter()
     induced = family.mode == "induced"
     if not induced and family.excludes(Hypergraph(n, ())):
@@ -306,8 +297,7 @@ def density_sequence(family: ForbiddenFamily, n_max: int, progress=None) -> Dens
     _require_type(family, ForbiddenFamily, "family")
     member_sizes = [r for m in family.members for r in m.edge_sizes()]
     n_min = max(member_sizes) if member_sizes else family.ambient.max_size
-    n_max = _require_int(n_max, "n_max", n_min)
-    _check_cap(n_max)
+    n_max = _require_int(n_max, "n_max", n_min, ENUMERATION_CAP)
     records = []
     previous = None
     for n in range(n_min, n_max + 1):

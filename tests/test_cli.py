@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from turanlab import errors
 from turanlab.cli import main
 from turanlab.serialize import dumps_canonical
 
@@ -81,6 +82,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name,refusal", [
+    ("InvalidHypergraphError", True),
+    ("UnsupportedSizeError", True),
+    ("OutOfRangeError", True),
+    ("ParseError", True),
+    ("CertificateError", False),
+    ("OptimizerFailureError", False),
+])
+def test_refusals_of_input_are_invalid_argument_errors(name, refusal):
+    # main maps every InvalidArgumentError to exit 2, and the two failures
+    # of a valid computation to exit 3
+    assert issubclass(getattr(errors, name), errors.InvalidArgumentError) is refusal
 
 
 class TestLubell:
@@ -307,7 +322,7 @@ class TestClassify12:
         code, out, _ = run_cli(capsys, "classify12", "4999/5000")
         assert code == 0 and json.loads(out)["k"] == 4999
         code, _, err = run_cli(capsys, "classify12", "4999/5000", "--witness")
-        assert code == 2 and "5000 vertices" in err
+        assert code == 2 and "must be <= 1024, not 5000" in err
 
     def test_decimal_rejected(self, capsys):
         code, _, err = run_cli(capsys, "classify12", "1.1")

@@ -3,7 +3,8 @@ is read by one reader of its kind.
 
 A float, a bool and a value one below the count's least allowed value each
 raise InvalidArgumentError naming the count, never a TypeError or
-ValueError from deeper down; so do a non-iterable where a sequence belongs,
+ValueError from deeper down, and a value one above a size cap raises
+UnsupportedSizeError naming the count; so do a non-iterable where a sequence belongs,
 a sequence of the wrong length, and an entry of the wrong type.  A rational
 argument takes an int or a Fraction; a float, a bool and a string each raise
 InvalidArgumentError naming it.
@@ -13,13 +14,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from turanlab.errors import InvalidArgumentError
+from turanlab.errors import InvalidArgumentError, UnsupportedSizeError
 from turanlab.hypercore import (
+    MAX_EDGE_SIZE,
+    MAX_LABELING_VERTICES,
     EdgeTypeSet,
     Hypergraph,
     Pattern,
     SimplexPoint,
     blow_up,
+    canonical_form,
     chain_graph,
     complete,
     lubell,
@@ -27,6 +31,7 @@ from turanlab.hypercore import (
     realize,
 )
 from turanlab.jumpcert import (
+    MAX_WITNESS_VERTICES,
     JumpCertificate,
     LambdaWitness,
     PiEvidence,
@@ -43,6 +48,7 @@ from turanlab.lagrangian import (
     maximize,
 )
 from turanlab.seqdensity import (
+    MAX_SUBSET_SIZE,
     SequenceGenerator,
     density_estimate,
     proportional_sizes,
@@ -50,6 +56,7 @@ from turanlab.seqdensity import (
 )
 from turanlab.serialize import certificate_to_obj, dumps_canonical
 from turanlab.turansearch import (
+    ENUMERATION_CAP,
     ForbiddenFamily,
     density_sequence,
     enumerate_graphs,
@@ -57,6 +64,7 @@ from turanlab.turansearch import (
 )
 
 GEN = SequenceGenerator.turan_generator(2, ns=(4, 6))
+K3_12 = complete(3, (1, 2))
 TRIANGLE_FREE = ForbiddenFamily(EdgeTypeSet((2,)), (complete(3, (2,)),))
 CHAIN_FAMILY = ForbiddenFamily(EdgeTypeSet((1, 2)), (chain_graph(),))
 CHAIN_WITNESS = LambdaWitness(chain_graph(), SimplexPoint((F(3, 4), F(1, 4))))
@@ -89,6 +97,9 @@ ENTRY_POINTS = [
     ("n_max", 2, lambda v: density_sequence(TRIANGLE_FREE, v)),
     ("n", 1, lambda v: PiEvidence("exhaustive", 1, "x", n=v)),
     ("variable count", 1, lambda v: PolynomialForm(v, ())),
+    ("vertex", 0, K3_12.degree),
+    ("edge size", 1, lambda v: K3_12.degree(0, v)),
+    ("edge size", 1, K3_12.edges_of_size),
 ]
 
 
@@ -105,6 +116,55 @@ def test_counts_refuse_non_integers_and_small_values(what, least, call, kind):
     }[kind]
     with pytest.raises(InvalidArgumentError, match=f"^{what} {text}$"):
         call(value)
+
+
+@pytest.mark.parametrize("v", [3, 9])
+def test_degree_refuses_a_vertex_outside_the_graph(v):
+    with pytest.raises(InvalidArgumentError, match=f"^vertex {v} not inside 0..2$"):
+        K3_12.degree(v)
+
+
+# (name of the count, its cap, a call that reads it): every size cap
+CAPS = [
+    ("edge size", MAX_EDGE_SIZE, lambda v: EdgeTypeSet((2, v))),
+    ("edge size", MAX_EDGE_SIZE, lambda v: Hypergraph(v, (range(v),))),
+    ("pattern edge size", MAX_EDGE_SIZE, lambda v: Pattern(1, ((v,),))),
+    ("canonical form vertex count", MAX_LABELING_VERTICES,
+     lambda v: canonical_form(Hypergraph(v))),
+    ("lambda witness vertex count", MAX_WITNESS_VERTICES,
+     lambda v: weak_jump_witness(F(v - 1, v))),
+    ("witness family vertex count", MAX_LABELING_VERTICES,  # row 2, t = k + 2
+     lambda v: weak_jump_witness(1 + F(v - 2, 4 * (v - 1)))),
+    ("t", MAX_SUBSET_SIZE, lambda v: sigma_t(GEN, v)),
+    ("n", ENUMERATION_CAP, lambda v: next(enumerate_graphs(v, EdgeTypeSet((2,))))),
+    ("n", ENUMERATION_CAP, lambda v: pi_n(TRIANGLE_FREE, v)),
+    ("n_max", ENUMERATION_CAP, lambda v: density_sequence(TRIANGLE_FREE, v)),
+]
+
+
+@pytest.mark.parametrize(
+    "what,cap,call", CAPS,
+    ids=[f"{i}-{what}" for i, (what, _, _) in enumerate(CAPS)],
+)
+def test_counts_refuse_values_above_their_cap(what, cap, call):
+    with pytest.raises(UnsupportedSizeError,
+                       match=f"^{what} must be <= {cap}, not {cap + 1}$"):
+        call(cap + 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: EdgeTypeSet((MAX_EDGE_SIZE,)),
+        lambda: next(enumerate_graphs(ENUMERATION_CAP, (2,))),
+        lambda: canonical_form(complete(MAX_LABELING_VERTICES, (2,))),
+        lambda: sigma_t(SequenceGenerator.turan_generator(2, ns=(MAX_SUBSET_SIZE,)),
+                        MAX_SUBSET_SIZE, (0, 0)),
+    ],
+    ids=["edge size", "n", "canonical form vertex count", "t"],
+)
+def test_caps_admit_their_own_value(call):
+    call()
 
 
 # (name of the sequence, a call that passes a bad one, the error text)

@@ -31,6 +31,7 @@ from turanlab.hypercore import (
     complete,
     contains_induced,
     contains_subgraph,
+    disjoint_type_union,
     empty_graph,
     equivalence_classes,
     find_embedding,
@@ -236,7 +237,7 @@ class TestUnvalidatedConstruction:
     def test_complete_and_marked_clique_keep_their_errors(self):
         with pytest.raises(InvalidHypergraphError, match="vertex count"):
             complete(-1, (2,))
-        with pytest.raises(UnsupportedSizeError, match="edge size 17"):
+        with pytest.raises(UnsupportedSizeError, match="edge size must be <= 16, not 17"):
             complete(17, (2, 17))
         with pytest.raises(InvalidArgumentError, match="t must be >= 2, not 1"):
             marked_clique(1)
@@ -805,6 +806,8 @@ class TestGraphArguments:
              "small must be a Hypergraph, not None"),
             (lambda: contains_induced(5, K2), "big must be a Hypergraph, not 5"),
             (lambda: induced_subgraph(5, [0]), "graph must be a Hypergraph, not 5"),
+            (lambda: disjoint_type_union(5, K2), "a must be a Hypergraph, not 5"),
+            (lambda: disjoint_type_union(K2, None), "b must be a Hypergraph, not None"),
         ],
     )
     def test_refuses_a_non_graph(self, call, text):

@@ -4,8 +4,9 @@ An AST scan: a name bound by an import must appear as a name somewhere else
 in the module, or be listed in its ``__all__``.  No module under ``src``
 imports numpy, at load time or inside a function: the float ascent runs on
 Python floats.  Only ``hypercore._require_int`` uses ``operator.index``, so
-every count is read by that one function, and only ``hypercore`` defines a
-``_require_*`` reader, so every rational is read by
+every count is read by that one function, and only it raises
+``UnsupportedSizeError``, so every size cap is read there too.  Only
+``hypercore`` defines a ``_require_*`` reader, so every rational is read by
 ``hypercore._require_rational``; likewise only ``hypercore`` defines the
 orbit helpers ``_orbit_firsts`` and ``_twin_swaps``.  ``object.__new__``, which
 builds an instance without its checks, appears only in the two unchecked
@@ -177,9 +178,9 @@ def test_orbit_helpers_are_defined_only_in_hypercore():
     assert turansearch._twin_swaps is hypercore._twin_swaps
 
 
-def unchecked_builders(source: str) -> list[str]:
-    """The qualified name of the enclosing function of each use of
-    ``object.__new__``, or ``<module>`` for a use outside any."""
+def enclosing_scopes(source: str, matches) -> list[str]:
+    """The qualified name of the enclosing function or class of each node
+    for which ``matches`` is true, or ``<module>`` for one outside any."""
     found = []
 
     def visit(node, scope):
@@ -187,15 +188,21 @@ def unchecked_builders(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if (
-                isinstance(child, ast.Attribute) and child.attr == "__new__"
-                and isinstance(child.value, ast.Name) and child.value.id == "object"
-            ):
+            if matches(child):
                 found.append(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), [])
     return found
+
+
+def unchecked_builders(source: str) -> list[str]:
+    """The qualified name of the enclosing function of each use of
+    ``object.__new__``, or ``<module>`` for a use outside any."""
+    return enclosing_scopes(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ))
 
 
 def test_scan_finds_an_unchecked_builder():
@@ -217,6 +224,40 @@ def test_unchecked_construction_stays_in_two_builders():
     assert {name: f for name, f in found.items() if f} == {
         "hypercore.py": ["Hypergraph._from_normalized"],
         "lagrangian.py": ["PolynomialForm._from_terms"],
+    }
+
+
+def size_refusals(source: str) -> list[str]:
+    """The qualified name of the enclosing function of each
+    ``raise UnsupportedSizeError``, called or not, or ``<module>`` for one
+    outside any."""
+    def refuses(node):
+        if not isinstance(node, ast.Raise):
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "UnsupportedSizeError"
+
+    return enclosing_scopes(source, refuses)
+
+
+def test_scan_finds_a_size_refusal():
+    source = (
+        "raise UnsupportedSizeError\n"
+        "class A:\n    def f(self, n):\n"
+        "        if n > 8:\n            raise UnsupportedSizeError(f'{n}')\n"
+        "def g():\n    raise InvalidArgumentError('x')\n"
+        "def h():\n    return UnsupportedSizeError('not raised')\n"
+    )
+    assert size_refusals(source) == ["<module>", "A.f"]
+
+
+def test_caps_are_read_only_by_require_int():
+    found = {
+        p.name: size_refusals(p.read_text(encoding="utf-8"))
+        for p in sorted(SRC.glob("*.py"))
+    }
+    assert {name: f for name, f in found.items() if f} == {
+        "hypercore.py": ["_require_int"]
     }
 
 

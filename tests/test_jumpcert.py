@@ -280,7 +280,7 @@ class TestWeakJumpWitness:
         with pytest.raises(UnsupportedSizeError) as info:
             weak_jump_witness(alpha)
         assert str(info.value) == (
-            f"a witness on 5000 vertices exceeds the cap of {MAX_WITNESS_VERTICES}"
+            f"lambda witness vertex count must be <= {MAX_WITNESS_VERTICES}, not 5000"
         )
 
     def test_cap_admits_its_own_size(self, monkeypatch):
@@ -293,7 +293,7 @@ class TestWeakJumpWitness:
         # a row-2 value far past the witness cap goes to its pi-family
         with pytest.raises(UnsupportedSizeError) as info:
             weak_jump_witness(1 + F(4999, 4 * 5000))
-        assert str(info.value) == "canonical form is capped at 16 vertices"
+        assert str(info.value) == "witness family vertex count must be <= 16, not 5001"
 
     def test_unit_density_family(self):
         w = weak_jump_witness(F(1))
@@ -372,7 +372,7 @@ class TestKnownTuranDensity:
 
 # frozen: sha256 over the classify12 and weak_jump_witness JSON on the grids
 # i/240 and i/1001 of [0, 2], and over known_turan_density on _digest_families
-GRID_DIGEST = "36b4b4758d0767246beeac1e3c22a62907d79c680de67db2bc06709697b0f3c8"
+GRID_DIGEST = "784dcf66a4cd866bbbf5b03b316ad2839d121aa71e124fa84bfac4201c0ab2fa"
 CATALOGUE_DIGEST = "599cc278535c968841926e62efce79f40c933de8066f6c0fff0ae435f02e812d"
 # weak values 1 + k/(4(k+1)) on those grids whose marked-clique family has a
 # member on t = k + 2 > 16 vertices: canonical labeling refuses it, so the
@@ -451,7 +451,7 @@ class TestCatalogueDigest:
     def test_capped_witness_message(self):
         with pytest.raises(UnsupportedSizeError) as info:
             weak_jump_witness(F(99, 80))
-        assert str(info.value) == "canonical form is capped at 16 vertices"
+        assert str(info.value) == "witness family vertex count must be <= 16, not 21"
 
     def test_known_densities_are_pinned(self):
         digest = hashlib.sha256()
