@@ -878,10 +878,10 @@ def contains_induced(big: Hypergraph, small: Hypergraph) -> bool:
 # a = l1^-1 . l2 = p . c^-1.  So c = a^-1 . p, hence b = t^-1 . c, lies in
 # the group that the returned automorphisms and the twin swaps generate.
 #
-# So ``_canonical_labeling`` returns generators of Aut: the swaps of
-# consecutive twins in each root twin class and the automorphisms from
-# equal leaves, all carried into canonical labels.  ``turansearch._grow``
-# builds its frontier from its key and these generators, so each child is
+# So ``_canonical_labeling`` returns the canonical graph with generators of
+# its Aut: the swaps of consecutive twins in each root twin class and the
+# automorphisms from equal leaves, all carried into canonical labels.
+# ``turansearch._grow`` keeps both as a frontier entry, so each child is
 # labelled once and it tries one child per orbit of Aut.
 
 
@@ -912,7 +912,8 @@ def _refine_colors(n, incident, colors):
 def _encode_labeled(n, blocks, label):
     """(n, edges) of the graph relabeled by ``label``, where ``blocks`` are
     the runs of one edge size of its edges: each block relabeled and sorted
-    is the run of its size in the edge order."""
+    is the run of its size in the edge order, and a permutation keeps the
+    edges distinct: the precondition of ``Hypergraph._from_normalized``."""
     get = label.__getitem__
     edges = []
     for block in blocks:
@@ -926,17 +927,17 @@ def _encode_labeled(n, blocks, label):
     return (n, tuple(edges))
 
 
-def _format_encoding(key) -> bytes:
-    n, edges = key
-    body = ";".join(",".join(str(v) for v in e) for e in edges)
-    return f"{n}|{body}".encode("ascii")
+def _format_encoding(graph: Hypergraph) -> bytes:
+    """graph's edges as bytes; of a canonical graph, its ``canonical_form``."""
+    body = ";".join(",".join(str(v) for v in e) for e in graph.edges)
+    return f"{graph.n}|{body}".encode("ascii")
 
 
 def _canonical_labeling(graph: Hypergraph):
-    """(key, generators), uncached: key is the canonical graph's (n, edges),
-    which ``_format_encoding`` turns into ``canonical_form(graph)``, and
-    generators generate the canonical graph's automorphism group, each a
-    tuple p mapping vertex v to p[v].  A graph on more than
+    """(canon, generators), uncached: canon is the canonical graph of
+    graph's class, which ``_format_encoding`` turns into
+    ``canonical_form(graph)``, and generators generate its automorphism
+    group, each a tuple p mapping vertex v to p[v].  A graph on more than
     MAX_LABELING_VERTICES vertices raises ``UnsupportedSizeError``."""
     n = _require_int(graph.n, "canonical form vertex count", cap=MAX_LABELING_VERTICES)
     blocks = []
@@ -964,7 +965,7 @@ def _canonical_labeling(graph: Hypergraph):
     colors = _refine_colors(n, incident, [palette[row] for row in start])
     if max(colors, default=-1) == n - 1:
         # a discrete root: its colours are the one leaf's label
-        return _encode_labeled(n, blocks, colors), ()
+        return Hypergraph._from_normalized(*_encode_labeled(n, blocks, colors)), ()
     twins = []  # the root's twin classes inside its non-singleton cells
     class_of = {}  # the index in twins of each vertex they hold
     seen = {}  # each leaf key, with the first label that gave it
@@ -1009,7 +1010,7 @@ def _canonical_labeling(graph: Hypergraph):
         for v in range(n):
             perm[best[v]] = best[back[later[v]]]
         generators.append(tuple(perm))
-    return key, tuple(generators)
+    return Hypergraph._from_normalized(*key), tuple(generators)
 
 
 def canonical_form(graph: Hypergraph) -> bytes:
@@ -1029,10 +1030,7 @@ canonical_form.cache_info = _cached_form.cache_info
 
 def canonical_graph(graph: Hypergraph) -> Hypergraph:
     """The canonically labeled representative of graph's isomorphism class."""
-    _require_type(graph, Hypergraph, "graph")
-    # _encode_labeled sorted each edge and the edge list, and relabeling by a
-    # permutation keeps the edges distinct
-    return Hypergraph._from_normalized(*_canonical_labeling(graph)[0])
+    return _canonical_labeling(_require_type(graph, Hypergraph, "graph"))[0]
 
 
 def is_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:

@@ -64,7 +64,7 @@ from .hypercore import (
     marked_clique,
 )
 from .lagrangian import OptimizerConfig, certify_at, maximize
-from .turansearch import ForbiddenFamily, pi_n
+from .turansearch import ENUMERATION_CAP, ForbiddenFamily, pi_n
 
 __all__ = [
     "ClassifyResult",
@@ -449,6 +449,8 @@ def build_certificate(
     """
     a = _require_rational(alpha, "alpha")
     _require_type(family, ForbiddenFamily, "family")
+    if exhaustive_n is not None:
+        exhaustive_n = _require_int(exhaustive_n, "exhaustive_n", 1, ENUMERATION_CAP)
     if not family.members:
         raise CertificateError(
             ["a certificate needs at least one forbidden member"]

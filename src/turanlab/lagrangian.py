@@ -51,7 +51,7 @@ from .errors import (
 )
 from .hypercore import Hypergraph, Pattern, SimplexPoint, equivalence_classes
 from .hypercore import _is_exact, _require_int, _require_rational, _require_tuple
-from .hypercore import _require_type
+from .hypercore import _require_number, _require_type
 
 __all__ = [
     "PolynomialForm",
@@ -209,11 +209,13 @@ def polynomial_form(obj) -> PolynomialForm:
 
 def _point_weights(point, nvars: int):
     """The point's weights and the zero of their arithmetic: Fraction(0) when
-    every weight is a Fraction or a non-bool int, else 0.0."""
+    every weight is a Fraction or a non-bool int, else 0.0.  A raw entry
+    must be a number or a bool, which is read as a float."""
     if isinstance(point, SimplexPoint):
         ws = point.weights
     else:
-        ws = _require_tuple(point, "point")
+        ws = tuple(w if isinstance(w, bool) else _require_number(w, "point entry")
+                   for w in _require_tuple(point, "point"))
     if len(ws) != nvars:
         raise InvalidArgumentError(
             f"point has {len(ws)} coordinates, expected {nvars}"

@@ -3,12 +3,11 @@
 One loop, ``_grow``, generates isomorphism classes level by level: each
 frontier of canonical graphs with k edges, each held with generators of its
 automorphism group, is extended by one edge and deduplicated by the
-canonical (n, edges) tuple of one uncached labelling per child, so no
-seen-set beyond the frontier is kept.  That labelling also gives the next
-frontier's graphs and generators, and the frontier keeps the order of the
-canonical bytes.  Only edges of largest invariant in the child are added,
-an exact cut that drops most children before any containment test or
-labelling (see ``_grow``).
+canonical graph that one uncached labelling per child returns with the
+generators, so no seen-set beyond the frontier is kept; the frontier keeps
+the order of the canonical bytes.  Only edges of largest invariant in the
+child are added, an exact cut that drops most children before any
+containment test or labelling (see ``_grow``).
 ``enumerate_graphs`` and both exhaustive modes of ``pi_n`` run on it.  In
 subgraph mode freeness is monotone under edge removal, which lets the
 loop grow only inside the free classes, and ``pi_n`` scores every class it
@@ -34,8 +33,10 @@ notes.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import InvalidArgumentError, TuranLabError
 from .hypercore import (
@@ -49,7 +50,6 @@ from .hypercore import (
     _require_int,
     _require_tuple,
     _require_type,
-    _twin_swaps,
     canonical_form,
     complete,
     contains_induced,
@@ -161,10 +161,10 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
     Within a level the canonical graphs come in canonical-form order, and the
     next level holds every class g + e that ``admits(g + e, e)`` accepts (all
     when ``admits`` is None).  The frontier holds each canonical graph with
-    generators of its automorphism group, both from one
-    ``_canonical_labeling`` of the first child of its class; the next level
-    is keyed by that labelling's (n, edges) tuple and sorted by its
-    ``_format_encoding``, the bytes of ``canonical_form``.
+    generators of its automorphism group, as one ``_canonical_labeling`` of
+    the first child of its class returns them, starting from the empty
+    graph's; the next level is keyed by the canonical graph and sorted by
+    its ``_format_encoding``, the bytes of ``canonical_form``.
 
     Precondition: the empty graph is accepted, and ``admits(g + e, e)`` is
     called only for an accepted g, where it must answer as a test of g + e
@@ -201,13 +201,9 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
     """
     universe = complete(n, types).edges
     slot = {r: i for i, r in enumerate(types)}
-    first = {}  # the index in universe of the first edge of each size
-    for i, e in enumerate(universe):
-        first.setdefault(len(e), i)
-    # the empty graph is its own canonical graph, and Aut is every permutation
-    frontier = [(Hypergraph(n, ()), _twin_swaps(n, (tuple(range(n)),)))]
+    frontier = [_canonical_labeling(Hypergraph(n, ()))]
     while frontier:
-        nxt = {}  # canonical (n, edges) -> generators of Aut
+        nxt = {}  # canonical graph -> generators of its Aut
         for g, generators in frontier:
             present = g.edge_set
             rows = _degree_table(g, types)
@@ -219,20 +215,18 @@ def _grow(n: int, types: EdgeTypeSet, admits=None):
                 top = max(sorted([rows[v] for v in f]) for f in tops)
                 i = slot[size]
                 up = [row[:i] + (row[i] + 1,) + row[i + 1:] for row in rows]
-                rest = universe[first[size]:]
+                # universe is in edge order: the smaller edges come first
+                rest = universe[sum(comb(n, r) for r in types if r < size):]
             for e in _orbit_firsts([e for e in rest if e not in present], generators):
                 if not _adds_largest_inv(rows, up, tops, top, e):
                     continue
                 child = g._with_edge(e)
                 if admits is not None and not admits(child, e):
                     continue
-                key, automorphisms = _canonical_labeling(child)
-                nxt.setdefault(key, automorphisms)
+                canon, automorphisms = _canonical_labeling(child)
+                nxt.setdefault(canon, automorphisms)
             yield g
-        frontier = [
-            (Hypergraph._from_normalized(*key), nxt[key])
-            for key in sorted(nxt, key=_format_encoding)
-        ]
+        frontier = sorted(nxt.items(), key=lambda item: _format_encoding(item[0]))
 
 
 def enumerate_graphs(n: int, types):
@@ -259,6 +253,8 @@ def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
     """
     _require_type(family, ForbiddenFamily, "family")
     n = _require_int(n, "n", 1, ENUMERATION_CAP)
+    if progress is not None:
+        _require_type(progress, Callable, "progress")
     t0 = time.perf_counter()
     induced = family.mode == "induced"
     if not induced and family.excludes(Hypergraph(n, ())):
@@ -282,7 +278,8 @@ def pi_n(family: ForbiddenFamily, n: int, progress=None) -> PiRecord:
             extremal.append(g)
     if not extremal:
         raise InvalidArgumentError("no admissible graph exists on this vertex count")
-    extremal.sort(key=canonical_form)
+    # canonical graphs, whose bytes are their canonical forms
+    extremal.sort(key=_format_encoding)
     return PiRecord(
         n=n,
         pi_n=Fraction(best, d),

@@ -38,15 +38,6 @@ def brute_is_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
     )
 
 
-def brute_automorphisms(graph: Hypergraph) -> int:
-    target = frozenset(graph.edges)
-    return sum(
-        1
-        for perm in itertools.permutations(range(graph.n))
-        if _apply(perm, graph.edges) == target
-    )
-
-
 def brute_orbits(graph: Hypergraph, sets):
     """The orbits of Aut(graph) on ``sets``, vertex tuples closed under it:
     each orbit a sorted tuple of sorted vertex tuples, the orbits sorted."""
@@ -136,13 +127,6 @@ def brute_count_induced(big: Hypergraph, small: Hypergraph) -> int:
         if mapped == inside:
             count += 1
     return count
-
-
-def brute_copies(big: Hypergraph, small: Hypergraph) -> int:
-    inj = brute_count_injections(big, small)
-    aut = brute_automorphisms(small)
-    assert inj % aut == 0
-    return inj // aut
 
 
 def brute_contains(big: Hypergraph, small: Hypergraph, induced=False) -> bool:

@@ -127,6 +127,13 @@ class TestLubell:
         code, _, err = run_cli(capsys, "lubell", str(path))
         assert code == 2 and "duplicate" in err
 
+    def test_decimal_hint_on_a_terminal(self, capsys, chain_file, monkeypatch):
+        # stdout keeps the one JSON line, and the hint goes to stderr
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        code, out, err = run_cli(capsys, "lubell", chain_file)
+        assert code == 0 and json.loads(out)["value"] == "3/2"
+        assert err == "# value = 3/2 ~ 1.5\n"
+
     def test_tsv_not_available(self, capsys, chain_file):
         # only turan takes --format
         with pytest.raises(SystemExit) as exc:
@@ -283,6 +290,15 @@ class TestTuran:
     def test_cap_exceeded(self, capsys, family_file):
         code, _, err = run_cli(capsys, "turan", family_file, "--n-max", "9")
         assert code == 2
+
+    def test_failed_computation_exit_code(self, capsys, family_file, monkeypatch):
+        # a TuranLabError from valid input is a failure (3), not bad input (2)
+        def fail(*args, **kwargs):
+            raise errors.TuranLabError("monotonicity violated")
+
+        monkeypatch.setattr("turanlab.turansearch.density_sequence", fail)
+        code, out, err = run_cli(capsys, "turan", family_file, "--n-max", "3")
+        assert (code, out, err) == (3, "", "error: monotonicity violated\n")
 
     def test_progress_goes_to_stderr_only(self, capsys, tmp_path):
         # the mixed pair has 1 543 free classes on 6 vertices

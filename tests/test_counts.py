@@ -45,7 +45,9 @@ from turanlab.lagrangian import (
     PolynomialForm,
     certify_at,
     evaluate,
+    gradient,
     maximize,
+    stationarity_residual,
 )
 from turanlab.seqdensity import (
     MAX_SUBSET_SIZE,
@@ -100,6 +102,8 @@ ENTRY_POINTS = [
     ("vertex", 0, K3_12.degree),
     ("edge size", 1, lambda v: K3_12.degree(0, v)),
     ("edge size", 1, K3_12.edges_of_size),
+    ("exhaustive_n", 1,
+     lambda v: build_certificate(F(11, 10), CHAIN_FAMILY, exhaustive_n=v)),
 ]
 
 
@@ -139,6 +143,8 @@ CAPS = [
     ("n", ENUMERATION_CAP, lambda v: next(enumerate_graphs(v, EdgeTypeSet((2,))))),
     ("n", ENUMERATION_CAP, lambda v: pi_n(TRIANGLE_FREE, v)),
     ("n_max", ENUMERATION_CAP, lambda v: density_sequence(TRIANGLE_FREE, v)),
+    ("exhaustive_n", ENUMERATION_CAP,
+     lambda v: build_certificate(F(11, 10), CHAIN_FAMILY, exhaustive_n=v)),
 ]
 
 
@@ -258,6 +264,12 @@ ENTRIES = [
     ("graph", lambda: blow_up(5, (1,)), "must be a Hypergraph, not 5"),
     ("pattern", lambda: realize(chain_graph(), (1, 1)),
      r"must be a Pattern, not Hypergraph\(n=2, edges=\(\(0,\), \(0, 1\)\)\)"),
+    ("point entry", lambda: evaluate(chain_graph(), (1, "x")),
+     "must be a number, not 'x'"),
+    ("point entry", lambda: gradient(chain_graph(), (1, "x")),
+     "must be a number, not 'x'"),
+    ("point entry", lambda: stationarity_residual(chain_graph(), ("a", "b")),
+     "must be a number, not 'a'"),
 ]
 
 

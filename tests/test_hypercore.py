@@ -679,13 +679,11 @@ class TestCanonicalLabeling:
     @settings(max_examples=150, deadline=None)
     def test_key_graph_and_generators(self, g, rnd):
         # the uncached labeller behind canonical_form, as _grow reads it:
-        # the canonical graph's edges and automorphisms of it, whatever the
-        # labels
+        # the canonical graph and automorphisms of it, whatever the labels
         relabeled = _relabeled(g, rnd)
-        key, generators = hypercore._canonical_labeling(relabeled)
-        assert hypercore._format_encoding(key) == canonical_form(g)
-        canon = canonical_graph(g)
-        assert Hypergraph._from_normalized(*key) == canon
+        canon, generators = hypercore._canonical_labeling(relabeled)
+        assert hypercore._format_encoding(canon) == canonical_form(g)
+        assert canon == canonical_graph(g)
         for perm in generators:
             assert sorted(perm) == list(range(canon.n))
             assert {tuple(sorted(perm[v] for v in e)) for e in canon.edges} == (
@@ -700,8 +698,7 @@ class TestCanonicalLabeling:
     def test_generators_give_the_orbits(self, g, rnd):
         # the twin swaps and the automorphisms that equal leaves show
         # generate Aut: their orbits on vertices and non-edges are the brute ones
-        key, perms = hypercore._canonical_labeling(_relabeled(g, rnd))
-        canon = Hypergraph._from_normalized(*key)
+        canon, perms = hypercore._canonical_labeling(_relabeled(g, rnd))
         vertices = [(v,) for v in range(canon.n)]
         non_edges = [
             s for r in (1, 2, 3) for s in itertools.combinations(range(canon.n), r)

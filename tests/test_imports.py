@@ -11,9 +11,10 @@ every count is read by that one function, and only it raises
 orbit helpers ``_orbit_firsts`` and ``_twin_swaps``.  ``object.__new__``, which
 builds an instance without its checks, appears only in the two unchecked
 constructors ``Hypergraph._from_normalized`` and
-``PolynomialForm._from_terms``.  ``__init__.py`` imports no
-submodule: its table ``_HOME`` maps each public name to its home module,
-whose ``__all__`` must list it.
+``PolynomialForm._from_terms``, and only ``hypercore`` uses the first, so
+every graph another module holds was checked or built by ``hypercore``.
+``__init__.py`` imports no submodule: its table ``_HOME`` maps each public
+name to its home module, whose ``__all__`` must list it.
 """
 
 import ast
@@ -175,7 +176,8 @@ def test_orbit_helpers_are_defined_only_in_hypercore():
         (SRC / "hypercore.py").read_text(encoding="utf-8")
     )
     assert turansearch._orbit_firsts is hypercore._orbit_firsts
-    assert turansearch._twin_swaps is hypercore._twin_swaps
+    # the labeller gives _grow the empty graph's automorphisms too
+    assert not hasattr(turansearch, "_twin_swaps")
 
 
 def enclosing_scopes(source: str, matches) -> list[str]:
@@ -225,6 +227,34 @@ def test_unchecked_construction_stays_in_two_builders():
         "hypercore.py": ["Hypergraph._from_normalized"],
         "lagrangian.py": ["PolynomialForm._from_terms"],
     }
+
+
+def normalized_builds(source: str) -> list[str]:
+    """The qualified name of the enclosing function of each use of a
+    ``_from_normalized`` attribute, called or bound to a name, or
+    ``<module>`` for one outside any."""
+    return enclosing_scopes(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "_from_normalized"
+    ))
+
+
+def test_scan_finds_a_normalized_build():
+    source = (
+        "g = Hypergraph._from_normalized(2, ())\n"
+        "def f(key):\n    return Hypergraph._from_normalized(*key)\n"
+        "def h(cls):\n    return cls._from_normalized\n"
+        "def k():\n    return from_normalized(1, ())\n"
+    )
+    assert normalized_builds(source) == ["<module>", "f", "h"]
+
+
+def test_only_hypercore_builds_unchecked_graphs():
+    # other modules take the graphs the labeller and the builders return
+    building = {
+        p.name for p in SRC.glob("*.py")
+        if normalized_builds(p.read_text(encoding="utf-8"))
+    }
+    assert building == {"hypercore.py"}
 
 
 def size_refusals(source: str) -> list[str]:

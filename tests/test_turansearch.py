@@ -290,6 +290,17 @@ class TestPiN:
         assert record.graphs_enumerated == 1543
         assert calls == [1000]
 
+    def test_progress_refused_before_the_search(self, monkeypatch):
+        # an uncallable progress is refused before a class is generated,
+        # through density_sequence too
+        family = ForbiddenFamily(EdgeTypeSet((1, 2)), (complete(2, (1, 2)),))
+        monkeypatch.setattr(turansearch, "_grow", None)
+        for call in (lambda: pi_n(family, 6, progress=5),
+                     lambda: density_sequence(family, 6, progress=5)):
+            with pytest.raises(InvalidArgumentError,
+                               match="^progress must be a Callable, not 5$"):
+                call()
+
     def test_mixed_pair_refinement_count(self, monkeypatch):
         # one search node per refinement; twin cells end the search where
         # they make up the partition (16 691 calls when every node refined)
