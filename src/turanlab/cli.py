@@ -153,6 +153,8 @@ def _cmd_certify(args) -> int:
     from .jumpcert import PiEvidence, build_certificate
     from .lagrangian import OptimizerConfig
 
+    if args.pi_detail is not None and args.pi is None:
+        raise InvalidArgumentError("--pi-detail needs --pi")
     alpha = _cli_fraction(args.alpha)
     family = ser.family_from_obj(_read_json(args.family, "family"))
     evidence = None
@@ -237,10 +239,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="family JSON file, or - for stdin")
     p.add_argument("--strict", action="store_true",
                    help="require density evidence strictly below alpha")
-    p.add_argument("--exhaustive-n", type=int, default=None,
-                   help="density evidence by exhaustive search at this n")
-    p.add_argument("--pi", default=None,
-                   help="assert a density value (exact rational)")
+    # the density evidence comes from one source: a search or an assertion
+    evidence = p.add_mutually_exclusive_group()
+    evidence.add_argument("--exhaustive-n", type=int, default=None,
+                          help="density evidence by exhaustive search at this n")
+    evidence.add_argument("--pi", default=None,
+                          help="assert a density value (exact rational)")
     p.add_argument("--pi-detail", default=None,
                    help="provenance note for an asserted density value")
     p.add_argument("--seed", type=int, default=0, help="deterministic seed")

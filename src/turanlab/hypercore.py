@@ -835,10 +835,10 @@ def contains_induced(big: Hypergraph, small: Hypergraph) -> bool:
 # partition refines the old one, and an equal cell count means an equal
 # partition: it is stable.  The new colours are then the dense ranks of the
 # old ones, a monotone relabeling.  It keeps the order of every sorted
-# signature, so a further pass would return the same ranks; the old loop
-# ran that pass only to see no change.  A pass that reaches n cells ends it
-# too: n cells is the most a partition can have, so the next pass would
-# leave the count unchanged and, by the same argument, return these ranks.
+# signature, so a further pass would return the same ranks.  A pass that
+# reaches n cells ends it too: n cells is the most a partition can have, so
+# the next pass would leave the count unchanged and, by the same argument,
+# return these ranks.
 #
 # A signature is a vertex's colour, then one block per edge size >= 2: the
 # sorted colours of its neighbours in the 2-edges, bare, and for each wider

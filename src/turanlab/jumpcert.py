@@ -21,12 +21,11 @@ A strong alpha lies strictly between two consecutive weak values of its row,
 so its interval depends only on the row and k, not on alpha: ``_interval``
 builds its two Fraction ends once per (row, k) and keeps them in a bounded
 memo.  The 9 950 strong alpha of the grid i/5000 share 324 intervals, so the
-grid builds 646 Fractions where it built 18 027.  ``ClassifyResult`` is a
-``NamedTuple``, not a frozen dataclass: a tuple is built in one step, where a
-frozen dataclass sets each of its six fields through ``object.__setattr__``,
-and that was most of a strong call.  Its repr, fields, immutability and hash
-are those of the dataclass; unlike it, the result compares equal to the
-plain tuple of its values.
+grid builds 646 Fractions.  ``ClassifyResult`` is a ``NamedTuple``, not a
+frozen dataclass: a tuple is built in one step, where a frozen dataclass sets
+each of its six fields through ``object.__setattr__``.  Its repr, fields,
+immutability and hash are those of the dataclass; unlike it, the result
+compares equal to the plain tuple of its values.
 
 A certificate that alpha is a (strong) jump consists of a finite family F
 with density evidence pi(F) <= alpha (strictly below for strong) together
@@ -34,6 +33,7 @@ with a certified rational lower bound lambda(F) > alpha for every member.
 The certificate types check themselves: a ``LambdaWitness`` computes its
 value from its point, and a ``JumpCertificate`` checks its conditions and
 any closed-form evidence against the catalogue when it is constructed.
+``build_certificate`` reads the density evidence from exactly one source.
 """
 
 from __future__ import annotations
@@ -231,13 +231,20 @@ def _interval(i: int, k: int) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class WeakJumpWitness:
+    """Why alpha is not a strong jump: a ``graph`` with lambda = alpha at
+    ``point``, or a ``family`` of density exactly alpha.  ``pi_value``, that
+    density, is derived: alpha when there is a family, else None."""
+
     alpha: Fraction
     kind: str  # "lambda_graph" | "pi_family"
     description: str
     graph: Hypergraph | None = None
     point: SimplexPoint | None = None
     family: ForbiddenFamily | None = None
-    pi_value: Fraction | None = None
+
+    @property
+    def pi_value(self) -> Fraction | None:
+        return None if self.family is None else self.alpha
 
 
 def weak_jump_witness(alpha) -> WeakJumpWitness | None:
@@ -264,8 +271,7 @@ def weak_jump_witness(alpha) -> WeakJumpWitness | None:
         t = _require_int(k + 2, "witness family vertex count", cap=MAX_LABELING_VERTICES)
         members, text = row.family(t), row.family_text.format(t=t, v=a)
     return WeakJumpWitness(
-        a, "pi_family", text,
-        family=ForbiddenFamily(_AMBIENT_12, members), pi_value=a,
+        a, "pi_family", text, family=ForbiddenFamily(_AMBIENT_12, members)
     )
 
 
@@ -335,6 +341,9 @@ class LambdaWitness:
 
 @dataclass(frozen=True)
 class PiEvidence:
+    """Density evidence pi(F) <= value of one grade.  ``n``, the vertex
+    count of the search, is given exactly when the grade is exhaustive."""
+
     grade: str  # "closed_form" | "exhaustive" | "asserted"
     value: Fraction
     detail: str
@@ -345,10 +354,13 @@ class PiEvidence:
         value = _require_rational(self.value, "density value")
         object.__setattr__(self, "value", value)
         _require_type(self.detail, str, "detail")
-        if self.n is not None:
-            object.__setattr__(self, "n", _require_int(self.n, "n", 1))
         if self.grade not in ("closed_form", "exhaustive", "asserted"):
             raise InvalidArgumentError(f"unknown evidence grade {self.grade!r}")
+        if (self.n is None) == (self.grade == "exhaustive"):
+            need = "needs" if self.n is None else "takes no"
+            raise InvalidArgumentError(f"{self.grade} evidence {need} n")
+        if self.n is not None:
+            object.__setattr__(self, "n", _require_int(self.n, "n", 1))
 
 
 @dataclass(frozen=True)
@@ -442,15 +454,20 @@ def build_certificate(
 
     This resolves one lambda witness per member and the density evidence,
     then constructs the certificate, whose constructor checks the conditions.
-    Density evidence is resolved in order: explicit ``pi_evidence``, a
-    recognized closed form, then exhaustive pi_n at ``exhaustive_n``.  A
-    strict request never silently downgrades: if the evidence only gives
-    pi <= alpha the strong certificate fails.
+    Density evidence comes from exactly one source: ``pi_evidence`` as
+    given, exhaustive pi_n at ``exhaustive_n`` (run even for a recognized
+    family), or, when the caller gives neither, the recognized closed form
+    of ``known_turan_density``.  Giving both raises InvalidArgumentError
+    before any witness is computed.  A strict request never silently
+    downgrades: if the evidence only gives pi <= alpha the strong
+    certificate fails.
     """
     a = _require_rational(alpha, "alpha")
     _require_type(family, ForbiddenFamily, "family")
     if exhaustive_n is not None:
         exhaustive_n = _require_int(exhaustive_n, "exhaustive_n", 1, ENUMERATION_CAP)
+        if pi_evidence is not None:
+            raise InvalidArgumentError("give pi_evidence or exhaustive_n, not both")
     if not family.members:
         raise CertificateError(
             ["a certificate needs at least one forbidden member"]
@@ -458,19 +475,11 @@ def build_certificate(
     witnesses = tuple(_lambda_witness(m, config) for m in family.members)
 
     evidence = pi_evidence
-    if evidence is None:
-        known = known_turan_density(family)
-        if known is not None:
-            value, detail = known
-            evidence = PiEvidence("closed_form", value, detail)
-    if evidence is None and exhaustive_n is not None:
-        record = pi_n(family, exhaustive_n)
-        evidence = PiEvidence(
-            "exhaustive",
-            record.pi_n,
-            f"exhaustive search at n = {exhaustive_n}",
-            n=exhaustive_n,
-        )
+    if exhaustive_n is not None:
+        evidence = PiEvidence("exhaustive", pi_n(family, exhaustive_n).pi_n,
+                              f"exhaustive search at n = {exhaustive_n}", n=exhaustive_n)
+    elif evidence is None and (known := known_turan_density(family)) is not None:
+        evidence = PiEvidence("closed_form", *known)
     return JumpCertificate(
         alpha=a,
         kind="strong_jump" if strict else "jump",

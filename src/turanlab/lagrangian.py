@@ -301,12 +301,15 @@ class LagrangianResult:
 
     value: float
     maximizer: SimplexPoint
-    support: tuple[int, ...]
     certified_lower_bound: Fraction | None
     certificate_point: SimplexPoint | None
     stationarity_residual: float
     value_exact: Fraction | None
     method: str
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return self.maximizer.support
 
 
 def _project_simplex(v: list[float]) -> list[float]:
@@ -629,7 +632,6 @@ def maximize(obj, config: OptimizerConfig | None = None) -> LagrangianResult:
     result = LagrangianResult(
         value=value,
         maximizer=maximizer,
-        support=maximizer.support,
         certified_lower_bound=certified,
         certificate_point=cert_point,
         stationarity_residual=residual,

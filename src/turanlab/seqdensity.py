@@ -88,6 +88,9 @@ class SequenceGenerator:
     arithmetic rule n_start + i * n_step.  A member is a blow-up of a base
     graph with fixed proportions, the disjoint edge-type union of the
     components' members, or a fixed graph padded with isolated vertices.
+    A field that the kind never reads is refused: ``components`` for
+    ``blowup``, ``base`` and ``proportions`` for ``union``, and
+    ``proportions`` and ``components`` for ``constant``.
     """
 
     kind: str
@@ -101,6 +104,11 @@ class SequenceGenerator:
     def __post_init__(self):
         if self.kind not in ("blowup", "union", "constant"):
             raise InvalidArgumentError(f"unknown generator kind {self.kind!r}")
+        unread = {"blowup": ("components",), "union": ("base", "proportions"),
+                  "constant": ("proportions", "components")}[self.kind]
+        for name in unread:
+            if getattr(self, name) not in (None, ()):
+                raise InvalidArgumentError(f"{self.kind} takes no {name}")
         if self.ns is not None:
             ns = tuple(_require_int(n, "ns entry", 1)
                        for n in _require_tuple(self.ns, "ns"))
@@ -228,7 +236,10 @@ class SequenceGenerator:
 class DensityTrend:
     sizes: tuple[int, ...]
     values: tuple[Fraction, ...]
-    diffs: tuple[Fraction, ...]
+
+    @property
+    def diffs(self) -> tuple[Fraction, ...]:
+        return tuple(b - a for a, b in zip(self.values, self.values[1:]))
 
     @property
     def last(self) -> Fraction:
@@ -253,9 +264,8 @@ def density_estimate(gen: SequenceGenerator, i_max: int) -> DensityTrend:
     _require_type(gen, SequenceGenerator, "gen")
     i_max = _require_int(i_max, "i_max", 0)
     sizes = tuple(gen.size(i) for i in range(i_max + 1))
-    values = [_shape_lubell(*gen._shape(i)) for i in range(i_max + 1)]
-    diffs = tuple(values[j + 1] - values[j] for j in range(i_max))
-    return DensityTrend(sizes, tuple(values), diffs)
+    values = tuple(_shape_lubell(*gen._shape(i)) for i in range(i_max + 1))
+    return DensityTrend(sizes, values)
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +274,17 @@ def density_estimate(gen: SequenceGenerator, i_max: int) -> DensityTrend:
 
 @dataclass(frozen=True)
 class UpperDensityReport:
+    """sigma_t over the members in ``i_range``.  ``exhaustive`` is True on
+    every report, a class attribute and not a field: ``sigma_t`` searches
+    every member in full."""
+
     t: int
     value: Fraction
     attaining: tuple[int, tuple[int, ...]]  # (member index, vertex subset)
     h_values: tuple[Fraction, ...]  # full-member Lubell values over the range
-    exhaustive: bool  # always True: every member is searched in full
     i_range: tuple[int, int]
+
+    exhaustive = True
 
 
 def _best_counts(base: Hypergraph, caps, t: int, weights: dict[int, int],
@@ -394,6 +409,5 @@ def sigma_t(
         value=Fraction(best_score, denom),
         attaining=attaining,
         h_values=tuple(h_values),
-        exhaustive=True,
         i_range=(lo, hi),
     )

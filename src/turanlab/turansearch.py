@@ -118,12 +118,17 @@ class ForbiddenFamily:
 
 @dataclass(frozen=True)
 class PiRecord:
+    """pi_n of a family and its extremal canonical graphs.  ``exhaustive``
+    is True on every record, a class attribute and not a field: ``pi_n``
+    enumerates every class."""
+
     n: int
     pi_n: Fraction
     extremal: tuple[Hypergraph, ...]
     graphs_enumerated: int
     elapsed: float
-    exhaustive: bool = True  # always: pi_n enumerates every class
+
+    exhaustive = True
 
 
 @dataclass(frozen=True)

@@ -386,6 +386,31 @@ class TestCertify:
         assert payload["pi_evidence"]["grade"] == "exhaustive"
         assert payload["pi_evidence"]["value"] == "1/5"
 
+    def test_asserted_and_searched_evidence_refused_together(self, capsys, tmp_path):
+        # argparse refuses the pair before the (missing) family file is read
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "11/10", missing, "--pi", "1", "--exhaustive-n", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "not allowed with argument" in err and "cannot read" not in err
+
+    def test_pi_detail_needs_pi(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(
+            capsys, "certify", "11/10", missing, "--pi-detail", "my note"
+        )
+        assert (code, out, err) == (2, "", "error: --pi-detail needs --pi\n")
+
+    def test_exhaustive_n_on_a_catalogue_family(self, capsys, tmp_path):
+        # the triangle-free closed form is 1/2, but pi_5 = 3/5 is what was asked
+        path = tmp_path / "tri.json"
+        path.write_text(json.dumps(TRIANGLE_FAMILY))
+        code, out, err = run_cli(
+            capsys, "certify", "1/2", str(path), "--exhaustive-n", "5"
+        )
+        assert code == 3 and out == "" and "3/5 exceeds alpha 1/2" in err
+
 
 class TestSigma:
     def test_report(self, capsys, gen_file):

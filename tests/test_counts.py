@@ -72,6 +72,7 @@ CHAIN_FAMILY = ForbiddenFamily(EdgeTypeSet((1, 2)), (chain_graph(),))
 CHAIN_WITNESS = LambdaWitness(chain_graph(), SimplexPoint((F(3, 4), F(1, 4))))
 NO_DENSITY = PiEvidence("asserted", 0, "x")  # lies below every alpha in [0, 2]
 
+# new rows go last: ids are row indices, so an inserted row renames later tests
 # (name of the count, its least value, a call that reads it)
 ENTRY_POINTS = [
     ("edge size", 1, lambda v: EdgeTypeSet((2, v))),
@@ -128,6 +129,7 @@ def test_degree_refuses_a_vertex_outside_the_graph(v):
         K3_12.degree(v)
 
 
+# new rows go last: ids are row indices, so an inserted row renames later tests
 # (name of the count, its cap, a call that reads it): every size cap
 CAPS = [
     ("edge size", MAX_EDGE_SIZE, lambda v: EdgeTypeSet((2, v))),
@@ -173,6 +175,7 @@ def test_caps_admit_their_own_value(call):
     call()
 
 
+# new rows go last: ids are row indices, so an inserted row renames later tests
 # (name of the sequence, a call that passes a bad one, the error text)
 SEQUENCES = [
     ("member range", lambda: sigma_t(GEN, 2, 5), "must be a sequence, not 5"),
@@ -212,6 +215,7 @@ def test_sequences_refuse_non_iterables_and_wrong_lengths(what, call, text):
         call()
 
 
+# new rows go last: ids are row indices, so an inserted row renames later tests
 # (what names the entry, a call that passes a bad one, the error text)
 ENTRIES = [
     ("simplex weights entry", lambda: SimplexPoint(("a",)),
@@ -292,6 +296,7 @@ def test_certificate_stores_a_list_of_witnesses_as_a_tuple():
     assert '"lambda_witnesses":[{' in dumps_canonical(certificate_to_obj(cert))
 
 
+# new rows go last: ids are row indices, so an inserted row renames later tests
 # (what names the rational, a call that reads it, a Fraction the call
 # accepts); every call accepts the int 1 as well
 RATIONALS = [

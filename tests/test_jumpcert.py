@@ -530,6 +530,27 @@ class TestBuildCertificate:
         assert cert.pi_evidence.value == F(1, 5)
         assert cert.pi_evidence.n == 5
 
+    def test_exhaustive_n_is_searched_on_a_catalogue_family(self):
+        # the chain family has the closed form 1, but the caller asked for pi_5
+        cert = build_certificate(
+            F(11, 10), ForbiddenFamily(AMBIENT, (chain_graph(),)),
+            config=FAST, exhaustive_n=5,
+        )
+        evidence = cert.pi_evidence
+        assert (evidence.grade, evidence.n, evidence.value) == ("exhaustive", 5, 1)
+
+    def test_both_evidence_sources_refused_before_any_witness(self, monkeypatch):
+        def maximize(*args, **kwargs):
+            raise AssertionError("a lambda witness was computed")
+
+        monkeypatch.setattr(jumpcert, "maximize", maximize)
+        with pytest.raises(InvalidArgumentError,
+                           match="^give pi_evidence or exhaustive_n, not both$"):
+            build_certificate(
+                F(11, 10), ForbiddenFamily(AMBIENT, (chain_graph(),)),
+                pi_evidence=PiEvidence("asserted", F(1), "x"), exhaustive_n=5,
+            )
+
     def test_no_evidence_available(self):
         path3 = Hypergraph(3, ((0, 1), (1, 2)))
         family = ForbiddenFamily(EdgeTypeSet((2,)), (path3,))
@@ -633,6 +654,15 @@ class TestJumpCertificateValidation:
         with pytest.raises(InvalidArgumentError,
                            match="^unknown evidence grade 'guess'$"):
             PiEvidence("guess", F(1), "x")
+
+    @pytest.mark.parametrize("grade,n,text", [
+        ("closed_form", 5, "closed_form evidence takes no n"),
+        ("asserted", 5, "asserted evidence takes no n"),
+        ("exhaustive", None, "exhaustive evidence needs n"),
+    ])
+    def test_evidence_has_an_n_exactly_when_exhaustive(self, grade, n, text):
+        with pytest.raises(InvalidArgumentError, match=f"^{text}$"):
+            PiEvidence(grade, F(1), "x", n=n)
 
     def test_constructor_refuses_a_float_alpha(self):
         # Fraction(1.1) would state alpha 2476979795053773/2251799813685248

@@ -254,6 +254,35 @@ class TestSequenceGenerator:
             with pytest.raises(InvalidArgumentError, match=f"^{text}$"):
                 build()
 
+    @pytest.mark.parametrize("kind,field", [
+        ("blowup", "components"),
+        ("union", "base"),
+        ("union", "proportions"),
+        ("constant", "proportions"),
+        ("constant", "components"),
+    ])
+    def test_refuses_a_field_its_kind_never_reads(self, kind, field):
+        chain = chain_graph()
+        fields = {
+            "blowup": {"base": chain, "proportions": (F(3, 4), F(1, 4))},
+            "union": {"components": (BIPARTITE, BIPARTITE)},
+            "constant": {"base": chain},
+        }[kind]
+        stray = {"base": chain, "proportions": (F(1, 2), F(1, 2)),
+                 "components": (BIPARTITE,)}[field]
+        SequenceGenerator(kind, n_start=4, n_step=2, **fields)
+        with pytest.raises(InvalidArgumentError, match=f"^{kind} takes no {field}$"):
+            SequenceGenerator(kind, n_start=4, n_step=2, **fields, **{field: stray})
+
+    def test_stray_fields_refused_whatever_their_value(self):
+        with pytest.raises(InvalidArgumentError, match="^constant takes no proportions$"):
+            SequenceGenerator("constant", ns=(4,), base=chain_graph(),
+                              proportions="junk", components=("x",))
+        turan = SequenceGenerator.turan_generator(2, ns=(4,))
+        with pytest.raises(InvalidArgumentError, match="^blowup takes no components$"):
+            SequenceGenerator("blowup", ns=(4,), base=turan.base,
+                              proportions=turan.proportions, components=(turan,))
+
 
 class TestGeneratorDigest:
     def test_corpus_output_is_pinned(self):
@@ -503,5 +532,5 @@ class TestSigmaT:
 
 class TestDensityTrend:
     def test_shape(self):
-        trend = DensityTrend((4, 6), (F(2, 3), F(3, 5)), (F(-1, 15),))
-        assert trend.last == F(3, 5)
+        trend = DensityTrend((4, 6), (F(2, 3), F(3, 5)))
+        assert trend.diffs == (F(-1, 15),) and trend.last == F(3, 5)

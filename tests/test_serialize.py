@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -26,13 +27,20 @@ from turanlab.jumpcert import (
     JumpCertificate,
     LambdaWitness,
     PiEvidence,
+    WeakJumpWitness,
     build_certificate,
     classify12,
     weak_jump_witness,
 )
-from turanlab.lagrangian import OptimizerConfig, maximize
-from turanlab.seqdensity import SequenceGenerator, sigma_t
-from turanlab.turansearch import ForbiddenFamily, density_sequence
+from turanlab.lagrangian import LagrangianResult, OptimizerConfig, maximize
+from turanlab.seqdensity import (
+    DensityTrend,
+    SequenceGenerator,
+    UpperDensityReport,
+    density_estimate,
+    sigma_t,
+)
+from turanlab.turansearch import ForbiddenFamily, PiRecord, density_sequence, pi_n
 
 F = Fraction
 FAST = OptimizerConfig(restarts=6, seed=0)
@@ -273,6 +281,66 @@ class TestResultAndBound:
         float(row[3])  # seconds parses as a number
 
 
+class TestDerivedAttributes:
+    """Five values that a result's own fields fix are read as attributes,
+    which the encoder writes under the same keys, and are not fields."""
+
+    @pytest.mark.parametrize("cls,name", [
+        (LagrangianResult, "support"),
+        (PiRecord, "exhaustive"),
+        (UpperDensityReport, "exhaustive"),
+        (WeakJumpWitness, "pi_value"),
+        (DensityTrend, "diffs"),
+    ])
+    def test_not_a_field_nor_an_argument(self, cls, name):
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert name not in names
+        cls(**dict.fromkeys(names))  # none of these constructors checks types
+        with pytest.raises(TypeError):
+            cls(**dict.fromkeys(names), **{name: None})
+
+    def test_support_is_the_maximizer_support(self):
+        # the pair graph leaves its isolated vertex at weight 0
+        result = maximize(Hypergraph(3, [(0, 1)]), FAST)
+        assert result.support == (0, 1) == result.maximizer.support
+        assert ser.result_to_obj(result)["support"] == [0, 1]
+        k4_minus = Hypergraph(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
+        with pytest.raises(OptimizerFailureError) as failure:
+            maximize(k4_minus, OptimizerConfig(restarts=0, max_iters=1))
+        best = failure.value.best_so_far
+        assert best.support == (0, 1, 2, 3) == best.maximizer.support
+
+    def test_searches_are_exhaustive(self):
+        triangle_free = ForbiddenFamily(EdgeTypeSet((2,)), (complete(3, (2,)),))
+        assert pi_n(triangle_free, 4).exhaustive is True
+        gen = SequenceGenerator.turan_generator(2, ns=(4, 6))
+        assert sigma_t(gen, 3, i_range=(0, 1)).exhaustive is True
+
+    def test_pi_value_is_alpha_exactly_for_a_family(self):
+        kinds = set()
+        for i in range(481):
+            try:
+                witness = weak_jump_witness(F(i, 240))
+            except UnsupportedSizeError:  # a family member past the vertex cap
+                continue
+            if witness is not None:
+                kinds.add(witness.kind)
+                family = witness.kind == "pi_family"
+                assert witness.pi_value == (witness.alpha if family else None)
+                assert (witness.family is not None) is family
+        assert kinds == {"lambda_graph", "pi_family"}
+
+    def test_diffs_are_the_first_differences(self):
+        gen = SequenceGenerator.blow_up_generator(
+            chain_graph(), (F(3, 4), F(1, 4)), n_start=4, n_step=4
+        )
+        trend = density_estimate(gen, 4)
+        values = trend.values
+        assert trend.diffs == tuple(b - a for a, b in zip(values, values[1:]))
+        assert len(trend.diffs) == 4
+        assert density_estimate(gen, 0).diffs == ()
+
+
 class TestClassifyAndWitness:
     def test_classify_obj(self):
         obj = ser.classify_to_obj(classify12(F(11, 10)))
@@ -350,6 +418,12 @@ class TestCertificateObjects:
         with pytest.raises(ParseError) as parsed:
             ser.certificate_from_obj(obj)
         assert failure in str(parsed.value)
+
+    @pytest.mark.parametrize("grade,n", [("closed_form", 5), ("exhaustive", None)])
+    def test_evidence_n_must_match_its_grade(self, grade, n):
+        obj = {"grade": grade, "value": "1/1", "detail": "x", "n": n}
+        with pytest.raises(ParseError, match="^pi_evidence: .* n$"):
+            ser.evidence_from_obj(obj)
 
     def test_float_witness_point_rejected(self):
         obj = json.loads(ser.dumps_canonical(ser.certificate_to_obj(self._cert())))
