@@ -159,10 +159,10 @@ def _cmd_certify(args) -> int:
     family = ser.family_from_obj(_read_json(args.family, "family"))
     evidence = None
     if args.pi is not None:
-        evidence = PiEvidence(
-            "asserted", _cli_fraction(args.pi),
-            args.pi_detail or "asserted on the command line",
-        )
+        detail = args.pi_detail
+        if detail is None:
+            detail = "asserted on the command line"
+        evidence = PiEvidence("asserted", _cli_fraction(args.pi), detail)
     config = OptimizerConfig(seed=args.seed)
     cert = build_certificate(
         alpha, family,

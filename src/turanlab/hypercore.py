@@ -10,7 +10,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isnan, lcm
@@ -139,20 +138,69 @@ def _require_edge(value, graph: Hypergraph, what: str) -> tuple[int, ...]:
     return value
 
 
-@dataclass(frozen=True)
-class EdgeTypeSet:
+class _Value:
+    """Base of the library's immutable values, with the semantics of a
+    frozen dataclass over the fields that ``_fields`` names in order.
+
+    Instances are equal when they are of one class and their field values
+    are equal; ``hash`` is that of the tuple of field values; ``repr`` shows
+    the fields in ``_repr_fields``, which are ``_fields`` unless the class
+    names others; assigning or deleting any attribute raises AttributeError.
+    A subclass's ``__init__`` checks its arguments and ends with ``_store``.
+    Unlike the dataclasses module, defining a class compiles no code, which
+    keeps the start of every command short."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        names = cls._fields
+        get = operator.attrgetter(*names)
+        # attrgetter of one name gives the bare value, not a 1-tuple
+        cls._values = staticmethod(get if len(names) > 1 else lambda value: (get(value),))
+        if "_repr_fields" not in cls.__dict__:
+            cls._repr_fields = cls._fields
+
+    def _store(self, *values) -> None:
+        """Set the fields, in the order of ``_fields``, to ``values``."""
+        # not through __dict__, whose first read turns the instance's inline
+        # values into a dict and makes every later attribute read slower
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            get = self._values
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class EdgeTypeSet(_Value):
     """A finite set of admissible edge sizes, kept sorted and distinct."""
 
-    sizes: tuple[int, ...]
+    _fields = ("sizes",)
 
-    def __post_init__(self):
+    def __init__(self, sizes: tuple[int, ...]):
         sizes = tuple(sorted({
             _require_int(r, "edge size", 1, MAX_EDGE_SIZE)
-            for r in _require_tuple(self.sizes, "edge sizes")
+            for r in _require_tuple(sizes, "edge sizes")
         }))
         if not sizes:
             raise InvalidArgumentError("edge type set must be non-empty")
-        object.__setattr__(self, "sizes", sizes)
+        self._store(sizes)
 
     def __contains__(self, r: int) -> bool:
         return r in self.sizes
@@ -182,23 +230,21 @@ def _edge_order(e: tuple[int, ...]) -> tuple:
     return (len(e), e)
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(_Value):
     """A finite hypergraph on vertex set {0, ..., n-1}.
 
     Edges are distinct non-empty vertex subsets; any iterable of iterables is
     normalized on construction.
     """
 
-    n: int
-    edges: tuple[tuple[int, ...], ...] = ()
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        n = _require_int(self.n, "vertex count")
+    def __init__(self, n: int, edges: tuple[tuple[int, ...], ...] = ()):
+        n = _require_int(n, "vertex count")
         if n < 0:
             raise InvalidHypergraphError("vertex count must be >= 0")
         seen = {}
-        for edge in _require_tuple(self.edges, "edges"):
+        for edge in _require_tuple(edges, "edges"):
             e = _normalize_edge(edge)
             if e[0] < 0 or e[-1] >= n:
                 raise InvalidHypergraphError(
@@ -206,9 +252,7 @@ class Hypergraph:
                 )
             _require_int(len(e), "edge size", cap=MAX_EDGE_SIZE)
             seen[e] = None
-        edges = tuple(sorted(seen, key=_edge_order))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+        self._store(n, tuple(sorted(seen, key=_edge_order)))
 
     # edge_set and the hash are built on first use and kept in the instance
     # __dict__, outside the fields, so equality and repr never see them.
@@ -223,9 +267,17 @@ class Hypergraph:
             edge_set = self.__dict__["_edge_set"] = frozenset(self.edges)
             return edge_set
 
+    # _grow's frontier dict and the lru caches of graphs hash and compare
+    # graphs in their inner loops, so both are written out: the hash is
+    # _Value's, kept after first use, and comparing the two fields directly
+    # takes about half the time of _Value's comparison through attrgetter.
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.edges == other.edges
+        return NotImplemented
+
     def __hash__(self) -> int:
-        # the value dataclass(frozen=True) would generate; it keeps an
-        # explicit __hash__
         try:
             return self.__dict__["_hash"]
         except KeyError:
@@ -263,7 +315,7 @@ class Hypergraph:
 
         Precondition: n is an int >= 0, and ``edges`` is a tuple of distinct
         non-empty tuples, each strictly increasing, inside 0..n-1 and at most
-        MAX_EDGE_SIZE long, in ``_edge_order``: exactly what ``__post_init__``
+        MAX_EDGE_SIZE long, in ``_edge_order``: exactly what ``__init__``
         would have made of them.  Nothing checks it; a breach gives a graph
         that compares, hashes and encodes wrongly."""
         graph = object.__new__(cls)
@@ -280,24 +332,22 @@ class Hypergraph:
         return Hypergraph._from_normalized(self.n, edges[:at] + (e,) + edges[at:])
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_Value):
     """A multiplicity pattern: each edge is a per-vertex multiplicity vector.
 
     Row (k_1, ..., k_n) stands for an edge taking k_i vertices from the i-th
     class of any realization; |e| = sum(k_i).
     """
 
-    n: int
-    edges: tuple[tuple[int, ...], ...]
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        n = _require_int(self.n, "vertex count")
+    def __init__(self, n: int, edges: tuple[tuple[int, ...], ...]):
+        n = _require_int(n, "vertex count")
         if n < 1:
             raise InvalidHypergraphError("pattern needs at least one vertex")
         rows = []
         seen = set()
-        for row in _require_tuple(self.edges, "pattern edges"):
+        for row in _require_tuple(edges, "pattern edges"):
             r = tuple(_require_int(k, "multiplicity")
                       for k in _require_tuple(row, "multiplicity row"))
             if len(r) != n:
@@ -314,8 +364,7 @@ class Pattern:
                 raise InvalidHypergraphError(f"duplicate pattern edge {r}")
             seen.add(r)
             rows.append(r)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(rows, key=lambda r: (sum(r), r))))
+        self._store(n, tuple(sorted(rows, key=lambda r: (sum(r), r))))
 
     @classmethod
     def from_hypergraph(cls, graph: Hypergraph) -> "Pattern":
@@ -343,20 +392,19 @@ def _is_exact(value) -> bool:
     return isinstance(value, (Fraction, int)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
+class SimplexPoint(_Value):
     """A point of the standard simplex: nonnegative weights summing to 1.
 
     Entirely rational entries give an exact point (sum must equal 1 exactly);
     float entries are accepted within an absolute sum tolerance of 1e-12.
     """
 
-    weights: tuple
+    _fields = ("weights",)
 
     SUM_TOL = 1e-12
 
-    def __post_init__(self):
-        ws = _require_tuple(self.weights, "simplex weights")
+    def __init__(self, weights: tuple):
+        ws = _require_tuple(weights, "simplex weights")
         if not ws:
             raise InvalidArgumentError("simplex point needs at least one weight")
         for w in ws:
@@ -373,7 +421,7 @@ class SimplexPoint:
             raise InvalidArgumentError(
                 f"weights sum to {sum(ws)!r}, outside tolerance {self.SUM_TOL}"
             )
-        object.__setattr__(self, "weights", ws)
+        self._store(ws)
 
     @property
     def is_rational(self) -> bool:

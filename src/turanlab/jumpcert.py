@@ -22,10 +22,10 @@ so its interval depends only on the row and k, not on alpha: ``_interval``
 builds its two Fraction ends once per (row, k) and keeps them in a bounded
 memo.  The 9 950 strong alpha of the grid i/5000 share 324 intervals, so the
 grid builds 646 Fractions.  ``ClassifyResult`` is a ``NamedTuple``, not a
-frozen dataclass: a tuple is built in one step, where a frozen dataclass sets
-each of its six fields through ``object.__setattr__``.  Its repr, fields,
-immutability and hash are those of the dataclass; unlike it, the result
-compares equal to the plain tuple of its values.
+``hypercore._Value``: a tuple is built in one step, where a value sets each
+of its six fields through ``object.__setattr__``.  Its repr, fields,
+immutability and hash are those of a value; unlike one, the result compares
+equal to the plain tuple of its values.
 
 A certificate that alpha is a (strong) jump consists of a finite family F
 with density evidence pi(F) <= alpha (strictly below for strong) together
@@ -34,12 +34,15 @@ The certificate types check themselves: a ``LambdaWitness`` computes its
 value from its point, and a ``JumpCertificate`` checks its conditions and
 any closed-form evidence against the catalogue when it is constructed.
 ``build_certificate`` reads the density evidence from exactly one source.
+
+``classify12`` and the lambda-graph witnesses need neither the optimizer nor
+the search, so ``lagrangian`` and ``turansearch`` are imported by the
+functions that call them, and a command that only classifies loads neither.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -58,13 +61,12 @@ from .hypercore import (
     _require_rational,
     _require_tuple,
     _require_type,
+    _Value,
     canonical_form,
     chain_graph,
     complete,
     marked_clique,
 )
-from .lagrangian import OptimizerConfig, certify_at, maximize
-from .turansearch import ENUMERATION_CAP, ForbiddenFamily, pi_n
 
 __all__ = [
     "ClassifyResult",
@@ -89,35 +91,44 @@ def _complete_witness(t: int, sizes) -> tuple[Hypergraph, SimplexPoint]:
     return complete(t, sizes), SimplexPoint.uniform(t)
 
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(_Value):
     """The weak values L - s/(k+1), k >= k_min, and their witnesses.  The
     texts of values are str.format templates over t (vertices), a (alpha),
-    j = t - 1 and v (the density: alpha, or ``family_form``)."""
+    j = t - 1 and v (the density: alpha, or ``family_form``).  ``terms``,
+    (Ln, Ld, sn, sd) with L = Ln/Ld and s = sn/sd, is computed here, and
+    the repr leaves it out."""
 
-    limit: Fraction  # L
-    step: Fraction  # s
-    k_min: int
-    form: str  # classify12's matched_form
-    # k -> a graph with lambda = value(k) and its maximizer, or None where
-    # family(k + 2) is the witness
-    lambda_graph: Callable[[int], tuple[Hypergraph, SimplexPoint] | None]
-    lambda_text: str
-    family: Callable[[int], tuple[Hypergraph, ...]]  # density value(t - 2)
-    family_text: str
-    family_form: str
-    limit_family: tuple[Hypergraph, ...]  # density L
-    limit_note: str  # classify12
-    limit_text: str  # weak_jump_witness
-    limit_detail: str | None  # known_turan_density
-    # (Ln, Ld, sn, sd) with L = Ln/Ld and s = sn/sd
-    terms: tuple[int, int, int, int] = field(init=False, repr=False)
+    _fields = (
+        "limit", "step", "k_min", "form", "lambda_graph", "lambda_text",
+        "family", "family_text", "family_form", "limit_family", "limit_note",
+        "limit_text", "limit_detail", "terms",
+    )
+    _repr_fields = _fields[:-1]
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", (
-            self.limit.numerator, self.limit.denominator,
-            self.step.numerator, self.step.denominator,
-        ))
+    def __init__(
+        self,
+        limit: Fraction,  # L
+        step: Fraction,  # s
+        k_min: int,
+        form: str,  # classify12's matched_form
+        # k -> a graph with lambda = value(k) and its maximizer, or None where
+        # family(k + 2) is the witness
+        lambda_graph: Callable[[int], tuple[Hypergraph, SimplexPoint] | None],
+        lambda_text: str,
+        family: Callable[[int], tuple[Hypergraph, ...]],  # density value(t - 2)
+        family_text: str,
+        family_form: str,
+        limit_family: tuple[Hypergraph, ...],  # density L
+        limit_note: str,  # classify12
+        limit_text: str,  # weak_jump_witness
+        limit_detail: str | None,  # known_turan_density
+    ):
+        self._store(
+            limit, step, k_min, form, lambda_graph, lambda_text, family,
+            family_text, family_form, limit_family, limit_note, limit_text,
+            limit_detail,
+            (limit.numerator, limit.denominator, step.numerator, step.denominator),
+        )
 
     def value(self, k: int) -> Fraction:
         ln, ld, sn, sd = self.terms
@@ -229,18 +240,23 @@ def _interval(i: int, k: int) -> tuple[Fraction, Fraction]:
 # witnesses for the weak jumps
 
 
-@dataclass(frozen=True)
-class WeakJumpWitness:
+class WeakJumpWitness(_Value):
     """Why alpha is not a strong jump: a ``graph`` with lambda = alpha at
     ``point``, or a ``family`` of density exactly alpha.  ``pi_value``, that
     density, is derived: alpha when there is a family, else None."""
 
-    alpha: Fraction
-    kind: str  # "lambda_graph" | "pi_family"
-    description: str
-    graph: Hypergraph | None = None
-    point: SimplexPoint | None = None
-    family: ForbiddenFamily | None = None
+    _fields = ("alpha", "kind", "description", "graph", "point", "family")
+
+    def __init__(
+        self,
+        alpha: Fraction,
+        kind: str,  # "lambda_graph" | "pi_family"
+        description: str,
+        graph: Hypergraph | None = None,
+        point: SimplexPoint | None = None,
+        family: ForbiddenFamily | None = None,
+    ):
+        self._store(alpha, kind, description, graph, point, family)
 
     @property
     def pi_value(self) -> Fraction | None:
@@ -265,6 +281,8 @@ def weak_jump_witness(alpha) -> WeakJumpWitness | None:
             a, "lambda_graph", text.format(t=graph.n, a=a),
             graph=graph, point=point,
         )
+    from .turansearch import ForbiddenFamily
+
     if k is None:
         members, text = row.limit_family, row.limit_text
     else:
@@ -290,6 +308,8 @@ def known_turan_density(family: ForbiddenFamily) -> tuple[Fraction, str] | None:
     pair graph on t vertices in ambient {2}; and in ambient {1, 2} every
     family of the catalogue ``_ROWS``, up to isomorphism of its members.
     """
+    from .turansearch import ForbiddenFamily
+
     _require_type(family, ForbiddenFamily, "family")
     if family.mode != "subgraph":
         return None
@@ -320,51 +340,51 @@ def known_turan_density(family: ForbiddenFamily) -> tuple[Fraction, str] | None:
 # certificates
 
 
-@dataclass(frozen=True)
-class LambdaWitness:
+class LambdaWitness(_Value):
     """A member and a rational point.  ``value``, the exact lower bound for
     lambda(member), is the form's value at the point, computed here; it is 0
     for an edgeless member, and a member on 0 vertices takes any point."""
 
-    member: Hypergraph
-    point: SimplexPoint
-    value: Fraction = field(init=False)
+    _fields = ("member", "point", "value")
 
-    def __post_init__(self):
-        _require_type(self.member, Hypergraph, "member")
-        _require_type(self.point, SimplexPoint, "point")
+    def __init__(self, member: Hypergraph, point: SimplexPoint):
+        _require_type(member, Hypergraph, "member")
+        _require_type(point, SimplexPoint, "point")
         value = Fraction(0)
-        if self.member.n:
-            value = certify_at(self.member, self.point)
-        object.__setattr__(self, "value", value)
+        if member.n:
+            from .lagrangian import certify_at
+
+            value = certify_at(member, point)
+        self._store(member, point, value)
 
 
-@dataclass(frozen=True)
-class PiEvidence:
+class PiEvidence(_Value):
     """Density evidence pi(F) <= value of one grade.  ``n``, the vertex
     count of the search, is given exactly when the grade is exhaustive."""
 
-    grade: str  # "closed_form" | "exhaustive" | "asserted"
-    value: Fraction
-    detail: str
-    n: int | None = None
+    _fields = ("grade", "value", "detail", "n")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        grade: str,  # "closed_form" | "exhaustive" | "asserted"
+        value: Fraction,
+        detail: str,
+        n: int | None = None,
+    ):
         # a plain int value is stored as the rational it stands for
-        value = _require_rational(self.value, "density value")
-        object.__setattr__(self, "value", value)
-        _require_type(self.detail, str, "detail")
-        if self.grade not in ("closed_form", "exhaustive", "asserted"):
-            raise InvalidArgumentError(f"unknown evidence grade {self.grade!r}")
-        if (self.n is None) == (self.grade == "exhaustive"):
-            need = "needs" if self.n is None else "takes no"
-            raise InvalidArgumentError(f"{self.grade} evidence {need} n")
-        if self.n is not None:
-            object.__setattr__(self, "n", _require_int(self.n, "n", 1))
+        value = _require_rational(value, "density value")
+        _require_type(detail, str, "detail")
+        if grade not in ("closed_form", "exhaustive", "asserted"):
+            raise InvalidArgumentError(f"unknown evidence grade {grade!r}")
+        if (n is None) == (grade == "exhaustive"):
+            need = "needs" if n is None else "takes no"
+            raise InvalidArgumentError(f"{grade} evidence {need} n")
+        if n is not None:
+            n = _require_int(n, "n", 1)
+        self._store(grade, value, detail, n)
 
 
-@dataclass(frozen=True)
-class JumpCertificate:
+class JumpCertificate(_Value):
     """A validated jump certificate; construction is the one place its
     conditions are checked.
 
@@ -377,52 +397,55 @@ class JumpCertificate:
     the positive margin min lambda - alpha.
     """
 
-    alpha: Fraction
-    kind: str  # "jump" | "strong_jump"
-    family: ForbiddenFamily
-    lambda_witnesses: tuple[LambdaWitness, ...]
-    pi_evidence: PiEvidence
+    _fields = ("alpha", "kind", "family", "lambda_witnesses", "pi_evidence")
 
-    def __post_init__(self):
-        a = _require_rational(self.alpha, "alpha")
-        object.__setattr__(self, "alpha", a)
-        _require_type(self.family, ForbiddenFamily, "family")
+    def __init__(
+        self,
+        alpha: Fraction,
+        kind: str,  # "jump" | "strong_jump"
+        family: ForbiddenFamily,
+        lambda_witnesses: tuple[LambdaWitness, ...],
+        pi_evidence: PiEvidence,
+    ):
+        from .turansearch import ForbiddenFamily
+
+        a = _require_rational(alpha, "alpha")
+        _require_type(family, ForbiddenFamily, "family")
         # a list of witnesses is stored as a tuple, so the certificate hashes
-        witnesses = _require_tuple(self.lambda_witnesses, "lambda_witnesses")
+        witnesses = _require_tuple(lambda_witnesses, "lambda_witnesses")
         for w in witnesses:
             _require_type(w, LambdaWitness, "lambda_witnesses entry")
-        object.__setattr__(self, "lambda_witnesses", witnesses)
-        if self.pi_evidence is not None:
-            _require_type(self.pi_evidence, PiEvidence, "pi_evidence")
+        if pi_evidence is not None:
+            _require_type(pi_evidence, PiEvidence, "pi_evidence")
         failures = []
-        if self.kind not in ("jump", "strong_jump"):
-            failures.append(f"unknown certificate kind {self.kind!r}")
-        if not self.lambda_witnesses:
+        if kind not in ("jump", "strong_jump"):
+            failures.append(f"unknown certificate kind {kind!r}")
+        if not witnesses:
             failures.append("no lambda witnesses")
-        for w in self.lambda_witnesses:
+        for w in witnesses:
             if w.value <= a:
                 failures.append(
                     f"condition on lambda fails: certified bound {w.value} <= {a} "
                     f"for a member on {w.member.n} vertices"
                 )
-        evidence = self.pi_evidence
+        evidence = pi_evidence
         if evidence is None:
             failures.append(
                 "no density evidence: supply pi_evidence or exhaustive_n, "
                 "or use a recognized family"
             )
-        elif self.kind == "strong_jump" and evidence.value >= a:
+        elif kind == "strong_jump" and evidence.value >= a:
             failures.append(
                 f"strict condition fails: density evidence {evidence.value} "
                 f"is not strictly below alpha {a}"
             )
-        elif self.kind == "jump" and evidence.value > a:
+        elif kind == "jump" and evidence.value > a:
             failures.append(
                 f"condition fails: density evidence {evidence.value} "
                 f"exceeds alpha {a}"
             )
         if evidence is not None and evidence.grade == "closed_form":
-            known = known_turan_density(self.family)
+            known = known_turan_density(family)
             if known is None or known[0] != evidence.value:
                 failures.append(
                     f"closed-form density evidence {evidence.value} does not "
@@ -430,6 +453,7 @@ class JumpCertificate:
                 )
         if failures:
             raise CertificateError(failures)
+        self._store(a, kind, family, witnesses, pi_evidence)
 
     @property
     def gap(self) -> Fraction:
@@ -437,6 +461,8 @@ class JumpCertificate:
 
 
 def _lambda_witness(member: Hypergraph, config) -> LambdaWitness:
+    from .lagrangian import maximize
+
     if not member.edges:
         return LambdaWitness(member, SimplexPoint.uniform(max(member.n, 1)))
     return LambdaWitness(member, maximize(member, config).certificate_point)
@@ -462,6 +488,8 @@ def build_certificate(
     downgrades: if the evidence only gives pi <= alpha the strong
     certificate fails.
     """
+    from .turansearch import ENUMERATION_CAP, ForbiddenFamily, pi_n
+
     a = _require_rational(alpha, "alpha")
     _require_type(family, ForbiddenFamily, "family")
     if exhaustive_n is not None:

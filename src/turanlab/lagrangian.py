@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -49,7 +48,7 @@ from .errors import (
     OptimizerFailureError,
     TuranLabError,
 )
-from .hypercore import Hypergraph, Pattern, SimplexPoint, equivalence_classes
+from .hypercore import Hypergraph, Pattern, SimplexPoint, _Value, equivalence_classes
 from .hypercore import _is_exact, _require_int, _require_rational, _require_tuple
 from .hypercore import _require_number, _require_type
 
@@ -80,8 +79,7 @@ def _ordered_terms(merged: dict) -> tuple:
     return tuple((merged[expo], expo) for expo in sorted(merged))
 
 
-@dataclass(frozen=True)
-class PolynomialForm:
+class PolynomialForm(_Value):
     """Sum of positive-coefficient monomials over simplex variables.
 
     Terms are (coefficient, exponent vector) pairs, merged and sorted by the
@@ -89,14 +87,12 @@ class PolynomialForm:
     reuse the same data.
     """
 
-    nvars: int
-    terms: tuple[tuple[Fraction, tuple[int, ...]], ...]
+    _fields = ("nvars", "terms")
 
-    def __post_init__(self):
-        nvars = _require_int(self.nvars, "variable count", 1)
-        object.__setattr__(self, "nvars", nvars)
+    def __init__(self, nvars: int, terms: tuple[tuple[Fraction, tuple[int, ...]], ...]):
+        nvars = _require_int(nvars, "variable count", 1)
         merged: dict[tuple[int, ...], Fraction] = {}
-        for term in _require_tuple(self.terms, "terms"):
+        for term in _require_tuple(terms, "terms"):
             coeff, expo = _require_tuple(term, "terms entry", 2)
             expo = tuple(_require_int(k, "exponent", 0)
                          for k in _require_tuple(expo, "exponent vector"))
@@ -106,7 +102,7 @@ class PolynomialForm:
             if c <= 0:
                 raise InvalidArgumentError("term coefficients must be positive")
             merged[expo] = merged[expo] + c if expo in merged else c
-        object.__setattr__(self, "terms", _ordered_terms(merged))
+        self._store(nvars, _ordered_terms(merged))
 
     @classmethod
     def _from_terms(cls, nvars: int, merged: dict) -> "PolynomialForm":
@@ -114,7 +110,7 @@ class PolynomialForm:
 
         Precondition: nvars is an int >= 1, and ``merged`` maps each distinct
         exponent vector, a tuple of nvars ints >= 0, to its coefficient, a
-        positive Fraction: exactly what ``__post_init__`` would have merged.
+        positive Fraction: exactly what ``__init__`` would have merged.
         Nothing checks it; a breach gives a form that compares, hashes and
         evaluates wrongly."""
         form = object.__new__(cls)
@@ -279,19 +275,18 @@ def gradient(obj, point):
 # optimizer
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    restarts: int = 32
-    max_iters: int = 10_000
-    seed: int = 0
+class OptimizerConfig(_Value):
+    _fields = ("restarts", "max_iters", "seed")
 
-    def __post_init__(self):
-        for name, least in (("restarts", 0), ("max_iters", 1), ("seed", 0)):
-            object.__setattr__(self, name, _require_int(getattr(self, name), name, least))
+    def __init__(self, restarts: int = 32, max_iters: int = 10_000, seed: int = 0):
+        self._store(
+            _require_int(restarts, "restarts", 0),
+            _require_int(max_iters, "max_iters", 1),
+            _require_int(seed, "seed", 0),
+        )
 
 
-@dataclass(frozen=True)
-class LagrangianResult:
+class LagrangianResult(_Value):
     """Maximum of a form over the simplex and how it was reached.
 
     ``method`` is ``"exact_kkt"`` for forms of degree <= 2, whose maximum
@@ -299,13 +294,25 @@ class LagrangianResult:
     ``value_exact`` None.
     """
 
-    value: float
-    maximizer: SimplexPoint
-    certified_lower_bound: Fraction | None
-    certificate_point: SimplexPoint | None
-    stationarity_residual: float
-    value_exact: Fraction | None
-    method: str
+    _fields = (
+        "value", "maximizer", "certified_lower_bound", "certificate_point",
+        "stationarity_residual", "value_exact", "method",
+    )
+
+    def __init__(
+        self,
+        value: float,
+        maximizer: SimplexPoint,
+        certified_lower_bound: Fraction | None,
+        certificate_point: SimplexPoint | None,
+        stationarity_residual: float,
+        value_exact: Fraction | None,
+        method: str,
+    ):
+        self._store(
+            value, maximizer, certified_lower_bound, certificate_point,
+            stationarity_residual, value_exact, method,
+        )
 
     @property
     def support(self) -> tuple[int, ...]:

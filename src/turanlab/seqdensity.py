@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -37,6 +36,7 @@ from .hypercore import (
     _require_rational,
     _require_tuple,
     _require_type,
+    _Value,
     blow_up,
     complete,
     disjoint_type_union,
@@ -80,8 +80,7 @@ def proportional_sizes(weights, total: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-@dataclass(frozen=True)
-class SequenceGenerator:
+class SequenceGenerator(_Value):
     """Rule for the i-th member of a hypergraph sequence.
 
     Vertex counts come either from an explicit ``ns`` list or from the
@@ -93,62 +92,64 @@ class SequenceGenerator:
     ``proportions`` and ``components`` for ``constant``.
     """
 
-    kind: str
-    ns: tuple[int, ...] | None = None
-    n_start: int | None = None
-    n_step: int | None = None
-    base: Hypergraph | None = None
-    proportions: tuple[Fraction, ...] | None = None
-    components: tuple["SequenceGenerator", ...] = ()
+    _fields = ("kind", "ns", "n_start", "n_step", "base", "proportions", "components")
 
-    def __post_init__(self):
-        if self.kind not in ("blowup", "union", "constant"):
-            raise InvalidArgumentError(f"unknown generator kind {self.kind!r}")
+    def __init__(
+        self,
+        kind: str,
+        ns: tuple[int, ...] | None = None,
+        n_start: int | None = None,
+        n_step: int | None = None,
+        base: Hypergraph | None = None,
+        proportions: tuple[Fraction, ...] | None = None,
+        components: tuple[SequenceGenerator, ...] = (),
+    ):
+        if kind not in ("blowup", "union", "constant"):
+            raise InvalidArgumentError(f"unknown generator kind {kind!r}")
+        given = {"base": base, "proportions": proportions, "components": components}
         unread = {"blowup": ("components",), "union": ("base", "proportions"),
-                  "constant": ("proportions", "components")}[self.kind]
+                  "constant": ("proportions", "components")}[kind]
         for name in unread:
-            if getattr(self, name) not in (None, ()):
-                raise InvalidArgumentError(f"{self.kind} takes no {name}")
-        if self.ns is not None:
+            if given[name] not in (None, ()):
+                raise InvalidArgumentError(f"{kind} takes no {name}")
+        if ns is not None:
             ns = tuple(_require_int(n, "ns entry", 1)
-                       for n in _require_tuple(self.ns, "ns"))
+                       for n in _require_tuple(ns, "ns"))
             if not ns:
                 raise InvalidArgumentError("ns must be a nonempty list")
-            object.__setattr__(self, "ns", ns)
-            if self.n_start is not None or self.n_step is not None:
+            if n_start is not None or n_step is not None:
                 raise InvalidArgumentError("give either ns or a start/step rule")
         else:
-            if self.n_start is None or self.n_step is None:
+            if n_start is None or n_step is None:
                 raise InvalidArgumentError("give either ns or a start/step rule")
-            for name in ("n_start", "n_step"):
-                object.__setattr__(self, name, _require_int(getattr(self, name), name, 1))
-        if self.kind == "blowup":
-            if self.base is None or self.proportions is None:
-                raise InvalidArgumentError(f"{self.kind} needs base and proportions")
-            _require_type(self.base, Hypergraph, "base")
-            props = tuple(_require_rational(w, "proportions entry")
-                          for w in _require_tuple(self.proportions, "proportions"))
-            if len(props) != self.base.n:
+            n_start = _require_int(n_start, "n_start", 1)
+            n_step = _require_int(n_step, "n_step", 1)
+        if kind == "blowup":
+            if base is None or proportions is None:
+                raise InvalidArgumentError(f"{kind} needs base and proportions")
+            _require_type(base, Hypergraph, "base")
+            proportions = tuple(_require_rational(w, "proportions entry")
+                                for w in _require_tuple(proportions, "proportions"))
+            if len(proportions) != base.n:
                 raise InvalidArgumentError("one proportion per base vertex")
-            if any(w < 0 for w in props) or sum(props) != 1:
+            if any(w < 0 for w in proportions) or sum(proportions) != 1:
                 raise InvalidArgumentError("proportions must be >= 0 and sum to 1")
-            object.__setattr__(self, "proportions", props)
-        elif self.kind == "union":
+        elif kind == "union":
             components = tuple(_require_type(c, SequenceGenerator, "components entry")
-                               for c in _require_tuple(self.components, "components"))
+                               for c in _require_tuple(components, "components"))
             if len(components) < 2:
                 raise InvalidArgumentError("union needs at least two components")
-            key = (self.ns, self.n_start, self.n_step)
+            key = (ns, n_start, n_step)
             for c in components:
                 if (c.ns, c.n_start, c.n_step) != key:
                     raise InvalidArgumentError(
                         "union components must share the size sequence"
                     )
-            object.__setattr__(self, "components", components)
-        elif self.kind == "constant":
-            if self.base is None:
+        elif kind == "constant":
+            if base is None:
                 raise InvalidArgumentError("constant needs a base graph")
-            _require_type(self.base, Hypergraph, "base")
+            _require_type(base, Hypergraph, "base")
+        self._store(kind, ns, n_start, n_step, base, proportions, components)
 
     # -- constructors ------------------------------------------------------
 
@@ -232,10 +233,17 @@ class SequenceGenerator:
 # Lubell values along the sequence
 
 
-@dataclass(frozen=True)
-class DensityTrend:
-    sizes: tuple[int, ...]
-    values: tuple[Fraction, ...]
+class DensityTrend(_Value):
+    """The Lubell values of the first members of a sequence, one per size;
+    both tuples are non-empty and of one length."""
+
+    _fields = ("sizes", "values")
+
+    def __init__(self, sizes: tuple[int, ...], values: tuple[Fraction, ...]):
+        sizes = _require_tuple(sizes, "sizes")
+        if not sizes:
+            raise InvalidArgumentError("a density trend needs at least one member")
+        self._store(sizes, _require_tuple(values, "values", len(sizes)))
 
     @property
     def diffs(self) -> tuple[Fraction, ...]:
@@ -272,19 +280,24 @@ def density_estimate(gen: SequenceGenerator, i_max: int) -> DensityTrend:
 # upper density sigma_t
 
 
-@dataclass(frozen=True)
-class UpperDensityReport:
+class UpperDensityReport(_Value):
     """sigma_t over the members in ``i_range``.  ``exhaustive`` is True on
     every report, a class attribute and not a field: ``sigma_t`` searches
     every member in full."""
 
-    t: int
-    value: Fraction
-    attaining: tuple[int, tuple[int, ...]]  # (member index, vertex subset)
-    h_values: tuple[Fraction, ...]  # full-member Lubell values over the range
-    i_range: tuple[int, int]
+    _fields = ("t", "value", "attaining", "h_values", "i_range")
 
     exhaustive = True
+
+    def __init__(
+        self,
+        t: int,
+        value: Fraction,
+        attaining: tuple[int, tuple[int, ...]],  # (member index, vertex subset)
+        h_values: tuple[Fraction, ...],  # full-member Lubell values over the range
+        i_range: tuple[int, int],
+    ):
+        self._store(t, value, attaining, h_values, i_range)
 
 
 def _best_counts(base: Hypergraph, caps, t: int, weights: dict[int, int],

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -50,6 +49,7 @@ from .hypercore import (
     _require_int,
     _require_tuple,
     _require_type,
+    _Value,
     canonical_form,
     complete,
     contains_induced,
@@ -71,8 +71,7 @@ __all__ = [
 ENUMERATION_CAP = 8
 
 
-@dataclass(frozen=True)
-class ForbiddenFamily:
+class ForbiddenFamily(_Value):
     """A finite family of forbidden graphs over an ambient edge-type set.
 
     Members are deduplicated up to isomorphism and must use only ambient edge
@@ -80,27 +79,29 @@ class ForbiddenFamily:
     containment.
     """
 
-    ambient: EdgeTypeSet
-    members: tuple[Hypergraph, ...] = ()
-    mode: str = "subgraph"
+    _fields = ("ambient", "members", "mode")
 
-    def __post_init__(self):
-        _require_type(self.ambient, EdgeTypeSet, "ambient")
-        if self.mode not in ("subgraph", "induced"):
+    def __init__(
+        self,
+        ambient: EdgeTypeSet,
+        members: tuple[Hypergraph, ...] = (),
+        mode: str = "subgraph",
+    ):
+        _require_type(ambient, EdgeTypeSet, "ambient")
+        if mode not in ("subgraph", "induced"):
             raise InvalidArgumentError(
-                f"mode must be 'subgraph' or 'induced', got {self.mode!r}"
+                f"mode must be 'subgraph' or 'induced', got {mode!r}"
             )
         unique: dict[bytes, Hypergraph] = {}
-        for member in _require_tuple(self.members, "members"):
+        for member in _require_tuple(members, "members"):
             _require_type(member, Hypergraph, "members entry")
             for r in member.edge_sizes():
-                if r not in self.ambient:
+                if r not in ambient:
                     raise InvalidArgumentError(
                         f"member uses edge size {r} outside the ambient set"
                     )
             unique.setdefault(canonical_form(member), member)
-        members = tuple(unique[k] for k in sorted(unique))
-        object.__setattr__(self, "members", members)
+        self._store(ambient, tuple(unique[k] for k in sorted(unique)), mode)
 
     def excludes(self, graph: Hypergraph) -> bool:
         """Whether the graph contains some member (in the family's mode)."""
@@ -116,25 +117,33 @@ class ForbiddenFamily:
         return not any(contains_subgraph(child, m, through=e) for m in self.members)
 
 
-@dataclass(frozen=True)
-class PiRecord:
+class PiRecord(_Value):
     """pi_n of a family and its extremal canonical graphs.  ``exhaustive``
     is True on every record, a class attribute and not a field: ``pi_n``
     enumerates every class."""
 
-    n: int
-    pi_n: Fraction
-    extremal: tuple[Hypergraph, ...]
-    graphs_enumerated: int
-    elapsed: float
+    _fields = ("n", "pi_n", "extremal", "graphs_enumerated", "elapsed")
 
     exhaustive = True
 
+    def __init__(
+        self,
+        n: int,
+        pi_n: Fraction,
+        extremal: tuple[Hypergraph, ...],
+        graphs_enumerated: int,
+        elapsed: float,
+    ):
+        self._store(n, pi_n, extremal, graphs_enumerated, elapsed)
 
-@dataclass(frozen=True)
-class DensityBound:
-    family: ForbiddenFamily
-    records: tuple[PiRecord, ...]
+
+class DensityBound(_Value):
+    """The pi_n records of a family, one per n in increasing order."""
+
+    _fields = ("family", "records")
+
+    def __init__(self, family: ForbiddenFamily, records: tuple[PiRecord, ...]):
+        self._store(family, records)
 
 
 def _adds_largest_inv(rows, up, tops, top, e) -> bool:

@@ -373,6 +373,18 @@ class TestCertify:
         assert code == 0
         assert json.loads(out)["pi_evidence"]["grade"] == "asserted"
 
+    @pytest.mark.parametrize("detail,expected", [
+        ([], "asserted on the command line"),
+        (["--pi-detail", ""], ""),
+    ], ids=["default", "empty"])
+    def test_asserted_pi_detail_is_kept_as_given(self, capsys, family_file, detail, expected):
+        # an empty note is a note: it is written, not replaced by the default
+        code, out, _ = run_cli(
+            capsys, "certify", "11/10", family_file, "--pi", "1", *detail,
+        )
+        assert code == 0
+        assert f'"detail":{json.dumps(expected)}' in out
+
     def test_exhaustive_evidence(self, capsys, tmp_path):
         path = tmp_path / "path3.json"
         path.write_text(
@@ -507,9 +519,13 @@ class TestSubprocessEntryPoints:
         assert proc.returncode == 2
 
 
+# modules that no command may load: numpy, and the two whose imports cost
+# each command most of its start-up beyond its own modules
+UNWANTED = ("numpy", "dataclasses", "inspect")
+
 # Runs `main(argv)` (or only `import turanlab` when argv is empty) and
 # reports on stderr's last two lines the turanlab submodules it loaded and
-# whether numpy was loaded.
+# which modules of UNWANTED it loaded.
 PROBE = (
     "import sys\n"
     "import turanlab\n"
@@ -520,7 +536,7 @@ PROBE = (
     "print(*sorted(m.split('.', 1)[1] for m in sys.modules"
     " if m.startswith('turanlab.')),"
     " file=sys.stderr)\n"
-    "print('numpy' in sys.modules, file=sys.stderr)\n"
+    f"print(*(m for m in {UNWANTED!r} if m in sys.modules), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -536,14 +552,15 @@ def checkout_env(**extra):
 
 
 def probe(*argv):
-    """(the set of turanlab submodules loaded, whether numpy was loaded)."""
+    """(the set of turanlab submodules loaded, the set of UNWANTED modules
+    loaded)."""
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv],
         capture_output=True, text=True, env=checkout_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    modules, numpy = proc.stderr.splitlines()[-2:]
-    return set(modules.split()), numpy == "True"
+    modules, unwanted = proc.stderr.splitlines()[-2:]
+    return set(modules.split()), set(unwanted.split())
 
 
 @pytest.fixture
@@ -575,7 +592,7 @@ class TestNumpyStaysUnloaded:
     """No subcommand imports numpy, the float ascent included."""
 
     def loads_numpy(self, *argv):
-        return probe(*argv)[1]
+        return "numpy" in probe(*argv)[1]
 
     def test_import(self):
         assert not self.loads_numpy()
@@ -589,6 +606,16 @@ class TestNumpyStaysUnloaded:
         assert not self.loads_numpy(
             "lagrangian", inputs["k4_minus"], "--restarts", "2", "--seed", "0"
         )
+
+
+class TestIntrospectionStaysUnloaded:
+    """No subcommand imports dataclasses or inspect, which bring ast, dis and
+    tokenize along: the library's values are ``hypercore._Value``s."""
+
+    @pytest.mark.parametrize("argv", EXACT_CALLS, ids=lambda argv: argv[0])
+    def test_exact_subcommands(self, inputs, argv):
+        loaded = probe(*(a.format(**inputs) for a in argv))[1]
+        assert not loaded & {"dataclasses", "inspect"}
 
 
 class TestAscentIsDeterministic:
@@ -621,7 +648,7 @@ SUBCOMMAND_MODULES = {
     "lagrangian": {"lagrangian"},
     "turan": {"turansearch"},
     "sigma": {"seqdensity"},
-    "classify12": {"jumpcert", "lagrangian", "turansearch"},
+    "classify12": {"jumpcert"},
     "certify": {"jumpcert", "lagrangian", "turansearch"},
 }
 

@@ -3,9 +3,10 @@
 An AST scan: a name bound by an import must appear as a name somewhere else
 in the module, or be listed in its ``__all__``.  No module under ``src``
 imports numpy, at load time or inside a function: the float ascent runs on
-Python floats.  Only ``hypercore._require_int`` uses ``operator.index``, so
-every count is read by that one function, and only it raises
-``UnsupportedSizeError``, so every size cap is read there too.  Only
+Python floats; nor does any import dataclasses.  Only
+``hypercore._require_int`` uses ``operator.index``, so every count is read by
+that one function, and only it raises ``UnsupportedSizeError``, so every size
+cap is read there too.  Only
 ``hypercore`` defines a ``_require_*`` reader, so every rational is read by
 ``hypercore._require_rational``; likewise only ``hypercore`` defines the
 orbit helpers ``_orbit_firsts`` and ``_twin_swaps``.  ``object.__new__``, which
@@ -302,6 +303,14 @@ def test_module_uses_its_imports(path):
 def test_numpy_is_imported_only_where_it_is_used(path):
     # it is used nowhere: no module under src imports it at any depth
     assert "numpy" not in imported_packages(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # hypercore._Value gives the value classes their equality, hash and repr
+    # without the import and per-class code generation that would cost
+    # every command about 30 ms of start-up
+    assert "dataclasses" not in imported_packages(path.read_text(encoding="utf-8"))
 
 
 # the 58 names ``turanlab`` exported when it imported them eagerly

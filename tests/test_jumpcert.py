@@ -543,7 +543,7 @@ class TestBuildCertificate:
         def maximize(*args, **kwargs):
             raise AssertionError("a lambda witness was computed")
 
-        monkeypatch.setattr(jumpcert, "maximize", maximize)
+        monkeypatch.setattr("turanlab.lagrangian.maximize", maximize)
         with pytest.raises(InvalidArgumentError,
                            match="^give pi_evidence or exhaustive_n, not both$"):
             build_certificate(

@@ -534,3 +534,15 @@ class TestDensityTrend:
     def test_shape(self):
         trend = DensityTrend((4, 6), (F(2, 3), F(3, 5)))
         assert trend.diffs == (F(-1, 15),) and trend.last == F(3, 5)
+
+    @pytest.mark.parametrize("sizes,values,message", [
+        ((4,), (), "values must have 1 entries, not 0"),
+        ((), (), "a density trend needs at least one member"),
+        ((4, 6), (F(2, 3),), "values must have 2 entries, not 1"),
+        (None, (F(2, 3),), "sizes must be a sequence, not None"),
+        ((4,), 5, "values must be a sequence, not 5"),
+    ])
+    def test_refuses_a_trend_without_a_last_value(self, sizes, values, message):
+        # an empty or unequal pair constructed, then raised IndexError on .last
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            DensityTrend(sizes, values)
